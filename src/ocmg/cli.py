@@ -229,7 +229,9 @@ def cmd_mg(opts: dict) -> int:
     else:
         _write_history(sys.stdout, res.history)
     if not res.converged:
-        print("ocmg: multigrid did not reach tolerance", file=sys.stderr)
+        why = ("did not reach tolerance" if np.isfinite(res.history[-1])
+               else "residual norm is not finite")
+        print(f"ocmg: multigrid {why}", file=sys.stderr)
         return 2
     return 0
 

@@ -18,13 +18,16 @@ Hierarchy invariants:
 
 Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once; the coarsest level is a
-dense LU direct solve (assembled once per hierarchy).
+dense LU direct solve (assembled once per hierarchy).  No residual is
+evaluated twice: solve hands the residual of its convergence check to the
+next cycle, and a coarse visit from the zero iterate smooths its
+right-hand side directly.
 
-Transfers are the tensor products of the 1D full-weighting weights
-(q - |k|)/q^2, k = -(q-1)..(q-1), and of 1D linear interpolation with
-weights (1 - k/q, k/q) between adjacent coarse nodes, boundary values
-zero.  They are adjoint up to the fixed factor q^2:
-<prolong(c), f> = q^2 <c, restrict(f)>.
+Transfers are tensor products of sparse 1D operators built once per
+(N, q): full weighting R1, weights (q - |k|)/q^2 for k = -(q-1)..(q-1),
+and linear interpolation P1 = q R1^T, boundary values zero.  Then
+restrict(f) = R1 f R1^T and prolong(c) = P1 c P1^T are adjoint up to the
+fixed factor q^2 by construction: <prolong(c), f> = q^2 <c, restrict(f)>.
 
 The convergence factor of a solve stopped at iteration k is
 rho = (||r_k|| / ||r_0||)^(1/k), measured from a seeded uniform(0,1)
@@ -34,6 +37,7 @@ random initial guess, matching the benchmark protocol reproduced here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import log
 
 import numpy as np
@@ -58,8 +62,6 @@ class CycleSpec:
     tol: float = 1e-10
     max_iters: int = 100
     seed: int = 0
-
-    nu_post = 0  # fixed: the scheme under study never post-smooths
 
     def __post_init__(self):
         if self.cycle not in ("V", "W"):
@@ -140,51 +142,30 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
 
 # ---------------------------------------------------------------- transfers
 
+@lru_cache(maxsize=None)
+def _transfers_1d(N: int, q: int) -> tuple:
+    """Full weighting R1, (N/q - 1) x (N - 1), and interpolation P1 = q R1^T."""
+    from scipy import sparse  # here, not at start-up of every ocmg command
+    if N % q != 0 or N < 2 * q:
+        raise ValueError(f"N={N} cannot be coarsened by q={q}")
+    k = np.arange(-(q - 1), q)
+    band = sparse.diags_array((q - np.abs(k)) / q**2, offsets=k,
+                              shape=(N - 1, N - 1))
+    R = band.tocsr()[q - 1::q]  # rows at the coarse nodes q, 2q, ...
+    return R, (q * R.T).tocsr()
+
+
+# Only sparse @ dense products; the transposes copy the smaller arrays.
 def restrict(fine: np.ndarray, q: int) -> np.ndarray:
-    """Tensor-product full weighting onto the q-times-coarser grid."""
-    m = fine.shape[0]
-    N = m + 1
-    if N % q != 0:
-        raise ValueError(f"N={N} not divisible by q={q}")
-    Nc = N // q
-    if Nc < 2:
-        raise ValueError(f"coarse grid N={Nc} has no interior points")
-    F = np.zeros((N + 1, N + 1))
-    F[1:N, 1:N] = fine
-    w = (q - np.abs(np.arange(-(q - 1), q))) / q**2
-    tmp = np.zeros((Nc - 1, N + 1))
-    for k in range(-(q - 1), q):
-        tmp += w[k + q - 1] * F[q + k:N - q + k + 1:q, :]
-    out = np.zeros((Nc - 1, Nc - 1))
-    for k in range(-(q - 1), q):
-        out += w[k + q - 1] * tmp[:, q + k:N - q + k + 1:q]
-    return out
+    """Tensor-product full weighting R1 f R1^T onto the q-times-coarser grid."""
+    R, _ = _transfers_1d(fine.shape[0] + 1, q)
+    return np.ascontiguousarray((R @ (R @ fine).T).T)
 
 
 def prolong(coarse: np.ndarray, q: int) -> np.ndarray:
-    """Tensor-product linear interpolation onto the q-times-finer grid."""
-    Nc = coarse.shape[0] + 1
-    N = q * Nc
-    C = np.zeros((Nc + 1, Nc + 1))
-    C[1:Nc, 1:Nc] = coarse
-    rows = np.arange(Nc) * q
-    A = np.zeros((N + 1, Nc + 1))
-    for k in range(q):
-        t = k / q
-        A[rows + k, :] = (1.0 - t) * C[:Nc, :] + t * C[1:, :]
-    out = np.zeros((N + 1, N + 1))
-    for k in range(q):
-        t = k / q
-        out[:, rows + k] = (1.0 - t) * A[:, :Nc] + t * A[:, 1:]
-    return out[1:N, 1:N]
-
-
-def _restrict_block(v: BlockField, q: int) -> BlockField:
-    return BlockField(restrict(v.y, q), restrict(v.p, q))
-
-
-def _prolong_block(v: BlockField, q: int) -> BlockField:
-    return BlockField(prolong(v.y, q), prolong(v.p, q))
+    """Tensor-product linear interpolation P1 c P1^T onto the q-times-finer grid."""
+    _, P = _transfers_1d(q * (coarse.shape[0] + 1), q)
+    return P @ (P @ coarse.T).T
 
 
 # ---------------------------------------------------------------- cycling
@@ -203,19 +184,32 @@ def _coarse_solve(hier: Hierarchy, b: BlockField) -> BlockField:
     return BlockField(x[:n].reshape(m, m), x[n:].reshape(m, m))
 
 
-def cycle(hier: Hierarchy, level: int, v: BlockField, b: BlockField,
-          spec: CycleSpec) -> BlockField:
-    """One recursive cycle from the given level; returns the updated iterate."""
+def cycle(hier: Hierarchy, level: int, v: BlockField | None, b: BlockField,
+          spec: CycleSpec, r: BlockField | None = None,
+          inplace: bool = False) -> BlockField:
+    """One recursive cycle from the given level; returns the updated iterate.
+
+    v None is the zero iterate and r, if given, its residual b - A v.  b
+    is never modified, v only with inplace=True (the caller owns it).
+    """
     if level == len(hier.levels) - 1:
         return _coarse_solve(hier, b)
-    lev = hier.levels[level]
-    for _ in range(spec.nu_pre):
-        v = v + _relax(residual(lev.op, b, v), lev)
-    rc = _restrict_block(residual(lev.op, b, v), hier.q)
-    ec = BlockField.zeros(hier.levels[level + 1].grid)
+    lev, q = hier.levels[level], hier.q
+    if v is None:  # the residual of the zero iterate is b itself
+        v = _relax(b, lev)
+    else:
+        v = v if inplace else v.copy()
+        v += _relax(residual(lev.op, b, v) if r is None else r, lev)
+    for _ in range(spec.nu_pre - 1):
+        v += _relax(residual(lev.op, b, v), lev)
+    r = residual(lev.op, b, v)
+    rc = BlockField(restrict(r.y, q), restrict(r.p, q))
+    del r  # unused below; freeing it lowers the peak memory of the cycle
+    ec = None
     for _ in range(1 if spec.cycle == "V" else 2):
-        ec = cycle(hier, level + 1, ec, rc, spec)
-    return v + _prolong_block(ec, hier.q)
+        ec = cycle(hier, level + 1, ec, rc, spec, inplace=True)
+    v += BlockField(prolong(ec.y, q), prolong(ec.p, q))
+    return v
 
 
 def solve(hier: Hierarchy, b: BlockField, spec: CycleSpec,
@@ -224,8 +218,12 @@ def solve(hier: Hierarchy, b: BlockField, spec: CycleSpec,
 
     An explicit v0 overrides the random guess; correction equations are
     best started from zero so the relative tolerance is measured against
-    the right-hand side rather than against random-iterate noise.
+    the right-hand side rather than against random-iterate noise.  A
+    non-finite b raises ValueError; a non-finite residual norm ends the
+    solve unconverged before it can reach the coarse LU solve.
     """
+    if not (np.isfinite(b.y).all() and np.isfinite(b.p).all()):
+        raise ValueError("right-hand side contains non-finite values")
     g = hier.levels[0].grid
     op = hier.levels[0].op
     if v0 is not None:
@@ -234,18 +232,20 @@ def solve(hier: Hierarchy, b: BlockField, spec: CycleSpec,
         rng = np.random.default_rng(spec.seed)
         v = BlockField(rng.uniform(0.0, 1.0, (g.m, g.m)),
                        rng.uniform(0.0, 1.0, (g.m, g.m)))
-    r0 = block_norm2(residual(op, b, v))
+    r = residual(op, b, v)
+    r0 = block_norm2(r)
     history = [r0]
     if r0 == 0.0:
         return MgResult(v, 0, 0.0, history, True)
-    rel = 1.0
-    k = 0
+    if not np.isfinite(r0):
+        return MgResult(v, 0, float("nan"), history, False)
+    rel, k = 1.0, 0
     for k in range(1, spec.max_iters + 1):
-        v = cycle(hier, 0, v, b, spec)
-        rn = block_norm2(residual(op, b, v))
-        history.append(rn)
-        rel = rn / r0
-        if rel <= spec.tol or rel > 1e8:  # converged, or clearly diverging
+        v = cycle(hier, 0, v, b, spec, r, inplace=True)
+        r = residual(op, b, v)
+        history.append(block_norm2(r))
+        rel = history[-1] / r0
+        if rel <= spec.tol or not rel <= 1e8:  # converged, diverging or NaN
             break
     rho = rel ** (1.0 / k) if k > 0 else 0.0
     return MgResult(v, k, rho, history, rel <= spec.tol)

@@ -16,6 +16,7 @@ Field files are line-oriented text: a header "N <value>" followed by one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,19 +94,26 @@ def dump_field(path, field: np.ndarray, grid: GridSpec) -> None:
 
 
 def load_field(path) -> tuple[GridSpec, np.ndarray]:
+    """Read a field file; every interior point must appear exactly once."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "N":
             raise ValueError(f"bad field header in {path}")
         grid = GridSpec(int(header[1]))
-        out = np.full((grid.m, grid.m), np.nan)
-        count = 0
-        for line in fh:
+        out = np.full((grid.m, grid.m), np.nan)  # NaN marks a missing point
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             i_s, j_s, val = line.split()
-            out[int(j_s) - 1, int(i_s) - 1] = float(val)
-            count += 1
-    if count != grid.m * grid.m or np.isnan(out).any():
+            i, j, x = int(i_s), int(j_s), float(val)
+            if not (1 <= i <= grid.m and 1 <= j <= grid.m):
+                raise ValueError(f"{path}:{lineno}: point ({i}, {j}) is not "
+                                 f"an interior node of N={grid.N}")
+            if not math.isfinite(x):
+                raise ValueError(f"{path}:{lineno}: non-finite value {val!r}")
+            if not math.isnan(out[j - 1, i - 1]):
+                raise ValueError(f"{path}:{lineno}: duplicate point ({i}, {j})")
+            out[j - 1, i - 1] = x
+    if np.isnan(out).any():
         raise ValueError(f"field file {path} does not cover the grid")
     return grid, out

@@ -90,6 +90,43 @@ def test_mg_unreached_tolerance_exits_2_but_writes_history(tmp_path):
     assert len(rows) == 101  # initial residual plus the full iteration budget
 
 
+def _field_config(tmp_path, f_value: str) -> str:
+    """Config for an N=16 mg solve from field files: f = f_value, g = 0."""
+    N = 16
+    for name, value in (("f", f_value), ("g", "0")):
+        lines = [f"N {N}"] + [f"{i} {j} {value}" for j in range(1, N)
+                              for i in range(1, N)]
+        (tmp_path / f"{name}.txt").write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "fields.cfg"
+    cfg.write_text(f"N = {N}\nf_file = {tmp_path / 'f.txt'}\n"
+                   f"g_file = {tmp_path / 'g.txt'}\n")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_mg_non_finite_data_is_a_validation_error(tmp_path, capsys, value):
+    code = run_cli(["mg", "--config", _field_config(tmp_path, value)])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_mg_overflowing_residual_exits_2_without_cycling(tmp_path, capsys):
+    # finite data whose residual norm overflows: the solve must stop before
+    # cycling, instead of handing inf/NaN to the coarse LAPACK solve
+    out = tmp_path / "hist.csv"
+    code = run_cli(["mg", "--config", _field_config(tmp_path, "1.7e308"),
+                    "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "converged=False iters=0" in captured.out
+    assert "not finite" in captured.err
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["iter"] for r in rows] == ["0"]
+    assert rows[0]["residual_norm"] == "inf"
+
+
 def test_mg_config_matches_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scheme = ibsr\nN = 32\nalpha = 1e-4  # trailing comment\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocmg.grid import BlockField, GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
@@ -16,6 +18,7 @@ from ocmg.multigrid import (
     restrict,
     solve,
 )
+from ocmg.problems import example1_fields
 from ocmg.smoothers import SmootherSpec
 
 
@@ -199,6 +202,61 @@ def test_transfers_adjoint_up_to_q_squared(q):
     np.testing.assert_allclose(R, P.T / q**2, atol=1e-14)
 
 
+# The per-k loop transfers the sparse ones replaced, kept as the reference.
+
+def _restrict_loops(fine, q):
+    N = fine.shape[0] + 1
+    Nc = N // q
+    F = np.zeros((N + 1, N + 1))
+    F[1:N, 1:N] = fine
+    w = (q - np.abs(np.arange(-(q - 1), q))) / q**2
+    tmp = np.zeros((Nc - 1, N + 1))
+    for k in range(-(q - 1), q):
+        tmp += w[k + q - 1] * F[q + k:N - q + k + 1:q, :]
+    out = np.zeros((Nc - 1, Nc - 1))
+    for k in range(-(q - 1), q):
+        out += w[k + q - 1] * tmp[:, q + k:N - q + k + 1:q]
+    return out
+
+
+def _prolong_loops(coarse, q):
+    Nc = coarse.shape[0] + 1
+    N = q * Nc
+    C = np.zeros((Nc + 1, Nc + 1))
+    C[1:Nc, 1:Nc] = coarse
+    rows = np.arange(Nc) * q
+    A = np.zeros((N + 1, Nc + 1))
+    for k in range(q):
+        t = k / q
+        A[rows + k, :] = (1.0 - t) * C[:Nc, :] + t * C[1:, :]
+    out = np.zeros((N + 1, N + 1))
+    for k in range(q):
+        t = k / q
+        out[:, rows + k] = (1.0 - t) * A[:, :Nc] + t * A[:, 1:]
+    return out[1:N, 1:N]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_transfers_match_loops_and_are_adjoint(q, data, seed):
+    Nc = data.draw(st.integers(2, 48 // q), label="Nc")
+    N = q * Nc
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((N - 1, N - 1))
+    c = rng.standard_normal((Nc - 1, Nc - 1))
+    rf, pc = restrict(f, q), prolong(c, q)
+    assert rf.flags.c_contiguous and pc.flags.c_contiguous
+    # same sums up to rounding (prolong sums its two axes in another order)
+    np.testing.assert_allclose(rf, _restrict_loops(f, q), rtol=0,
+                               atol=1e-15 * np.abs(f).max())
+    np.testing.assert_allclose(pc, _prolong_loops(c, q), rtol=0,
+                               atol=1e-15 * np.abs(c).max())
+    lhs = np.vdot(pc, f)
+    rhs = q**2 * np.vdot(c, rf)
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(pc) * np.linalg.norm(f)
+
+
 def test_restrict_rejects_indivisible():
     with pytest.raises(ValueError):
         restrict(np.ones((15, 15)), 3)
@@ -271,6 +329,118 @@ def test_two_level_solve_reaches_dense_solution():
                                atol=1e-9 * max(1.0, np.linalg.norm(expect)))
 
 
+@pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_cycle_leaves_caller_fields_unmodified(kind, nu):
+    hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
+    grid = hier.levels[0].grid
+    rng = _rng(6)
+    v = BlockField(rng.uniform(size=(grid.m, grid.m)),
+                   rng.uniform(size=(grid.m, grid.m)))
+    b = BlockField(rng.standard_normal((grid.m, grid.m)),
+                   rng.standard_normal((grid.m, grid.m)))
+    v_in, b_in = v.copy(), b.copy()
+    spec = CycleSpec(cycle="W", nu_pre=nu)
+    out = cycle(hier, 0, v, b, spec)
+    r = residual(hier.levels[0].op, b, v)
+    r_in = r.copy()
+    out_r = cycle(hier, 0, v, b, spec, r)
+    for x, x_in in ((v, v_in), (b, b_in), (r, r_in)):
+        np.testing.assert_array_equal(x.y, x_in.y)
+        np.testing.assert_array_equal(x.p, x_in.p)
+    # handing over the known residual changes nothing but the work done
+    np.testing.assert_array_equal(out_r.y, out.y)
+    np.testing.assert_array_equal(out_r.p, out.p)
+    # an iterate handed over with inplace=True is updated and returned
+    out_ip = cycle(hier, 0, v, b, spec, r, inplace=True)
+    assert out_ip is v
+    np.testing.assert_array_equal(v.y, out.y)
+    np.testing.assert_array_equal(v.p, out.p)
+
+
+# Residual histories and iterate checksums of six W(1,0) cycles on the
+# manufactured problem at alpha=1e-6, recorded with the per-k loop transfers
+# and a cycle that recomputed every residual.  Checksum: <w0, y>, <w1, p>,
+# ||y||, ||p|| with w = default_rng(1).standard_normal((2, m, m)).
+REFERENCE_SIZES = {2: 64, 3: 81, 4: 64}
+REFERENCE = {
+    ("cjr", 2): (
+        [52852947.741985254, 7481824.958353358, 6414277.224105464,
+         5086509.744741547, 3638368.87200939, 2460183.6011569123,
+         1608194.1122902737],
+        (-112.27406510528499, 11.988434589356174, 127.47779599983987,
+         36.678152296877094)),
+    ("cjr", 3): (
+        [66824210.69292641, 10769476.216983061, 11157266.254345449,
+         11504100.983144343, 10758159.847425418, 9517938.788257176,
+         8156387.5986331245],
+        (281.864727397111, -27.872498713581, 407.1202731812883,
+         46.44049927432867)),
+    ("cjr", 4): (
+        [52852947.741985254, 9008204.49750828, 11157710.154884301,
+         12892876.45637964, 13447204.76126176, 13254415.012684653,
+         12620445.223699693],
+        (-1014.9083109546493, 13.3899300454726, 1042.2990753304455,
+         36.75762669482839)),
+    ("bsr", 2): (
+        [52852947.741985254, 4636546.534721049, 983574.9861784021,
+         242507.48431075536, 59607.94456061774, 15002.733388357341,
+         3727.64330760322],
+        (-152.1859731473369, 11.803496089289684, 101.5284019482558,
+         36.67757056446158)),
+    ("bsr", 3): (
+        [66824210.69292641, 5988778.3156175995, 1263854.5283512732,
+         313408.8056665268, 83665.26334247088, 23099.505144617524,
+         6478.2568877981685],
+        (48.13053762249332, -31.260138896573675, 127.6233072412521,
+         46.419966942980054)),
+    ("bsr", 4): (
+        [52852947.741985254, 2692014.702251726, 369297.0585137715,
+         70004.97211046364, 28809.81805403646, 10904.01861864582,
+         4834.264523700996],
+        (-153.41352335965618, 11.804710652956114, 101.53333459759115,
+         36.67757140977303)),
+    ("ibsr", 2): (
+        [52852947.741985254, 4767019.281303172, 1214280.770838377,
+         303508.45886570413, 89840.53563035623, 24623.77411927353,
+         6905.1362691035265],
+        (-152.5392493288084, 11.799628650636427, 101.52666805953821,
+         36.67756893653649)),
+    ("ibsr", 3): (
+        [66824210.69292641, 7252562.755350793, 1792122.5883504648,
+         511388.3299373634, 168758.4637559367, 54182.478848957784,
+         20572.8126665709],
+        (49.86912117785212, -31.225526172950666, 127.73967107162252,
+         46.41997174909173)),
+    ("ibsr", 4): (
+        [52852947.741985254, 4870829.487771727, 1166560.0285660373,
+         535184.0199113725, 333719.6530508636, 209669.30024524606,
+         118409.0846850892],
+        (-168.3903111888114, 11.811634115232039, 114.46778105022527,
+         36.67756070730962)),
+}
+
+
+@pytest.mark.parametrize("kind, q", sorted(REFERENCE))
+def test_solve_matches_recorded_reference(kind, q):
+    history_ref, check_ref = REFERENCE[kind, q]
+    grid = GridSpec(REFERENCE_SIZES[q])
+    data, _ = example1_fields(grid, 1e-6)
+    hier = build_hierarchy(grid.N, q, 1e-6, SmootherSpec(kind))
+    res = solve(hier, BlockField(data.f, data.g),
+                CycleSpec(cycle="W", nu_pre=1, max_iters=6))
+    np.testing.assert_allclose(res.history, history_ref, rtol=1e-12, atol=0)
+    w = _rng(1).standard_normal((2, grid.m, grid.m))
+    norm_y, norm_p = np.linalg.norm(res.v.y), np.linalg.norm(res.v.p)
+    assert norm_y == pytest.approx(check_ref[2], rel=1e-12)
+    assert norm_p == pytest.approx(check_ref[3], rel=1e-12)
+    # relative to the largest value the inner product can take
+    for wk, field, ref_dot in ((w[0], res.v.y, check_ref[0]),
+                               (w[1], res.v.p, check_ref[1])):
+        bound = 1e-12 * np.linalg.norm(wk) * np.linalg.norm(field)
+        assert abs(np.vdot(wk, field) - ref_dot) <= bound
+
+
 def test_solve_histories_deterministic():
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
     b = BlockField.zeros(GridSpec(16))
@@ -290,6 +460,25 @@ def test_solve_flags_divergence():
     assert not res.converged
     assert res.rho > 1.0
     assert len(res.history) == res.iters + 1
+
+
+def test_solve_rejects_non_finite_rhs():
+    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
+    b = BlockField.zeros(GridSpec(16))
+    b.p[3, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(hier, b, CycleSpec())
+
+
+def test_solve_stops_at_first_non_finite_residual():
+    # an absurd damping overflows the iterate in the first cycle; the NaN
+    # residual must end the solve instead of reaching the coarse LU solve
+    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr", omega=1e300))
+    with np.errstate(all="ignore"):
+        res = solve(hier, BlockField.zeros(GridSpec(16)), CycleSpec())
+    assert not res.converged
+    assert res.iters == 1
+    assert not np.isfinite(res.history[-1])
 
 
 def test_solve_rho_consistent_with_history():

@@ -110,3 +110,40 @@ def test_load_field_rejects_bad_files(tmp_path):
     p2.write_text("N 3\n1 1 1.0\n")
     with pytest.raises(ValueError):
         load_field(p2)
+
+
+def _dump_lines(tmp_path, N=4):
+    grid = GridSpec(N)
+    path = tmp_path / "field.txt"
+    dump_field(path, np.arange(1.0, grid.m ** 2 + 1).reshape(grid.m, grid.m),
+               grid)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (4, 1), (1, 4), (-1, 2)])
+def test_load_field_rejects_points_off_the_interior(tmp_path, i, j):
+    # index 0 used to wrap to the last column and load silently
+    path, lines = _dump_lines(tmp_path)
+    assert lines[3].split()[:2] == ["3", "1"]
+    lines[3] = f"{i} {j} 3"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="interior node"):
+        load_field(path)
+
+
+def test_load_field_rejects_duplicate_points(tmp_path):
+    # a duplicate line can hide a missing point when only lines are counted
+    path, lines = _dump_lines(tmp_path)
+    lines[3] = lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        load_field(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_field_rejects_non_finite_values(tmp_path, value):
+    path, lines = _dump_lines(tmp_path)
+    lines[5] = lines[5].rsplit(" ", 1)[0] + " " + value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_field(path)
