@@ -24,15 +24,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .grid import BlockField, GridSpec
-from .lfa import LfaParams, bsr_damping, cjr_optimal, sampled_optimal
-from .multigrid import CycleSpec, build_hierarchy, solve
+from .grid import GridSpec
+from .lfa import SCHEMES as LFA_SCHEMES, LfaParams, bsr_damping, cjr_optimal, sampled_optimal
+from .multigrid import CYCLES, CycleSpec, build_hierarchy, solve
 from .problems import ProblemData, dump_field, example1_fields, example2_fields, load_field
-from .smoothers import PcgBreakdownError, SmootherSpec
+from .smoothers import SCHEMES, PcgBreakdownError, SmootherSpec
 from .ssn import ControlParams, SolverError, sparsity_fractions, ssn_solve
-
-SCHEMES = ("cjr", "bsr", "ibsr")
-CYCLES = ("V", "W")
 
 # benchmark mesh per coarsening ratio: powers of q with h ~ 1/256
 TABLE_SIZES = {2: 256, 3: 243, 4: 256}
@@ -69,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lfa = sub.add_parser("lfa", help="smoothing factor report")
-    lfa.add_argument("--scheme", choices=("cjr", "bsr"))
+    lfa.add_argument("--scheme", choices=LFA_SCHEMES)
     lfa.add_argument("--q", type=int)
     lfa.add_argument("--alpha", type=float)
     lfa.add_argument("--h", type=float)
@@ -169,7 +166,7 @@ def _load_problem(opts: dict, fallback) -> ProblemData:
 
 
 def cmd_lfa(opts: dict) -> int:
-    _validate_common(opts, schemes=("cjr", "bsr"))
+    _validate_common(opts, schemes=LFA_SCHEMES)
     _check(opts["h"] > 0, f"h must be positive, got {opts['h']}")
     params = LfaParams(q=opts["q"], alpha=opts["alpha"], h=opts["h"])
     if opts["scheme"] == "cjr":
@@ -218,7 +215,7 @@ def cmd_mg(opts: dict) -> int:
     hier = build_hierarchy(opts["N"], opts["q"], opts["alpha"], smoother)
     spec = CycleSpec(cycle=opts["cycle"], nu_pre=opts["nu"],
                      tol=opts["tol"], seed=opts["seed"])
-    res = solve(hier, BlockField(data.f, data.g), spec)
+    res = solve(hier, np.stack([data.f, data.g]), spec)
 
     print(f"scheme={opts['scheme']} q={opts['q']} N={opts['N']} "
           f"alpha={opts['alpha']:g} cycle={opts['cycle']} nu={opts['nu']}")
@@ -316,7 +313,7 @@ def _measure_cell(cell: dict) -> float:
         data, _ = example1_fields(grid, cell["alpha"])
         smoother = SmootherSpec(cell["scheme"], pcg_iters=cell["pcg_iters"])
         hier = build_hierarchy(cell["N"], cell["q"], cell["alpha"], smoother)
-        res = solve(hier, BlockField(data.f, data.g),
+        res = solve(hier, np.stack([data.f, data.g]),
                     CycleSpec(cycle=cell["cycle"], nu_pre=cell["nu"], seed=0))
         return res.rho
     except Exception as exc:  # noqa: BLE001 - isolate per-cell failures

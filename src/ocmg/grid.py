@@ -11,6 +11,12 @@ i.e. the first array axis walks the x2 direction and the second the x1
 direction, so a C-order flatten gives row-major lexicographic ordering
 (j outer, i inner).  Boundary values are implicit zeros and never stored.
 
+A block field, the (state, adjoint) pair of the saddle system, is one
+C-contiguous array v of shape (2, N-1, N-1) with v[0] = y and v[1] = p.
+Its C-order ravel is the vector [y; p], the unknown ordering of the dense
+oracle's 2(N-1)^2 matrices.  The scalar stencils act on the trailing two
+axes, so one call applies them to both components of a block field.
+
 Operators provided, all matrix-free:
 
   * five-point Laplacian       L u = (4u_c - u_W - u_E - u_S - u_N) / h^2
@@ -55,44 +61,15 @@ class GridSpec:
     def npoints(self) -> int:
         return self.m * self.m
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.m, self.m))
-
     def check_field(self, u: np.ndarray) -> None:
-        if u.shape != (self.m, self.m):
+        """Trailing axes (m, m): a scalar field or a stack of them."""
+        if u.shape[-2:] != (self.m, self.m):
             raise ValueError(f"field shape {u.shape} does not match grid N={self.N}")
 
-
-@dataclass
-class BlockField:
-    """(state, adjoint) pair v = (y, p) of scalar fields on one grid."""
-
-    y: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        assert self.y.shape == self.p.shape, "y and p must share one grid"
-
-    def copy(self) -> "BlockField":
-        return BlockField(self.y.copy(), self.p.copy())
-
-    def __add__(self, other: "BlockField") -> "BlockField":
-        return BlockField(self.y + other.y, self.p + other.p)
-
-    def __sub__(self, other: "BlockField") -> "BlockField":
-        return BlockField(self.y - other.y, self.p - other.p)
-
-    def __rmul__(self, a: float) -> "BlockField":
-        return BlockField(a * self.y, a * self.p)
-
-    def __iadd__(self, other: "BlockField") -> "BlockField":
-        self.y += other.y
-        self.p += other.p
-        return self
-
-    @staticmethod
-    def zeros(grid: GridSpec) -> "BlockField":
-        return BlockField(grid.zeros(), grid.zeros())
+    def check_block(self, v: np.ndarray) -> None:
+        if v.shape != (2, self.m, self.m):
+            raise ValueError(
+                f"block field shape {v.shape} is not (2, {self.m}, {self.m})")
 
 
 @dataclass(frozen=True)
@@ -114,10 +91,10 @@ def apply_laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Five-point Laplacian with zero Dirichlet boundary."""
     grid.check_field(u)
     out = 4.0 * u
-    out[1:, :] -= u[:-1, :]
-    out[:-1, :] -= u[1:, :]
-    out[:, 1:] -= u[:, :-1]
-    out[:, :-1] -= u[:, 1:]
+    out[..., 1:, :] -= u[..., :-1, :]
+    out[..., :-1, :] -= u[..., 1:, :]
+    out[..., 1:] -= u[..., :-1]
+    out[..., :-1] -= u[..., 1:]
     out *= grid.N * grid.N  # 1/h^2
     return out
 
@@ -130,31 +107,30 @@ def apply_mass(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     grid.check_field(u)
     tmp = 4.0 * u
-    tmp[1:, :] += u[:-1, :]
-    tmp[:-1, :] += u[1:, :]
+    tmp[..., 1:, :] += u[..., :-1, :]
+    tmp[..., :-1, :] += u[..., 1:, :]
     out = 4.0 * tmp
-    out[:, 1:] += tmp[:, :-1]
-    out[:, :-1] += tmp[:, 1:]
+    out[..., 1:] += tmp[..., :-1]
+    out[..., :-1] += tmp[..., 1:]
     out *= grid.h * grid.h / 36.0
     return out
 
 
-def apply_saddle(op: SaddleOperator, v: BlockField) -> BlockField:
+def apply_saddle(op: SaddleOperator, v: np.ndarray) -> np.ndarray:
     """A v = (L y - (M.p)/alpha, y + L p)."""
-    op.grid.check_field(v.y)
-    mp = v.p if op.mask is None else op.mask * v.p
-    out_y = apply_laplacian(v.y, op.grid)
-    out_y -= mp / op.alpha
-    out_p = apply_laplacian(v.p, op.grid)
-    out_p += v.y
-    return BlockField(out_y, out_p)
+    op.grid.check_block(v)
+    out = apply_laplacian(v, op.grid)
+    out[0] -= (v[1] if op.mask is None else op.mask * v[1]) / op.alpha
+    out[1] += v[0]
+    return out
 
 
-def residual(op: SaddleOperator, b: BlockField, v: BlockField) -> BlockField:
+def residual(op: SaddleOperator, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """b - A v."""
-    return b - apply_saddle(op, v)
+    out = apply_saddle(op, v)
+    return np.subtract(b, out, out=out)
 
 
-def block_norm2(v: BlockField) -> float:
+def block_norm2(v: np.ndarray) -> float:
     """Euclidean norm over all 2(N-1)^2 entries."""
-    return float(np.sqrt(np.sum(v.y * v.y) + np.sum(v.p * v.p)))
+    return float(np.linalg.norm(v))

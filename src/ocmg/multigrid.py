@@ -18,7 +18,12 @@ Hierarchy invariants:
 
 Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once; the coarsest level is a
-dense LU direct solve (assembled once per hierarchy).  No residual is
+dense LU direct solve, factored once per hierarchy.  Its saddle matrix
+is assembled by the dense oracle, whose size guard (N <= oracle.MAX_N
+= 24) thereby bounds the coarsest grid: build_hierarchy rejects, before
+building any level, a chain that stops above it (N=50 with q=2 stops at
+25).  Fields are stacked (2, m, m) block fields (see grid); the
+transfers act on one (m, m) component at a time.  No residual is
 evaluated twice: solve hands the residual of its convergence check to the
 next cycle, and a coarse visit from the zero iterate smooths its
 right-hand side directly.
@@ -43,16 +48,12 @@ from math import log
 import numpy as np
 import scipy.linalg
 
-from .grid import (
-    BlockField,
-    GridSpec,
-    SaddleOperator,
-    block_norm2,
-    residual,
-)
+from .grid import GridSpec, SaddleOperator, block_norm2, residual
 from .lfa import LfaParams, bsr_damping, cjr_optimal
-from .oracle import assemble
+from .oracle import MAX_N, assemble
 from .smoothers import SchurSpectral, SmootherSpec, bsr_apply, cjr_apply
+
+CYCLES = ("V", "W")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class CycleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cycle not in ("V", "W"):
+        if self.cycle not in CYCLES:
             raise ValueError(f"cycle must be 'V' or 'W', got {self.cycle!r}")
         if self.nu_pre < 1:
             raise ValueError("nu_pre must be >= 1")
@@ -87,7 +88,7 @@ class Hierarchy:
 
 @dataclass
 class MgResult:
-    v: BlockField
+    v: np.ndarray  # (2, m, m) block field
     iters: int
     rho: float
     history: list[float]
@@ -121,6 +122,10 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
         raise ValueError(
             f"N={N} cannot be coarsened by q={q} (needs N divisible by q with "
             f"N/q >= {coarsest_n})")
+    if sizes[-1] > MAX_N:
+        raise ValueError(
+            f"N={N} with q={q} coarsens as {' -> '.join(map(str, sizes))} and "
+            f"stops at N={sizes[-1]}; the coarse direct solve needs N <= {MAX_N}")
     levels = []
     lvl_mask = mask
     for n in sizes:
@@ -170,23 +175,20 @@ def prolong(coarse: np.ndarray, q: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- cycling
 
-def _relax(r: BlockField, lev: Level) -> BlockField:
+def _relax(r: np.ndarray, lev: Level) -> np.ndarray:
     if lev.smoother.kind == "cjr":
         return cjr_apply(r, lev.op, lev.smoother.omega)
     return bsr_apply(r, lev.op, lev.smoother, spectral=lev.spectral)
 
 
-def _coarse_solve(hier: Hierarchy, b: BlockField) -> BlockField:
-    m = hier.levels[-1].grid.m
-    x = scipy.linalg.lu_solve(hier.coarse_lu,
-                              np.concatenate([b.y.ravel(), b.p.ravel()]))
-    n = m * m
-    return BlockField(x[:n].reshape(m, m), x[n:].reshape(m, m))
+def _coarse_solve(hier: Hierarchy, b: np.ndarray) -> np.ndarray:
+    # the C-order ravel of a block field is the saddle matrix's [y; p]
+    return scipy.linalg.lu_solve(hier.coarse_lu, b.ravel()).reshape(b.shape)
 
 
-def cycle(hier: Hierarchy, level: int, v: BlockField | None, b: BlockField,
-          spec: CycleSpec, r: BlockField | None = None,
-          inplace: bool = False) -> BlockField:
+def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
+          spec: CycleSpec, r: np.ndarray | None = None,
+          inplace: bool = False) -> np.ndarray:
     """One recursive cycle from the given level; returns the updated iterate.
 
     v None is the zero iterate and r, if given, its residual b - A v.  b
@@ -203,17 +205,18 @@ def cycle(hier: Hierarchy, level: int, v: BlockField | None, b: BlockField,
     for _ in range(spec.nu_pre - 1):
         v += _relax(residual(lev.op, b, v), lev)
     r = residual(lev.op, b, v)
-    rc = BlockField(restrict(r.y, q), restrict(r.p, q))
+    rc = np.stack([restrict(rk, q) for rk in r])
     del r  # unused below; freeing it lowers the peak memory of the cycle
     ec = None
     for _ in range(1 if spec.cycle == "V" else 2):
         ec = cycle(hier, level + 1, ec, rc, spec, inplace=True)
-    v += BlockField(prolong(ec.y, q), prolong(ec.p, q))
+    for vk, eck in zip(v, ec):
+        vk += prolong(eck, q)
     return v
 
 
-def solve(hier: Hierarchy, b: BlockField, spec: CycleSpec,
-          v0: BlockField | None = None) -> MgResult:
+def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
+          v0: np.ndarray | None = None) -> MgResult:
     """Cycle to tolerance from a seeded uniform(0,1) random initial guess.
 
     An explicit v0 overrides the random guess; correction equations are
@@ -222,16 +225,15 @@ def solve(hier: Hierarchy, b: BlockField, spec: CycleSpec,
     non-finite b raises ValueError; a non-finite residual norm ends the
     solve unconverged before it can reach the coarse LU solve.
     """
-    if not (np.isfinite(b.y).all() and np.isfinite(b.p).all()):
-        raise ValueError("right-hand side contains non-finite values")
     g = hier.levels[0].grid
     op = hier.levels[0].op
+    g.check_block(b)
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side contains non-finite values")
     if v0 is not None:
         v = v0.copy()
     else:
-        rng = np.random.default_rng(spec.seed)
-        v = BlockField(rng.uniform(0.0, 1.0, (g.m, g.m)),
-                       rng.uniform(0.0, 1.0, (g.m, g.m)))
+        v = np.random.default_rng(spec.seed).uniform(0.0, 1.0, (2, g.m, g.m))
     r = residual(op, b, v)
     r0 = block_norm2(r)
     history = [r0]

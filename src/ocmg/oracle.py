@@ -1,10 +1,12 @@
 """Dense brute-force references for the matrix-free operators.
 
-Everything here assembles explicit matrices on tiny grids (N <= 24,
-enforced) in the same row-major index convention as the stencil code, so
-matrix-vector products are comparable entry for entry.  Used by the test
-suite to pin down every matrix-free path, and by the multigrid module as
-the coarsest-level direct solver backend.
+Everything here assembles explicit matrices on tiny grids (N <= MAX_N
+= 24, enforced) in the same row-major index convention as the stencil
+code, so matrix-vector products are comparable entry for entry; a
+(2, N-1, N-1) block field ravels to the [y; p] vector of the 2(N-1)^2
+matrices.  Used by the test suite to pin down every matrix-free path,
+and by the multigrid module to assemble the coarsest-level saddle
+matrix for its LU direct solve.
 
 Assembly kinds:
 
@@ -25,12 +27,12 @@ import numpy as np
 
 from .grid import GridSpec
 
-_MAX_N = 24  # memory guard: dense path is a test oracle, never a solver at scale
+MAX_N = 24  # memory guard: dense matrices only on tiny grids
 
 
 def _check_size(grid: GridSpec) -> None:
-    if grid.N > _MAX_N:
-        raise ValueError(f"dense oracle limited to N <= {_MAX_N}, got N={grid.N}")
+    if grid.N > MAX_N:
+        raise ValueError(f"dense oracle limited to N <= {MAX_N}, got N={grid.N}")
 
 
 def _tridiag(m: int, lo: float, di: float, up: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BlockField, GridSpec
+from .grid import GridSpec
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,15 @@ def _vpp(t):
             - 4 * np.pi * np.cos(2 * np.pi * t)) * np.exp(-t)
 
 
-def example1_fields(grid: GridSpec, alpha: float) -> tuple[ProblemData, BlockField]:
-    """Manufactured sources and the exact continuous solution samples."""
-    ystar = _sep(grid, _u, _u)
-    pstar = _sep(grid, _u, _v)
+def example1_fields(grid: GridSpec, alpha: float) -> tuple[ProblemData, np.ndarray]:
+    """Manufactured sources and the exact solution samples as a block field."""
+    exact = np.stack([_sep(grid, _u, _u), _sep(grid, _u, _v)])
+    ystar, pstar = exact
     lap_y = _sep(grid, _upp, _u) + _sep(grid, _u, _upp)
     lap_p = _sep(grid, _upp, _v) + _sep(grid, _u, _vpp)
     f = -lap_y - pstar / alpha
     g = -lap_p + ystar
-    return ProblemData(f, g, grid), BlockField(ystar, pstar)
+    return ProblemData(f, g, grid), exact
 
 
 def example2_fields(grid: GridSpec) -> ProblemData:

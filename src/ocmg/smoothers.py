@@ -39,7 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .grid import BlockField, GridSpec, SaddleOperator, apply_laplacian, apply_mass
+from .grid import GridSpec, SaddleOperator, apply_laplacian, apply_mass
+
+SCHEMES = ("cjr", "bsr", "ibsr")
+EXACT_TOL = 1e-12  # relative tolerance of the exact (bsr) Schur solve
 
 
 @dataclass(frozen=True)
@@ -51,13 +54,12 @@ class SmootherSpec:
     Braess-Sarazin variants).
     """
 
-    kind: str  # "cjr" | "bsr" | "ibsr"
+    kind: str  # one of SCHEMES
     omega: float | None = None
     pcg_iters: int = 2  # ibsr only
-    exact_tol: float = 1e-12  # bsr only
 
     def __post_init__(self):
-        if self.kind not in ("cjr", "bsr", "ibsr"):
+        if self.kind not in SCHEMES:
             raise ValueError(f"unknown smoother kind {self.kind!r}")
         if self.omega is not None and self.omega <= 0:
             raise ValueError("omega must be positive")
@@ -65,26 +67,16 @@ class SmootherSpec:
             raise ValueError("pcg_iters must be >= 1")
 
 
-@dataclass(frozen=True)
-class PcgConfig:
-    """rel_tol None selects fixed-count mode: exactly max_iters iterations."""
-
-    max_iters: int
-    rel_tol: float | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.rel_tol is not None and not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-
-
 class PcgBreakdownError(RuntimeError):
     """Nonpositive curvature <Ap, p> encountered: operator not SPD."""
 
 
-def pcg(matvec, b: np.ndarray, cfg: PcgConfig, precond=None) -> np.ndarray:
-    """Preconditioned conjugate gradients from a zero initial guess."""
+def pcg(matvec, b: np.ndarray, iters: int, rel_tol: float | None = None,
+        precond=None) -> np.ndarray:
+    """Preconditioned conjugate gradients from a zero initial guess.
+
+    At most iters iterations; rel_tol None runs exactly iters of them.
+    """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b)
@@ -93,7 +85,7 @@ def pcg(matvec, b: np.ndarray, cfg: PcgConfig, precond=None) -> np.ndarray:
     z = precond(r) if precond is not None else r
     d = z.copy()
     rz = np.vdot(r, z)
-    for _ in range(cfg.max_iters):
+    for _ in range(iters):
         ad = matvec(d)
         dad = np.vdot(d, ad)
         if dad <= 0.0:
@@ -102,7 +94,7 @@ def pcg(matvec, b: np.ndarray, cfg: PcgConfig, precond=None) -> np.ndarray:
         x += step * d
         r -= step * ad
         norm_r = np.linalg.norm(r)
-        if cfg.rel_tol is not None and norm_r <= cfg.rel_tol * norm_b:
+        if rel_tol is not None and norm_r <= rel_tol * norm_b:
             break
         if norm_r == 0.0:  # exact solve mid-run; continuing would divide by zero
             break
@@ -113,13 +105,22 @@ def pcg(matvec, b: np.ndarray, cfg: PcgConfig, precond=None) -> np.ndarray:
     return x
 
 
-def cjr_apply(r: BlockField, op: SaddleOperator, omega: float) -> BlockField:
+def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float) -> np.ndarray:
     """One collective Jacobi correction omega * B_J^{-1} r (pointwise 2x2 solves)."""
     d = 4.0 * op.grid.N ** 2
     m = 1.0 if op.mask is None else op.mask
-    w_p = (r.p - r.y / d) / (d + m / (op.alpha * d))
-    w_y = (r.y + m * w_p / op.alpha) / d
-    return BlockField(omega * w_y, omega * w_p)
+    # w_p = (r_p - r_y/d) / (d + m/(alpha d)),  w_y = (r_y + m w_p/alpha) / d,
+    # evaluated in place: one fine-size temporary at a time
+    w = np.empty_like(r)
+    w_y, w_p = w
+    np.subtract(r[1], r[0] / d, out=w_p)
+    w_p /= d + m / (op.alpha * d)
+    np.multiply(m, w_p, out=w_y)
+    w_y /= op.alpha
+    w_y += r[0]
+    w_y /= d
+    w *= omega
+    return w
 
 
 def schur_apply(w: np.ndarray, op: SaddleOperator) -> np.ndarray:
@@ -163,26 +164,27 @@ class SchurSpectral:
         return np.outer(np.sin(np.pi * k * x), np.sin(np.pi * l * x))
 
 
-def bsr_apply(r: BlockField, op: SaddleOperator, spec: SmootherSpec,
-              spectral: SchurSpectral | None = None) -> BlockField:
+def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
+              spectral: SchurSpectral | None = None) -> np.ndarray:
     """One Braess-Sarazin correction omega * B_m^{-1} r (exact or truncated)."""
     assert spec.kind in ("bsr", "ibsr")
     assert spec.omega is not None, "omega must be resolved before applying"
-    rhs = r.p - apply_mass(r.y, op.grid)
+    rhs = r[1] - apply_mass(r[0], op.grid)
     m = 1.0 if op.mask is None else op.mask
     matvec = lambda w: schur_apply(w, op)
     if spec.kind == "bsr":
         if spectral is None:
             spectral = SchurSpectral(op.grid, op.alpha)
-        cfg = PcgConfig(max_iters=max(200, op.grid.m), rel_tol=spec.exact_tol)
-        w_p = pcg(matvec, rhs, cfg, precond=spectral.solve)
+        w_p = pcg(matvec, rhs, max(200, op.grid.m), EXACT_TOL,
+                  precond=spectral.solve)
     else:
         # The truncated solve is seeded with the diagonal-preconditioned
         # right-hand side; the fixed-count CG then runs on the residual
         # system, which is the usual shift for a nonzero initial guess.
         diag = schur_diag(op)
         w0 = rhs / diag
-        cfg = PcgConfig(max_iters=spec.pcg_iters, rel_tol=None)
-        w_p = w0 + pcg(matvec, rhs - matvec(w0), cfg, precond=lambda v: v / diag)
-    w_y = apply_mass(r.y + m * w_p / op.alpha, op.grid)
-    return BlockField(spec.omega * w_y, spec.omega * w_p)
+        w_p = w0 + pcg(matvec, rhs - matvec(w0), spec.pcg_iters,
+                       precond=lambda v: v / diag)
+    w = np.stack([apply_mass(r[0] + m * w_p / op.alpha, op.grid), w_p])
+    w *= spec.omega
+    return w

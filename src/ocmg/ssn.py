@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import BlockField, GridSpec, apply_laplacian, block_norm2
+from .grid import GridSpec, apply_laplacian, block_norm2
 from .multigrid import CycleSpec, build_hierarchy, solve
 from .problems import ProblemData
 from .smoothers import SmootherSpec
@@ -91,18 +91,21 @@ def dphi_mask(p: np.ndarray, cp: ControlParams) -> np.ndarray:
     return np.clip(expr, 0.0, 1.0)
 
 
-def residual_F(y: np.ndarray, p: np.ndarray, data: ProblemData,
-               cp: ControlParams) -> BlockField:
-    """Nonlinear optimality residual (L y - phi(p) - f, L p + y - g)."""
-    g = data.grid
-    return BlockField(apply_laplacian(y, g) - phi(p, cp) - data.f,
-                      apply_laplacian(p, g) + y - data.g)
+def residual_F(v: np.ndarray, data: ProblemData,
+               cp: ControlParams) -> np.ndarray:
+    """Nonlinear optimality residual (L y - phi(p) - f, L p + y - g) at v = (y, p)."""
+    F = apply_laplacian(v, data.grid)
+    F[0] -= phi(v[1], cp)
+    F[0] -= data.f
+    F[1] += v[0]
+    F[1] -= data.g
+    return F
 
 
 def _mg_solve(data_grid: GridSpec, q: int, cp: ControlParams,
-              smoother: SmootherSpec, spec: CycleSpec, b: BlockField,
+              smoother: SmootherSpec, spec: CycleSpec, b: np.ndarray,
               mask: np.ndarray | None, what: str, state: SsnResult | None,
-              v0: BlockField | None = None):
+              v0: np.ndarray | None = None):
     hier = build_hierarchy(data_grid.N, q, cp.alpha, smoother, mask=mask)
     res = solve(hier, b, spec, v0=v0)
     if not res.converged:
@@ -116,25 +119,25 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
               max_iters: int = 50, tol: float = 1e-10,
               max_backtracks: int = 20) -> SsnResult:
     grid = data.grid
-    seed_res = _mg_solve(grid, q, cp, smoother, spec,
-                         BlockField(data.f, data.g), None, "seed", None)
+    b = np.stack([data.f, data.g])
+    seed_res = _mg_solve(grid, q, cp, smoother, spec, b, None, "seed", None)
     v = seed_res.v
-    Fv = residual_F(v.y, v.p, data, cp)
+    Fv = residual_F(v, data, cp)
     norm_F = block_norm2(Fv)
     norm_F0 = norm_F
     # the seed can already solve (affine case), making a purely
     # seed-relative test self-referential; anchor the target to the
     # zero-state residual ||(f,g)|| as well
-    norm_data = block_norm2(BlockField(data.f, data.g))
+    norm_data = block_norm2(b)
     floor = 1e-14 * np.sqrt(2.0 * grid.m ** 2)
     target = max(tol * norm_F0, tol * norm_data, floor)
-    out = SsnResult(v.y, v.p, phi(v.p, cp), 0, [], seed_res.iters,
+    out = SsnResult(v[0], v[1], phi(v[1], cp), 0, [], seed_res.iters,
                     [norm_F], converged=False)
     prev_mask = None
     prev_step_negligible = False
 
     while norm_F > target:
-        mask = dphi_mask(v.p, cp)
+        mask = dphi_mask(v[1], cp)
         if (prev_mask is not None and np.array_equal(mask, prev_mask)
                 and prev_step_negligible):
             # active set stationary and the last update was noise-sized
@@ -145,13 +148,13 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
         # correction system: start from zero so the 1e-10 relative stop
         # scales with the current Newton residual
         jac = _mg_solve(grid, q, cp, smoother, spec, -1.0 * Fv, mask,
-                        "Jacobian", out, v0=BlockField.zeros(grid))
+                        "Jacobian", out, v0=np.zeros_like(v))
         w = jac.v
         step = 1.0
         accepted = False
         for _ in range(max_backtracks + 1):
             trial = v + step * w
-            F_trial = residual_F(trial.y, trial.p, data, cp)
+            F_trial = residual_F(trial, data, cp)
             norm_trial = block_norm2(F_trial)
             if norm_trial < norm_F:
                 accepted = True
@@ -165,7 +168,7 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
             1.0, block_norm2(v))
         prev_mask = mask
         v, Fv, norm_F = trial, F_trial, norm_trial
-        out.y, out.p, out.u = v.y, v.p, phi(v.p, cp)
+        out.y, out.p, out.u = v[0], v[1], phi(v[1], cp)
         out.iters += 1
         out.mg_iters.append(jac.iters)
         out.residuals.append(norm_F)

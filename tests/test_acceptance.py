@@ -13,7 +13,6 @@ import numpy as np
 
 from ocmg import oracle
 from ocmg.grid import (
-    BlockField,
     GridSpec,
     SaddleOperator,
     apply_laplacian,
@@ -56,10 +55,6 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _flat(v: BlockField) -> np.ndarray:
-    return np.concatenate([v.y.ravel(), v.p.ravel()])
-
-
 def _measure(kind: str, q: int, nu: int, cycle: str,
              pcg_iters: int = 2, tol: float = 1e-10,
              max_iters: int = 100) -> float:
@@ -67,7 +62,7 @@ def _measure(kind: str, q: int, nu: int, cycle: str,
     grid = GridSpec(N)
     data, _ = example1_fields(grid, ALPHA)
     hier = build_hierarchy(N, q, ALPHA, SmootherSpec(kind, pcg_iters=pcg_iters))
-    res = solve(hier, BlockField(data.f, data.g),
+    res = solve(hier, np.stack([data.f, data.g]),
                 CycleSpec(cycle=cycle, nu_pre=nu, tol=tol,
                           max_iters=max_iters, seed=0))
     return res.rho
@@ -167,7 +162,7 @@ def test_criterion_6_damping_advantage_at_large_gamma():
     grid = GridSpec(N)
     gamma2 = (grid.h ** 2 / (4 * math.sqrt(alpha))) ** 2
     data, _ = example1_fields(grid, alpha)
-    b = BlockField(data.f, data.g)
+    b = np.stack([data.f, data.g])
     spec = CycleSpec(cycle="W", nu_pre=1, seed=0)
     rhos = {}
     for label, omega in (("adaptive", None), ("fixed", 0.8)):
@@ -195,17 +190,16 @@ def test_criterion_7_dense_oracle_equivalence():
         bsr_spec = SmootherSpec("bsr", omega=0.75)
         for _ in range(100):
             u = rng.standard_normal((grid.m, grid.m))
-            v = BlockField(rng.standard_normal((grid.m, grid.m)),
-                           rng.standard_normal((grid.m, grid.m)))
+            v = rng.standard_normal((2, grid.m, grid.m))
             pairs = [
                 (apply_laplacian(u, grid).ravel(), L @ u.ravel()),
                 (apply_mass(u, grid).ravel(), Q @ u.ravel()),
                 (schur_apply(u, op).ravel(), S @ u.ravel()),
-                (_flat(apply_saddle(op, v)), A @ _flat(v)),
-                (_flat(cjr_apply(v, op, 0.8)),
-                 0.8 * np.linalg.solve(BJ, _flat(v))),
-                (_flat(bsr_apply(v, op, bsr_spec)),
-                 0.75 * np.linalg.solve(Bm, _flat(v))),
+                (apply_saddle(op, v).ravel(), A @ v.ravel()),
+                (cjr_apply(v, op, 0.8).ravel(),
+                 0.8 * np.linalg.solve(BJ, v.ravel())),
+                (bsr_apply(v, op, bsr_spec).ravel(),
+                 0.75 * np.linalg.solve(Bm, v.ravel())),
             ]
             for got, want in pairs:
                 rel = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -214,13 +208,12 @@ def test_criterion_7_dense_oracle_equivalence():
     # whole solver against a dense solve on the smallest usable chain
     grid = GridSpec(8)
     rng_b = np.random.default_rng(8)
-    b = BlockField(rng_b.standard_normal((grid.m, grid.m)),
-                   rng_b.standard_normal((grid.m, grid.m)))
+    b = rng_b.standard_normal((2, grid.m, grid.m))
     hier = build_hierarchy(8, 2, alpha, SmootherSpec("cjr"), coarsest_n=4)
     res = solve(hier, b, CycleSpec(cycle="W", nu_pre=2, tol=1e-12, seed=0))
     A = oracle.assemble("saddle", grid, alpha=alpha)
-    want = oracle.dense_solve(A, _flat(b))
-    mg_rel = np.linalg.norm(_flat(res.v) - want) / np.linalg.norm(want)
+    want = oracle.dense_solve(A, b.ravel())
+    mg_rel = np.linalg.norm(res.v.ravel() - want) / np.linalg.norm(want)
     ok = worst <= 1e-9 and mg_rel <= 1e-9
     _report(7, ok, f"operators/smoothers vs dense over 100 vectors on "
                    f"N in {{4,8,12}}: worst rel={worst:.1e} (tol 1e-9); "
@@ -234,10 +227,10 @@ def test_criterion_8_discretization_order():
         grid = GridSpec(N)
         data, exact = example1_fields(grid, alpha)
         hier = build_hierarchy(N, 2, alpha, SmootherSpec("ibsr"))
-        res = solve(hier, BlockField(data.f, data.g),
+        res = solve(hier, np.stack([data.f, data.g]),
                     CycleSpec(cycle="W", nu_pre=2, tol=1e-11, seed=0))
-        errs[N] = (discrete_norm(res.v.y - exact.y, grid),
-                   discrete_norm(res.v.p - exact.p, grid))
+        errs[N] = (discrete_norm(res.v[0] - exact[0], grid),
+                   discrete_norm(res.v[1] - exact[1], grid))
     ratios = [errs[N][i] / errs[2 * N][i] for N in (32, 64) for i in (0, 1)]
     ok = all(4.0 * 0.85 <= r <= 4.0 * 1.15 for r in ratios)
     _report(8, ok, "error ratios under mesh doubling: " +

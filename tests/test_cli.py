@@ -80,6 +80,16 @@ def test_mg_indivisible_grid_is_a_validation_error(capsys):
     assert "255" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N, q", [("50", "2"), ("75", "3"), ("100", "4")])
+def test_mg_coarsest_grid_above_direct_solve_cap_is_a_validation_error(capsys, N, q):
+    # the level chain stops at N=25; the coarse direct solve takes N <= 24
+    code = run_cli(["mg", "--N", N, "--q", q])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"N={N} with q={q} coarsens as {N} -> 25" in err
+    assert "N <= 24" in err
+
+
 def test_mg_unreached_tolerance_exits_2_but_writes_history(tmp_path):
     out = tmp_path / "hist.csv"
     code = run_cli(["mg", "--scheme", "cjr", "--q", "3", "--N", "27",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ocmg.grid import (
-    BlockField,
     GridSpec,
     SaddleOperator,
     apply_laplacian,
@@ -25,14 +24,18 @@ def _rand_field(grid, rng):
 
 
 def _rand_block(grid, rng):
-    return BlockField(_rand_field(grid, rng), _rand_field(grid, rng))
+    return rng.standard_normal((2, grid.m, grid.m))
+
+
+def _zeros_block(grid):
+    return np.zeros((2, grid.m, grid.m))
 
 
 # ---------------------------------------------------------------- laplacian
 
 def test_laplacian_zero_field():
     g = GridSpec(8)
-    out = apply_laplacian(g.zeros(), g)
+    out = apply_laplacian(np.zeros((g.m, g.m)), g)
     assert np.all(out == 0.0)
 
 
@@ -65,6 +68,18 @@ def test_laplacian_shape_guard():
     g = GridSpec(8)
     with pytest.raises(ValueError):
         apply_laplacian(np.zeros((3, 3)), g)
+    with pytest.raises(ValueError):
+        apply_laplacian(np.zeros((2, 7, 6)), g)
+
+
+@pytest.mark.parametrize("apply_op", [apply_laplacian, apply_mass])
+def test_stencils_act_on_each_component_of_a_stack(apply_op):
+    g = GridSpec(8)
+    v = _rand_block(g, _rng(5))
+    out = apply_op(v, g)
+    assert out.shape == v.shape
+    for k in range(2):
+        assert np.array_equal(out[k], apply_op(v[k], g))
 
 
 # ---------------------------------------------------------------- mass
@@ -94,17 +109,25 @@ def test_mass_matches_dense():
 def test_saddle_zero():
     g = GridSpec(4)
     op = SaddleOperator(g, alpha=1.0)
-    out = apply_saddle(op, BlockField.zeros(g))
+    out = apply_saddle(op, _zeros_block(g))
     assert block_norm2(out) == 0.0
+
+
+def test_saddle_rejects_a_scalar_field():
+    g = GridSpec(4)
+    op = SaddleOperator(g, alpha=1.0)
+    for bad in (np.zeros((g.m, g.m)), np.zeros((3, g.m, g.m))):
+        with pytest.raises(ValueError, match="block field shape"):
+            apply_saddle(op, bad)
 
 
 def test_saddle_single_point_n2():
     g = GridSpec(2)
     op = SaddleOperator(g, alpha=1.0)
-    v = BlockField(np.array([[1.0]]), np.array([[1.0]]))
+    v = np.ones((2, 1, 1))
     out = apply_saddle(op, v)
-    assert out.y[0, 0] == pytest.approx(15.0)  # 16 - 1
-    assert out.p[0, 0] == pytest.approx(17.0)  # 1 + 16
+    assert out[0, 0, 0] == pytest.approx(15.0)  # 16 - 1
+    assert out[1, 0, 0] == pytest.approx(17.0)  # 1 + 16
 
 
 def test_saddle_all_ones_mask_is_identity_block():
@@ -112,8 +135,8 @@ def test_saddle_all_ones_mask_is_identity_block():
     v = _rand_block(g, _rng(1))
     plain = apply_saddle(SaddleOperator(g, alpha=0.37), v)
     masked = apply_saddle(SaddleOperator(g, alpha=0.37, mask=np.ones((g.m, g.m))), v)
-    assert np.array_equal(plain.y, masked.y)
-    assert np.array_equal(plain.p, masked.p)
+    assert np.array_equal(plain[0], masked[0])
+    assert np.array_equal(plain[1], masked[1])
 
 
 @pytest.mark.parametrize("N", [4, 8, 16])
@@ -125,8 +148,8 @@ def test_saddle_matches_dense(N):
         op = SaddleOperator(g, alpha=1e-2, mask=mask)
         A = oracle.assemble("saddle", g, alpha=1e-2, mask=mask)
         got = apply_saddle(op, v)
-        want = A @ np.concatenate([v.y.ravel(), v.p.ravel()])
-        flat = np.concatenate([got.y.ravel(), got.p.ravel()])
+        want = A @ v.ravel()  # the C-order ravel of a block field is [y; p]
+        flat = got.ravel()
         assert np.allclose(flat, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -136,8 +159,8 @@ def test_residual_zero_iterate_returns_rhs():
     g = GridSpec(8)
     b = _rand_block(g, _rng(2))
     op = SaddleOperator(g, alpha=1.0)
-    r = residual(op, b, BlockField.zeros(g))
-    assert np.array_equal(r.y, b.y) and np.array_equal(r.p, b.p)
+    r = residual(op, b, _zeros_block(g))
+    assert np.array_equal(r[0], b[0]) and np.array_equal(r[1], b[1])
 
 
 def test_residual_exact_iterate_is_zero():
@@ -151,11 +174,11 @@ def test_residual_exact_iterate_is_zero():
 
 def test_block_norm2_examples():
     g = GridSpec(3)
-    assert block_norm2(BlockField.zeros(g)) == 0.0
-    v = BlockField.zeros(g)
-    v.p[1, 0] = 3.0
+    assert block_norm2(_zeros_block(g)) == 0.0
+    v = _zeros_block(g)
+    v[1, 1, 0] = 3.0
     assert block_norm2(v) == pytest.approx(3.0)
-    v = BlockField(np.ones((2, 2)), np.ones((2, 2)))
+    v = np.ones((2, 2, 2))
     assert block_norm2(v) == pytest.approx(np.sqrt(8.0))
 
 

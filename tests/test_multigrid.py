@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocmg.grid import BlockField, GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
+from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
 from ocmg import oracle
 from ocmg.multigrid import (
@@ -26,8 +26,8 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _flat(v):
-    return np.concatenate([v.y.ravel(), v.p.ravel()])
+def _zeros(N):
+    return np.zeros((2, N - 1, N - 1))
 
 
 # ------------------------------------------------------------- level chains
@@ -54,6 +54,21 @@ def test_build_hierarchy_rejects_uncoarsenable():
         build_hierarchy(9, 2, 1e-2, SmootherSpec("cjr"))
     with pytest.raises(ValueError):
         build_hierarchy(16, 5, 1e-2, SmootherSpec("cjr"))
+
+
+@pytest.mark.parametrize("N, q", [(50, 2), (75, 3), (100, 4)])
+def test_build_hierarchy_rejects_coarsest_grid_above_direct_solve_cap(N, q, monkeypatch):
+    # the chain stops at N=25, above the dense coarse solve's N <= 24; the
+    # check runs before any level is built
+    calls = []
+    monkeypatch.setattr("ocmg.multigrid.SchurSpectral",
+                        lambda *a: calls.append(a))
+    with pytest.raises(ValueError) as exc:
+        build_hierarchy(N, q, 1e-2, SmootherSpec("bsr"))
+    msg = str(exc.value)
+    assert f"N={N}" in msg and f"q={q}" in msg
+    assert f"{N} -> 25" in msg and f"N <= {oracle.MAX_N}" in msg
+    assert calls == []
 
 
 def test_hierarchy_levels_are_rediscretizations():
@@ -114,8 +129,7 @@ def test_averaged_coarse_mask_stabilizes_thin_rings():
     hier = build_hierarchy(N, 2, alpha, SmootherSpec("ibsr"), mask=mask)
     grid = GridSpec(N)
     rng = _rng(11)
-    b = BlockField(rng.standard_normal((grid.m, grid.m)),
-                   rng.standard_normal((grid.m, grid.m)))
+    b = rng.standard_normal((2, grid.m, grid.m))
     res = solve(hier, b, CycleSpec(cycle="W", nu_pre=2))
     assert res.converged
     assert res.rho < 0.6
@@ -268,13 +282,12 @@ def test_cycle_coarsest_level_is_direct_solve():
     hier = build_hierarchy(16, 2, 1e-2, SmootherSpec("cjr"))
     coarse = hier.levels[-1]
     rng = _rng(1)
-    b = BlockField(rng.standard_normal((coarse.grid.m, coarse.grid.m)),
-                   rng.standard_normal((coarse.grid.m, coarse.grid.m)))
-    v = cycle(hier, len(hier.levels) - 1, BlockField.zeros(coarse.grid), b,
+    b = rng.standard_normal((2, coarse.grid.m, coarse.grid.m))
+    v = cycle(hier, len(hier.levels) - 1, _zeros(coarse.grid.N), b,
               CycleSpec())
     A = oracle.assemble("saddle", coarse.grid, alpha=1e-2)
-    expect = oracle.dense_solve(A, _flat(b))
-    np.testing.assert_allclose(_flat(v), expect, rtol=1e-12, atol=1e-12)
+    expect = oracle.dense_solve(A, b.ravel())
+    np.testing.assert_allclose(v.ravel(), expect, rtol=1e-12, atol=1e-12)
 
 
 def test_cycle_error_decreases_monotonically():
@@ -284,11 +297,9 @@ def test_cycle_error_decreases_monotonically():
     grid = GridSpec(N)
     hier = build_hierarchy(N, 2, alpha, SmootherSpec("cjr"))
     rng = _rng(2)
-    vstar = BlockField(rng.standard_normal((grid.m, grid.m)),
-                       rng.standard_normal((grid.m, grid.m)))
+    vstar = rng.standard_normal((2, grid.m, grid.m))
     b = apply_saddle(hier.levels[0].op, vstar)
-    v = BlockField(rng.uniform(size=(grid.m, grid.m)),
-                   rng.uniform(size=(grid.m, grid.m)))
+    v = rng.uniform(size=(2, grid.m, grid.m))
     spec = CycleSpec(cycle="V", nu_pre=1)
     errs = [block_norm2(v - vstar)]
     for _ in range(8):
@@ -302,14 +313,11 @@ def test_w_equals_v_on_two_level_hierarchy(kind):
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec(kind))
     grid = hier.levels[0].grid
     rng = _rng(4)
-    b = BlockField(rng.standard_normal((grid.m, grid.m)),
-                   rng.standard_normal((grid.m, grid.m)))
-    v0 = BlockField(rng.uniform(size=(grid.m, grid.m)),
-                    rng.uniform(size=(grid.m, grid.m)))
+    b = rng.standard_normal((2, grid.m, grid.m))
+    v0 = rng.uniform(size=(2, grid.m, grid.m))
     vv = cycle(hier, 0, v0.copy(), b, CycleSpec(cycle="V", nu_pre=2))
     vw = cycle(hier, 0, v0.copy(), b, CycleSpec(cycle="W", nu_pre=2))
-    np.testing.assert_array_equal(vv.y, vw.y)
-    np.testing.assert_array_equal(vv.p, vw.p)
+    np.testing.assert_array_equal(vv, vw)
 
 
 def test_two_level_solve_reaches_dense_solution():
@@ -319,13 +327,12 @@ def test_two_level_solve_reaches_dense_solution():
     grid = GridSpec(N)
     hier = build_hierarchy(N, 2, alpha, SmootherSpec("cjr"), coarsest_n=4)
     rng = _rng(5)
-    b = BlockField(rng.standard_normal((grid.m, grid.m)),
-                   rng.standard_normal((grid.m, grid.m)))
+    b = rng.standard_normal((2, grid.m, grid.m))
     res = solve(hier, b, CycleSpec(cycle="V", nu_pre=3, tol=1e-10, max_iters=30))
     assert res.converged
     A = oracle.assemble("saddle", grid, alpha=alpha)
-    expect = oracle.dense_solve(A, _flat(b))
-    np.testing.assert_allclose(_flat(res.v), expect,
+    expect = oracle.dense_solve(A, b.ravel())
+    np.testing.assert_allclose(res.v.ravel(), expect,
                                atol=1e-9 * max(1.0, np.linalg.norm(expect)))
 
 
@@ -335,10 +342,8 @@ def test_cycle_leaves_caller_fields_unmodified(kind, nu):
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
     grid = hier.levels[0].grid
     rng = _rng(6)
-    v = BlockField(rng.uniform(size=(grid.m, grid.m)),
-                   rng.uniform(size=(grid.m, grid.m)))
-    b = BlockField(rng.standard_normal((grid.m, grid.m)),
-                   rng.standard_normal((grid.m, grid.m)))
+    v = rng.uniform(size=(2, grid.m, grid.m))
+    b = rng.standard_normal((2, grid.m, grid.m))
     v_in, b_in = v.copy(), b.copy()
     spec = CycleSpec(cycle="W", nu_pre=nu)
     out = cycle(hier, 0, v, b, spec)
@@ -346,16 +351,13 @@ def test_cycle_leaves_caller_fields_unmodified(kind, nu):
     r_in = r.copy()
     out_r = cycle(hier, 0, v, b, spec, r)
     for x, x_in in ((v, v_in), (b, b_in), (r, r_in)):
-        np.testing.assert_array_equal(x.y, x_in.y)
-        np.testing.assert_array_equal(x.p, x_in.p)
+        np.testing.assert_array_equal(x, x_in)
     # handing over the known residual changes nothing but the work done
-    np.testing.assert_array_equal(out_r.y, out.y)
-    np.testing.assert_array_equal(out_r.p, out.p)
+    np.testing.assert_array_equal(out_r, out)
     # an iterate handed over with inplace=True is updated and returned
     out_ip = cycle(hier, 0, v, b, spec, r, inplace=True)
     assert out_ip is v
-    np.testing.assert_array_equal(v.y, out.y)
-    np.testing.assert_array_equal(v.p, out.p)
+    np.testing.assert_array_equal(v, out)
 
 
 # Residual histories and iterate checksums of six W(1,0) cycles on the
@@ -427,23 +429,23 @@ def test_solve_matches_recorded_reference(kind, q):
     grid = GridSpec(REFERENCE_SIZES[q])
     data, _ = example1_fields(grid, 1e-6)
     hier = build_hierarchy(grid.N, q, 1e-6, SmootherSpec(kind))
-    res = solve(hier, BlockField(data.f, data.g),
+    res = solve(hier, np.stack([data.f, data.g]),
                 CycleSpec(cycle="W", nu_pre=1, max_iters=6))
     np.testing.assert_allclose(res.history, history_ref, rtol=1e-12, atol=0)
     w = _rng(1).standard_normal((2, grid.m, grid.m))
-    norm_y, norm_p = np.linalg.norm(res.v.y), np.linalg.norm(res.v.p)
+    norm_y, norm_p = np.linalg.norm(res.v[0]), np.linalg.norm(res.v[1])
     assert norm_y == pytest.approx(check_ref[2], rel=1e-12)
     assert norm_p == pytest.approx(check_ref[3], rel=1e-12)
     # relative to the largest value the inner product can take
-    for wk, field, ref_dot in ((w[0], res.v.y, check_ref[0]),
-                               (w[1], res.v.p, check_ref[1])):
+    for wk, field, ref_dot in ((w[0], res.v[0], check_ref[0]),
+                               (w[1], res.v[1], check_ref[1])):
         bound = 1e-12 * np.linalg.norm(wk) * np.linalg.norm(field)
         assert abs(np.vdot(wk, field) - ref_dot) <= bound
 
 
 def test_solve_histories_deterministic():
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
-    b = BlockField.zeros(GridSpec(16))
+    b = _zeros(16)
     spec = CycleSpec(cycle="V", nu_pre=1, max_iters=12, seed=7)
     r1 = solve(hier, b, spec)
     r2 = solve(hier, b, spec)
@@ -455,7 +457,7 @@ def test_solve_histories_deterministic():
 def test_solve_flags_divergence():
     # a wildly overdamped smoother blows the iteration up
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr", omega=3.0))
-    res = solve(hier, BlockField.zeros(GridSpec(16)),
+    res = solve(hier, _zeros(16),
                 CycleSpec(cycle="V", nu_pre=1, max_iters=15))
     assert not res.converged
     assert res.rho > 1.0
@@ -464,10 +466,29 @@ def test_solve_flags_divergence():
 
 def test_solve_rejects_non_finite_rhs():
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
-    b = BlockField.zeros(GridSpec(16))
-    b.p[3, 4] = np.nan
+    b = _zeros(16)
+    b[1, 3, 4] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         solve(hier, b, CycleSpec())
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_shape():
+    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
+    for bad in (np.zeros((15, 15)), _zeros(8), np.zeros((1, 15, 15))):
+        with pytest.raises(ValueError, match="block field shape"):
+            solve(hier, bad, CycleSpec())
+
+
+def test_random_guess_is_the_two_component_draws():
+    # one (2, m, m) draw is the y draw followed by the p draw
+    m = 15
+    rng = _rng(5)
+    two = np.stack([rng.uniform(0.0, 1.0, (m, m)), rng.uniform(0.0, 1.0, (m, m))])
+    np.testing.assert_array_equal(_rng(5).uniform(0.0, 1.0, (2, m, m)), two)
+    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
+    b = _rng(6).standard_normal((2, m, m))
+    res = solve(hier, b, CycleSpec(max_iters=1, seed=5))
+    assert res.history[0] == block_norm2(residual(hier.levels[0].op, b, two))
 
 
 def test_solve_stops_at_first_non_finite_residual():
@@ -475,7 +496,7 @@ def test_solve_stops_at_first_non_finite_residual():
     # residual must end the solve instead of reaching the coarse LU solve
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr", omega=1e300))
     with np.errstate(all="ignore"):
-        res = solve(hier, BlockField.zeros(GridSpec(16)), CycleSpec())
+        res = solve(hier, _zeros(16), CycleSpec())
     assert not res.converged
     assert res.iters == 1
     assert not np.isfinite(res.history[-1])
@@ -483,7 +504,7 @@ def test_solve_stops_at_first_non_finite_residual():
 
 def test_solve_rho_consistent_with_history():
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("bsr"))
-    res = solve(hier, BlockField.zeros(GridSpec(16)),
+    res = solve(hier, _zeros(16),
                 CycleSpec(cycle="V", nu_pre=1))
     assert res.converged
     expect = (res.history[-1] / res.history[0]) ** (1.0 / res.iters)
@@ -493,7 +514,7 @@ def test_solve_rho_consistent_with_history():
 def test_ibsr_tracks_exact_bsr_at_moderate_size():
     # truncated inner solves (2..4 CG steps) stay within 0.05 of exact
     N, q, alpha = 64, 2, 1e-6
-    b = BlockField.zeros(GridSpec(N))
+    b = _zeros(N)
     spec = CycleSpec(cycle="W", nu_pre=1, seed=0)
     exact = solve(build_hierarchy(N, q, alpha, SmootherSpec("bsr")), b, spec).rho
     for k in (2, 3, 4):
@@ -509,13 +530,12 @@ def test_masked_hierarchy_solve_converges():
     mask = (rng.uniform(size=(N - 1, N - 1)) < 0.7).astype(float)
     hier = build_hierarchy(N, 2, alpha, SmootherSpec("bsr"), mask=mask)
     grid = GridSpec(N)
-    b = BlockField(rng.standard_normal((grid.m, grid.m)),
-                   rng.standard_normal((grid.m, grid.m)))
+    b = rng.standard_normal((2, grid.m, grid.m))
     res = solve(hier, b, CycleSpec(cycle="W", nu_pre=2))
     assert res.converged
     A = oracle.assemble("saddle", grid, alpha=alpha, mask=mask)
-    expect = oracle.dense_solve(A, _flat(b))
-    np.testing.assert_allclose(_flat(res.v), expect,
+    expect = oracle.dense_solve(A, b.ravel())
+    np.testing.assert_allclose(res.v.ravel(), expect,
                                atol=1e-7 * max(1.0, np.linalg.norm(expect)))
 
 

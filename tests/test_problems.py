@@ -24,11 +24,8 @@ def test_manufactured_pair_satisfies_dense_system():
         grid = GridSpec(N)
         data, exact = example1_fields(grid, alpha)
         A = oracle.assemble("saddle", grid, alpha=alpha)
-        v = oracle.dense_solve(A, np.concatenate([data.f.ravel(),
-                                                  data.g.ravel()]))
-        n = grid.m ** 2
-        ey = v[:n].reshape(grid.m, grid.m) - exact.y
-        ep = v[n:].reshape(grid.m, grid.m) - exact.p
+        v = oracle.dense_solve(A, np.stack([data.f, data.g]).ravel())
+        ey, ep = v.reshape(exact.shape) - exact
         errs.append(np.hypot(discrete_norm(ey, grid), discrete_norm(ep, grid)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -39,18 +36,19 @@ def test_exact_fields_vanish_on_zero_crossings():
     grid = GridSpec(8)
     _, exact = example1_fields(grid, 1e-2)
     mid = grid.N // 2 - 1
-    assert np.allclose(exact.y[mid, :], 0.0, atol=1e-14)
-    assert np.allclose(exact.y[:, mid], 0.0, atol=1e-14)
-    assert np.allclose(exact.p[mid, :], 0.0, atol=1e-14)
+    assert exact.shape == (2, grid.m, grid.m)
+    assert np.allclose(exact[0, mid, :], 0.0, atol=1e-14)
+    assert np.allclose(exact[0, :, mid], 0.0, atol=1e-14)
+    assert np.allclose(exact[1, mid, :], 0.0, atol=1e-14)
 
 
 def test_example1_orientation_asymmetric_in_p():
     # p carries exp(x1 - x2): swapping axes must change it
     grid = GridSpec(8)
     _, exact = example1_fields(grid, 1e-2)
-    assert not np.allclose(exact.p, exact.p.T)
+    assert not np.allclose(exact[1], exact[1].T)
     # y carries exp(x1 + x2) and is symmetric under the swap
-    np.testing.assert_allclose(exact.y, exact.y.T, atol=1e-14)
+    np.testing.assert_allclose(exact[0], exact[0].T, atol=1e-14)
 
 
 def test_example2_fields():

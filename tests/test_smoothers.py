@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ocmg.grid import (
-    BlockField,
     GridSpec,
     SaddleOperator,
     block_norm2,
@@ -13,8 +12,8 @@ from ocmg.grid import (
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
 from ocmg import oracle
 from ocmg.smoothers import (
+    SCHEMES,
     PcgBreakdownError,
-    PcgConfig,
     SchurSpectral,
     SmootherSpec,
     bsr_apply,
@@ -30,12 +29,7 @@ def _rng(seed=0):
 
 
 def _rand_block(grid, rng):
-    return BlockField(rng.standard_normal((grid.m, grid.m)),
-                      rng.standard_normal((grid.m, grid.m)))
-
-
-def _flat(v):
-    return np.concatenate([v.y.ravel(), v.p.ravel()])
+    return rng.standard_normal((2, grid.m, grid.m))
 
 
 # ---------------------------------------------------------------- collective Jacobi
@@ -43,10 +37,10 @@ def _flat(v):
 def test_cjr_hand_value_n2():
     g = GridSpec(2)
     op = SaddleOperator(g, alpha=1.0)
-    r = BlockField(np.array([[1.0]]), np.array([[0.0]]))
+    r = np.array([[[1.0]], [[0.0]]])
     w = cjr_apply(r, op, omega=1.0)
-    assert w.y[0, 0] == pytest.approx(16.0 / 257.0, rel=1e-14)
-    assert w.p[0, 0] == pytest.approx(-1.0 / 257.0, rel=1e-14)
+    assert w[0, 0, 0] == pytest.approx(16.0 / 257.0, rel=1e-14)
+    assert w[1, 0, 0] == pytest.approx(-1.0 / 257.0, rel=1e-14)
 
 
 def test_cjr_zero_omega():
@@ -63,8 +57,8 @@ def test_cjr_matches_dense(masked):
     op = SaddleOperator(g, alpha=1e-2, mask=mask)
     r = _rand_block(g, rng)
     B = oracle.assemble("B_J", g, alpha=1e-2, mask=mask)
-    want = 0.8 * np.linalg.solve(B, _flat(r))
-    got = _flat(cjr_apply(r, op, omega=0.8))
+    want = 0.8 * np.linalg.solve(B, r.ravel())
+    got = cjr_apply(r, op, omega=0.8).ravel()
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -72,7 +66,7 @@ def test_cjr_matches_dense(masked):
 
 def test_schur_apply_zero():
     g = GridSpec(4)
-    out = schur_apply(g.zeros(), SaddleOperator(g, alpha=1.0))
+    out = schur_apply(np.zeros((g.m, g.m)), SaddleOperator(g, alpha=1.0))
     assert np.all(out == 0.0)
 
 
@@ -125,20 +119,20 @@ def test_schur_spectral_modes_are_eigenvectors():
 
 def test_pcg_identity_one_iteration():
     b = _rng(6).standard_normal(10)
-    x = pcg(lambda v: v, b, PcgConfig(max_iters=1, rel_tol=None))
+    x = pcg(lambda v: v, b, 1, rel_tol=None)
     assert np.allclose(x, b, rtol=1e-14)
 
 
 def test_pcg_diagonal_with_diagonal_preconditioner():
     d = np.array([1.0, 2.0, 5.0, 9.0])
     b = np.array([1.0, 1.0, 1.0, 1.0])
-    x = pcg(lambda v: d * v, b, PcgConfig(max_iters=1), precond=lambda v: v / d)
+    x = pcg(lambda v: d * v, b, 1, precond=lambda v: v / d)
     assert np.allclose(x, b / d, rtol=1e-14)
 
 
 def test_pcg_2x2_hand_value():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    x = pcg(lambda v: A @ v, np.array([1.0, 1.0]), PcgConfig(max_iters=2))
+    x = pcg(lambda v: A @ v, np.array([1.0, 1.0]), 2)
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
 
 
@@ -147,7 +141,7 @@ def test_pcg_matches_dense_solve_tolerance_mode():
     M = rng.standard_normal((10, 10))
     A = M @ M.T + 10 * np.eye(10)
     b = rng.standard_normal(10)
-    x = pcg(lambda v: A @ v, b, PcgConfig(max_iters=100, rel_tol=1e-12))
+    x = pcg(lambda v: A @ v, b, 100, rel_tol=1e-12)
     assert np.allclose(x, oracle.dense_solve(A, b), atol=1e-10)
 
 
@@ -157,18 +151,18 @@ def test_pcg_fixed_count_runs_exactly_k():
     calls = []
     d = np.linspace(1, 100, 30)
     matvec = lambda v: (calls.append(1), d * v)[1]
-    pcg(matvec, np.ones(30), PcgConfig(max_iters=3, rel_tol=None))
+    pcg(matvec, np.ones(30), 3, rel_tol=None)
     assert len(calls) == 3
 
 
 def test_pcg_breakdown_on_indefinite():
     A = np.diag([1.0, -1.0])
     with pytest.raises(PcgBreakdownError):
-        pcg(lambda v: A @ v, np.array([0.0, 1.0]), PcgConfig(max_iters=5))
+        pcg(lambda v: A @ v, np.array([0.0, 1.0]), 5)
 
 
 def test_pcg_zero_rhs():
-    x = pcg(lambda v: v, np.zeros(4), PcgConfig(max_iters=3))
+    x = pcg(lambda v: v, np.zeros(4), 3)
     assert np.all(x == 0.0)
 
 
@@ -177,15 +171,15 @@ def test_pcg_zero_rhs():
 def test_bsr_hand_value_n2():
     g = GridSpec(2)
     op = SaddleOperator(g, alpha=1.0)
-    r = BlockField(np.array([[1.0]]), np.array([[0.0]]))
+    r = np.array([[[1.0]], [[0.0]]])
     w = bsr_apply(r, op, SmootherSpec("bsr", omega=1.0))
-    assert w.y[0, 0] == pytest.approx(16.0 / 145.0, rel=1e-12)
-    assert w.p[0, 0] == pytest.approx(-1.0 / 145.0, rel=1e-12)
+    assert w[0, 0, 0] == pytest.approx(16.0 / 145.0, rel=1e-12)
+    assert w[1, 0, 0] == pytest.approx(-1.0 / 145.0, rel=1e-12)
 
 
 def test_bsr_zero_residual():
     g = GridSpec(8)
-    w = bsr_apply(BlockField.zeros(g), SaddleOperator(g, alpha=1e-3),
+    w = bsr_apply(np.zeros((2, g.m, g.m)), SaddleOperator(g, alpha=1e-3),
                   SmootherSpec("bsr", omega=0.75))
     assert block_norm2(w) == 0.0
 
@@ -198,8 +192,8 @@ def test_bsr_exact_matches_dense(masked):
     op = SaddleOperator(g, alpha=1e-2, mask=mask)
     r = _rand_block(g, rng)
     B = oracle.assemble("B_m", g, alpha=1e-2, mask=mask)
-    want = 0.75 * np.linalg.solve(B, _flat(r))
-    got = _flat(bsr_apply(r, op, SmootherSpec("bsr", omega=0.75)))
+    want = 0.75 * np.linalg.solve(B, r.ravel())
+    got = bsr_apply(r, op, SmootherSpec("bsr", omega=0.75)).ravel()
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -258,7 +252,7 @@ def _scaled_norm(v, alpha):
     # the sqrt(alpha)-weighted block norm; the CJR error symbol is normal in
     # it, so a single sweep respects the spectral radius (the plain norm
     # admits large non-normal transients of the y-component)
-    return float(np.sqrt(alpha * np.sum(v.y ** 2) + np.sum(v.p ** 2)))
+    return float(np.sqrt(alpha * np.sum(v[0] ** 2) + np.sum(v[1] ** 2)))
 
 
 def test_one_sweep_mode_damping_cjr():
@@ -266,11 +260,11 @@ def test_one_sweep_mode_damping_cjr():
     g = GridSpec(N)
     op = SaddleOperator(g, alpha=alpha)
     rep = cjr_optimal(LfaParams(q=2, alpha=alpha, h=g.h))
-    b = BlockField.zeros(g)
+    b = np.zeros((2, g.m, g.m))
     worst = 0.0
     for k, l in _high_freq_modes(N, 2):
         mode = SchurSpectral.mode(g, k, l)
-        v = BlockField(mode / np.sqrt(alpha), mode)
+        v = np.stack([mode / np.sqrt(alpha), mode])
         v1 = v + cjr_apply(residual(op, b, v), op, rep.omega)
         worst = max(worst, _scaled_norm(v1, alpha) / _scaled_norm(v, alpha))
     assert worst <= rep.mu + 0.05
@@ -283,11 +277,11 @@ def test_one_sweep_mode_damping_bsr():
     omega, bound = bsr_damping(2)
     spec = SmootherSpec("bsr", omega=omega)
     sp = SchurSpectral(g, alpha)
-    b = BlockField.zeros(g)
+    b = np.zeros((2, g.m, g.m))
     worst_plain = worst_scaled = 0.0
     for k, l in _high_freq_modes(N, 2):
         mode = SchurSpectral.mode(g, k, l)
-        v = BlockField(mode, mode)
+        v = np.stack([mode, mode])
         v1 = v + bsr_apply(residual(op, b, v), op, spec, spectral=sp)
         worst_plain = max(worst_plain, block_norm2(v1) / block_norm2(v))
         worst_scaled = max(worst_scaled, _scaled_norm(v1, alpha) / _scaled_norm(v, alpha))
@@ -298,13 +292,11 @@ def test_one_sweep_mode_damping_bsr():
 # ---------------------------------------------------------------- spec validation
 
 def test_spec_validation():
+    for kind in SCHEMES:
+        assert SmootherSpec(kind).kind == kind
     with pytest.raises(ValueError):
         SmootherSpec("gauss-seidel")
     with pytest.raises(ValueError):
         SmootherSpec("cjr", omega=-1.0)
     with pytest.raises(ValueError):
         SmootherSpec("ibsr", pcg_iters=0)
-    with pytest.raises(ValueError):
-        PcgConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        PcgConfig(max_iters=5, rel_tol=2.0)

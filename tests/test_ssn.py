@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ocmg.grid import BlockField, GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
+from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.multigrid import CycleSpec
 from ocmg.problems import ProblemData, example2_fields
 from ocmg.smoothers import SmootherSpec
@@ -86,31 +86,29 @@ def test_residual_F_equals_linear_residual_when_affine():
     data = ProblemData(f, g, grid)
     y = rng.standard_normal((grid.m, grid.m))
     p = rng.standard_normal((grid.m, grid.m))
-    F = residual_F(y, p, data, cp)
-    lin = residual(SaddleOperator(grid, cp.alpha), BlockField(f, g),
-                   BlockField(y, p))
-    np.testing.assert_allclose(F.y, -lin.y, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(F.p, -lin.p, rtol=1e-12, atol=1e-12)
+    F = residual_F(np.stack([y, p]), data, cp)
+    lin = residual(SaddleOperator(grid, cp.alpha), np.stack([f, g]),
+                   np.stack([y, p]))
+    np.testing.assert_allclose(F[0], -lin[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(F[1], -lin[1], rtol=1e-12, atol=1e-12)
 
 
 def test_residual_F_at_origin():
     grid = GridSpec(8)
     data = example2_fields(grid)
-    z = np.zeros((grid.m, grid.m))
-    F = residual_F(z, z, data, CP)
-    np.testing.assert_array_equal(F.y, -data.f)
-    np.testing.assert_array_equal(F.p, -data.g)
+    F = residual_F(np.zeros((2, grid.m, grid.m)), data, CP)
+    np.testing.assert_array_equal(F[0], -data.f)
+    np.testing.assert_array_equal(F[1], -data.g)
 
 
 def test_all_ones_mask_is_bitwise_unconstrained():
     grid = GridSpec(8)
     rng = np.random.default_rng(2)
-    v = BlockField(rng.standard_normal((grid.m, grid.m)),
-                   rng.standard_normal((grid.m, grid.m)))
+    v = rng.standard_normal((2, grid.m, grid.m))
     masked = apply_saddle(SaddleOperator(grid, 1e-3, np.ones((grid.m, grid.m))), v)
     plain = apply_saddle(SaddleOperator(grid, 1e-3), v)
-    assert np.array_equal(masked.y, plain.y)
-    assert np.array_equal(masked.p, plain.p)
+    assert np.array_equal(masked[0], plain[0])
+    assert np.array_equal(masked[1], plain[1])
 
 
 # -------------------------------------------------------------- outer loop
@@ -166,7 +164,7 @@ def test_control_respects_bounds_and_residual_drops():
     assert res.converged
     assert res.u.min() >= cp.u0 - 1e-12 and res.u.max() <= cp.u1 + 1e-12
     assert res.residuals[-1] <= 1e-10 * res.residuals[0]
-    F = residual_F(res.y, res.p, data, cp)
+    F = residual_F(np.stack([res.y, res.p]), data, cp)
     assert block_norm2(F) == pytest.approx(res.residuals[-1], rel=1e-12)
 
 
