@@ -26,7 +26,18 @@ building any level, a chain that stops above it (N=50 with q=2 stops at
 transfers act on one (m, m) component at a time.  No residual is
 evaluated twice: solve hands the residual of its convergence check to the
 next cycle, and a coarse visit from the zero iterate smooths its
-right-hand side directly.
+right-hand side directly.  No coarse solve is repeated either: the
+coarsest level ignores the iterate it is handed, so the W-cycle visits
+it once where it would visit it twice with the same right-hand side.
+
+Buffers: a cycle handed its residual with inplace=True owns that array
+and reuses it as its work buffer.  The smoother writes its correction
+into it, each later residual (after every smoothing step) is written
+back into it, and the cycle drops it once it is restricted, before
+descending.  solve hands over the residual of its convergence check this
+way and keeps no reference to it, so a level-0 cycle holds two fine
+block fields (the iterate and the buffer) where it would hold three.
+Without inplace=True a cycle modifies none of v, b and r.
 
 Transfers are tensor products of sparse 1D operators built once per
 (N, q): full weighting R1, weights (q - |k|)/q^2 for k = -(q-1)..(q-1),
@@ -51,7 +62,8 @@ import scipy.linalg
 from .grid import GridSpec, SaddleOperator, block_norm2, residual
 from .lfa import LfaParams, bsr_damping, cjr_optimal
 from .oracle import MAX_N, assemble
-from .smoothers import SchurSpectral, SmootherSpec, bsr_apply, cjr_apply
+from .smoothers import (SchurSpectral, SmootherSpec, bsr_apply, cjr_apply,
+                        schur_diag)
 
 CYCLES = ("V", "W")
 
@@ -77,6 +89,7 @@ class Level:
     op: SaddleOperator
     smoother: SmootherSpec  # omega resolved
     spectral: SchurSpectral | None  # exact-BSR inner preconditioner cache
+    diag: np.ndarray | float | None  # IBSR inner preconditioner cache, schur_diag(op)
 
 
 @dataclass
@@ -133,7 +146,8 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
         op = SaddleOperator(grid, alpha, lvl_mask)
         spec = replace(smoother, omega=_resolve_omega(smoother, q, alpha, grid.h))
         spectral = SchurSpectral(grid, alpha) if spec.kind == "bsr" else None
-        levels.append(Level(grid, op, spec, spectral))
+        diag = schur_diag(op) if spec.kind == "ibsr" else None
+        levels.append(Level(grid, op, spec, spectral, diag))
         if lvl_mask is not None and n // q >= 2:
             # homogenized coarse coupling: full-weighting average of the
             # mask field; a subsampled {0,1} mask misrepresents thin
@@ -175,10 +189,10 @@ def prolong(coarse: np.ndarray, q: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- cycling
 
-def _relax(r: np.ndarray, lev: Level) -> np.ndarray:
+def _relax(r: np.ndarray, lev: Level, out: np.ndarray | None = None) -> np.ndarray:
     if lev.smoother.kind == "cjr":
-        return cjr_apply(r, lev.op, lev.smoother.omega)
-    return bsr_apply(r, lev.op, lev.smoother, spectral=lev.spectral)
+        return cjr_apply(r, lev.op, lev.smoother.omega, out)
+    return bsr_apply(r, lev.op, lev.smoother, lev.spectral, lev.diag, out)
 
 
 def _coarse_solve(hier: Hierarchy, b: np.ndarray) -> np.ndarray:
@@ -192,23 +206,34 @@ def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
     """One recursive cycle from the given level; returns the updated iterate.
 
     v None is the zero iterate and r, if given, its residual b - A v.  b
-    is never modified, v only with inplace=True (the caller owns it).
+    is never modified.  With inplace=True the caller hands over v and r:
+    v is updated in place and returned, and r is overwritten as the
+    cycle's work buffer.  Otherwise neither is modified.
     """
-    if level == len(hier.levels) - 1:
+    last = len(hier.levels) - 1
+    if level == last:
         return _coarse_solve(hier, b)
     lev, q = hier.levels[level], hier.q
     if v is None:  # the residual of the zero iterate is b itself
-        v = _relax(b, lev)
+        v, r = _relax(b, lev), None
     else:
+        owned = inplace or r is None
         v = v if inplace else v.copy()
-        v += _relax(residual(lev.op, b, v) if r is None else r, lev)
+        if r is None:
+            r = residual(lev.op, b, v)
+        r = _relax(r, lev, out=r if owned else None)
+        v += r
+    # r, if not None, is now an array the cycle owns: the next residuals go there
     for _ in range(spec.nu_pre - 1):
-        v += _relax(residual(lev.op, b, v), lev)
-    r = residual(lev.op, b, v)
+        r = residual(lev.op, b, v, out=r)
+        v += _relax(r, lev, out=r)
+    r = residual(lev.op, b, v, out=r)
     rc = np.stack([restrict(rk, q) for rk in r])
     del r  # unused below; freeing it lowers the peak memory of the cycle
     ec = None
-    for _ in range(1 if spec.cycle == "V" else 2):
+    # the coarsest level ignores the iterate, so a second visit would repeat the first
+    visits = 1 if spec.cycle == "V" or level + 1 == last else 2
+    for _ in range(visits):
         ec = cycle(hier, level + 1, ec, rc, spec, inplace=True)
     for vk, eck in zip(v, ec):
         vk += prolong(eck, q)
@@ -234,8 +259,11 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
         v = v0.copy()
     else:
         v = np.random.default_rng(spec.seed).uniform(0.0, 1.0, (2, g.m, g.m))
-    r = residual(op, b, v)
-    r0 = block_norm2(r)
+    # each residual goes to the next cycle as its work buffer; it is kept
+    # in a one-element list that the call pops, so solve holds no
+    # reference to it while the cycle runs
+    pending = [residual(op, b, v)]
+    r0 = block_norm2(pending[0])
     history = [r0]
     if r0 == 0.0:
         return MgResult(v, 0, 0.0, history, True)
@@ -243,9 +271,9 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
         return MgResult(v, 0, float("nan"), history, False)
     rel, k = 1.0, 0
     for k in range(1, spec.max_iters + 1):
-        v = cycle(hier, 0, v, b, spec, r, inplace=True)
-        r = residual(op, b, v)
-        history.append(block_norm2(r))
+        v = cycle(hier, 0, v, b, spec, pending.pop(), inplace=True)
+        pending.append(residual(op, b, v))
+        history.append(block_norm2(pending[0]))
         rel = history[-1] / r0
         if rel <= spec.tol or not rel <= 1e8:  # converged, diverging or NaN
             break

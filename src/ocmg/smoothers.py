@@ -15,8 +15,9 @@ r = (r_y, r_p), M for the optional {0,1} mask and D = diag(L) = 4/h^2:
 
 The Schur solve is where the two Braess-Sarazin variants differ:
 
-  * BSR_EXACT runs preconditioned CG to a 1e-12 relative tolerance,
-    preconditioned by the exact inverse of the UNMASKED Schur operator.
+  * BSR_EXACT runs preconditioned CG to a 1e-12 relative tolerance
+    (EXACT_TOL), at most max(200, N-1) iterations, preconditioned by the
+    exact inverse of the UNMASKED Schur operator.
     That inverse is applied spectrally: the type-I discrete sine basis
     diagonalizes both L (eigenvalues (2 - 2cos(k pi/N))/h^2 summed over
     the two axes) and Q (eigenvalues (h^2/36) prod(4 + 2cos(k pi/N))),
@@ -27,9 +28,18 @@ The Schur solve is where the two Braess-Sarazin variants differ:
     The iteration count is part of the method definition, not a
     tolerance: truncating the inner solve is what is being studied.
 
-With a mask present the Schur operator is mildly nonsymmetric (Q M vs
-M Q); CG is run unchanged, as a smoother only needs a rough solve, and
-the breakdown guard reports any loss of positivity.
+With a mask present the Schur operator is nonsymmetric (Q M vs M Q); CG
+is run unchanged, as a smoother only needs a rough solve, and the
+breakdown guard reports any loss of positivity.  Masked BSR_EXACT is
+therefore not exact at small alpha.  At N=8 and alpha=1e-6, three random
+{0,1} masks gave relative errors of 1e-11, 1e-2 and 3.8 against the
+dense B_m^{-1} r: CG can use up its iterations without reaching
+EXACT_TOL and returns without raising.  At alpha=1e-10 all three raised
+PcgBreakdownError.
+
+cjr_apply and bsr_apply write into an optional out array, which may be r
+itself: both read all of r they need before writing the part of out that
+overlaps it.
 """
 
 from __future__ import annotations
@@ -37,9 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .grid import GridSpec, SaddleOperator, apply_laplacian, apply_mass
+from .grid import (STRIP_BYTES, GridSpec, SaddleOperator, apply_laplacian,
+                   apply_mass, row_strips)
 
 SCHEMES = ("cjr", "bsr", "ibsr")
 EXACT_TOL = 1e-12  # relative tolerance of the exact (bsr) Schur solve
@@ -85,13 +95,15 @@ def pcg(matvec, b: np.ndarray, iters: int, rel_tol: float | None = None,
     z = precond(r) if precond is not None else r
     d = z.copy()
     rz = np.vdot(r, z)
-    for _ in range(iters):
+    for k in range(1, iters + 1):
         ad = matvec(d)
         dad = np.vdot(d, ad)
         if dad <= 0.0:
             raise PcgBreakdownError(f"curvature <Ad, d> = {dad:.3e} <= 0")
         step = rz / dad
         x += step * d
+        if k == iters:  # what follows only prepares another iteration
+            break
         r -= step * ad
         norm_r = np.linalg.norm(r)
         if rel_tol is not None and norm_r <= rel_tol * norm_b:
@@ -105,22 +117,40 @@ def pcg(matvec, b: np.ndarray, iters: int, rel_tol: float | None = None,
     return x
 
 
-def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float) -> np.ndarray:
-    """One collective Jacobi correction omega * B_J^{-1} r (pointwise 2x2 solves)."""
+def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """One collective Jacobi correction omega * B_J^{-1} r (pointwise 2x2 solves).
+
+    Written into out if given, which may be r.  A field larger than
+    STRIP_BYTES is processed in row strips, as the grid stencils are.
+    """
     d = 4.0 * op.grid.N ** 2
-    m = 1.0 if op.mask is None else op.mask
+    w = np.empty_like(r) if out is None else out
+    if r.nbytes <= STRIP_BYTES:
+        _cjr_rows(r, op.mask, d, op.alpha, omega, w)
+        return w
+    for a, b in row_strips(r):
+        mask = None if op.mask is None else op.mask[a:b]
+        _cjr_rows(r[:, a:b], mask, d, op.alpha, omega, w[:, a:b])
+    return w
+
+
+def _cjr_rows(r: np.ndarray, mask: np.ndarray | None, d: float, alpha: float,
+              omega: float, w: np.ndarray) -> None:
+    """Collective Jacobi from the rows r into the same rows w, which may be r."""
+    m = 1.0 if mask is None else mask
     # w_p = (r_p - r_y/d) / (d + m/(alpha d)),  w_y = (r_y + m w_p/alpha) / d,
-    # evaluated in place: one fine-size temporary at a time
-    w = np.empty_like(r)
+    # with one temporary; w_p reads r_p and r_y before it overwrites r_p,
+    # and w_y reads r_y before it overwrites r_y
     w_y, w_p = w
-    np.subtract(r[1], r[0] / d, out=w_p)
-    w_p /= d + m / (op.alpha * d)
-    np.multiply(m, w_p, out=w_y)
-    w_y /= op.alpha
-    w_y += r[0]
+    t = r[0] / d
+    np.subtract(r[1], t, out=w_p)
+    w_p /= d + m / (alpha * d)
+    np.multiply(m, w_p, out=t)
+    t /= alpha
+    np.add(r[0], t, out=w_y)
     w_y /= d
     w *= omega
-    return w
 
 
 def schur_apply(w: np.ndarray, op: SaddleOperator) -> np.ndarray:
@@ -129,10 +159,14 @@ def schur_apply(w: np.ndarray, op: SaddleOperator) -> np.ndarray:
     return apply_laplacian(w, op.grid) + apply_mass(mw, op.grid) / op.alpha
 
 
-def schur_diag(op: SaddleOperator) -> np.ndarray:
-    """Exact diagonal of the Schur operator, the IBSR preconditioner."""
+def schur_diag(op: SaddleOperator) -> np.ndarray | float:
+    """Exact diagonal of the Schur operator, the IBSR preconditioner.
+
+    A field with a mask; without one the diagonal is constant and is
+    returned as that constant.
+    """
     g = op.grid
-    m = np.ones((g.m, g.m)) if op.mask is None else op.mask
+    m = 1.0 if op.mask is None else op.mask
     return 4.0 * g.N ** 2 + (16.0 * g.h ** 2 / 36.0) * m / op.alpha
 
 
@@ -145,6 +179,8 @@ class SchurSpectral:
     """
 
     def __init__(self, grid: GridSpec, alpha: float):
+        from scipy import fft  # here: only exact bsr pays for the import
+        self._dstn = fft.dstn
         k = np.arange(1, grid.N)
         c = np.cos(np.pi * k / grid.N)
         lap_1d = (2.0 - 2.0 * c) * grid.N ** 2
@@ -154,8 +190,8 @@ class SchurSpectral:
         self.grid = grid
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        bh = scipy.fft.dstn(b, type=1, norm="ortho")
-        return scipy.fft.dstn(bh / self.eig, type=1, norm="ortho")
+        bh = self._dstn(b, type=1, norm="ortho")
+        return self._dstn(bh / self.eig, type=1, norm="ortho")
 
     @staticmethod
     def mode(grid: GridSpec, k: int, l: int) -> np.ndarray:
@@ -165,8 +201,15 @@ class SchurSpectral:
 
 
 def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
-              spectral: SchurSpectral | None = None) -> np.ndarray:
-    """One Braess-Sarazin correction omega * B_m^{-1} r (exact or truncated)."""
+              spectral: SchurSpectral | None = None,
+              diag: np.ndarray | float | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """One Braess-Sarazin correction omega * B_m^{-1} r (exact or truncated).
+
+    spectral (bsr) and diag (ibsr, schur_diag(op)) are the inner
+    preconditioners a level caches; they are built here when not given.
+    The result is written into out if given, which may be r.
+    """
     assert spec.kind in ("bsr", "ibsr")
     assert spec.omega is not None, "omega must be resolved before applying"
     rhs = r[1] - apply_mass(r[0], op.grid)
@@ -181,10 +224,11 @@ def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
         # The truncated solve is seeded with the diagonal-preconditioned
         # right-hand side; the fixed-count CG then runs on the residual
         # system, which is the usual shift for a nonzero initial guess.
-        diag = schur_diag(op)
+        if diag is None:
+            diag = schur_diag(op)
         w0 = rhs / diag
         w_p = w0 + pcg(matvec, rhs - matvec(w0), spec.pcg_iters,
                        precond=lambda v: v / diag)
-    w = np.stack([apply_mass(r[0] + m * w_p / op.alpha, op.grid), w_p])
+    w = np.stack([apply_mass(r[0] + m * w_p / op.alpha, op.grid), w_p], out=out)
     w *= spec.omega
     return w

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocmg import grid as grid_module
+from ocmg import smoothers as smoothers_module
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
 from ocmg import oracle
@@ -19,7 +22,7 @@ from ocmg.multigrid import (
     solve,
 )
 from ocmg.problems import example1_fields
-from ocmg.smoothers import SmootherSpec
+from ocmg.smoothers import SmootherSpec, schur_diag
 
 
 def _rng(seed=0):
@@ -358,6 +361,66 @@ def test_cycle_leaves_caller_fields_unmodified(kind, nu):
     out_ip = cycle(hier, 0, v, b, spec, r, inplace=True)
     assert out_ip is v
     np.testing.assert_array_equal(v, out)
+
+
+@pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("strip_rows", [None, 3])
+def test_cycle_with_a_handed_over_residual_matches_one_without(kind, nu,
+                                                               strip_rows):
+    # with inplace=True the residual is the cycle's work buffer; the iterate
+    # is bitwise the one of a cycle that evaluates its own residual, also
+    # when every level is processed in strips of a few rows
+    hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
+    grid = hier.levels[0].grid
+    rng = _rng(7)
+    v = rng.uniform(size=(2, grid.m, grid.m))
+    b = rng.standard_normal((2, grid.m, grid.m))
+    spec = CycleSpec(cycle="W", nu_pre=nu)
+    want = cycle(hier, 0, v, b, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        if strip_rows is not None:
+            for module in (grid_module, smoothers_module):
+                mp.setattr(module, "STRIP_BYTES", strip_rows * 16 * grid.m)
+        own = cycle(hier, 0, v.copy(), b, spec, inplace=True)
+        r = residual(hier.levels[0].op, b, v)
+        handed = cycle(hier, 0, v.copy(), b, spec, r, inplace=True)
+    np.testing.assert_array_equal(own, want)
+    np.testing.assert_array_equal(handed, want)
+
+
+@pytest.mark.parametrize("N, q, kind, calls", [
+    (64, 2, "W", 4), (64, 2, "V", 1), (81, 3, "W", 2), (64, 4, "W", 1)])
+def test_cycle_visits_the_coarsest_level_once_per_coarse_correction(
+        N, q, kind, calls, monkeypatch):
+    # the coarsest level ignores its iterate, so the W-cycle's second visit
+    # from the level above would repeat the first: 2^(L-2) LU solves, not 2^(L-1)
+    hier = build_hierarchy(N, q, 1e-3, SmootherSpec("cjr"))
+    grid = hier.levels[0].grid
+    lu_solve = scipy.linalg.lu_solve
+    count = []
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return lu_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", counted)
+    rng = _rng(8)
+    v = rng.uniform(size=(2, grid.m, grid.m))
+    b = rng.standard_normal((2, grid.m, grid.m))
+    cycle(hier, 0, v, b, CycleSpec(cycle=kind))
+    assert len(count) == calls
+
+
+def test_ibsr_levels_cache_the_schur_diagonal():
+    rng = _rng(9)
+    mask = (rng.uniform(size=(31, 31)) < 0.7).astype(float)
+    hier = build_hierarchy(32, 2, 1e-3, SmootherSpec("ibsr"), mask=mask)
+    for lev in hier.levels:
+        np.testing.assert_array_equal(lev.diag, schur_diag(lev.op))
+    for kind in ("cjr", "bsr"):
+        hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind), mask=mask)
+        assert all(lev.diag is None for lev in hier.levels)
 
 
 # Residual histories and iterate checksums of six W(1,0) cycles on the

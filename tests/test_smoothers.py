@@ -1,7 +1,14 @@
 """Smoother corrections against hand values, the dense oracle, and LFA predictions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ocmg
 
 from ocmg.grid import (
     GridSpec,
@@ -166,6 +173,23 @@ def test_pcg_zero_rhs():
     assert np.all(x == 0.0)
 
 
+def test_pcg_prepares_no_direction_after_its_last_iteration():
+    calls = {"matvec": 0, "precond": 0}
+    d = np.linspace(1.0, 3.0, 30)
+
+    def matvec(v):
+        calls["matvec"] += 1
+        return d * v
+
+    def precond(v):
+        calls["precond"] += 1
+        return v / d.mean()
+
+    pcg(matvec, np.ones(30), 3, precond=precond)
+    # one preconditioned residual to start, then one per further iteration
+    assert calls == {"matvec": 3, "precond": 3}
+
+
 # ---------------------------------------------------------------- Braess-Sarazin
 
 def test_bsr_hand_value_n2():
@@ -226,6 +250,61 @@ def test_ibsr_homogeneous_but_not_additive():
     lhs = bsr_apply(r1 + r2, op, spec)
     rhs = bsr_apply(r1, op, spec) + bsr_apply(r2, op, spec)
     assert block_norm2(lhs - rhs) > 1e-6 * block_norm2(rhs)
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+@pytest.mark.parametrize("masked", [False, True])
+def test_smoothers_write_their_correction_into_the_residual(kind, masked):
+    g = GridSpec(16)
+    rng = _rng(12)
+    mask = (rng.random((g.m, g.m)) < 0.5).astype(float) if masked else None
+    op = SaddleOperator(g, alpha=1e-2, mask=mask)
+    r = _rand_block(g, rng)
+    spec = SmootherSpec(kind, omega=0.75)
+    if kind == "cjr":
+        apply_fn = lambda r, out=None: cjr_apply(r, op, 0.75, out)
+    else:
+        apply_fn = lambda r, out=None: bsr_apply(r, op, spec, out=out)
+    want = apply_fn(r)
+    buf = r.copy()
+    got = apply_fn(buf, out=buf)
+    assert got is buf
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_ibsr_with_the_cached_diagonal_is_bitwise_the_same(masked):
+    g = GridSpec(16)
+    rng = _rng(13)
+    op = SaddleOperator(g, alpha=1e-3,
+                        mask=rng.random((g.m, g.m)) if masked else None)
+    r = _rand_block(g, rng)
+    spec = SmootherSpec("ibsr", omega=0.75)
+    np.testing.assert_array_equal(bsr_apply(r, op, spec, diag=schur_diag(op)),
+                                  bsr_apply(r, op, spec))
+
+
+def test_unmasked_schur_diagonal_is_the_constant_of_the_masked_formula():
+    g = GridSpec(8)
+    ones = SaddleOperator(g, alpha=1e-3, mask=np.ones((g.m, g.m)))
+    assert np.all(schur_diag(ones) == schur_diag(SaddleOperator(g, alpha=1e-3)))
+
+
+def test_only_exact_bsr_imports_scipy_fft():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ocmg import cli, multigrid, ssn\n"
+        "from ocmg.smoothers import SmootherSpec\n"
+        "for kind in ('cjr', 'ibsr'):\n"
+        "    h = multigrid.build_hierarchy(16, 2, 1e-3, SmootherSpec(kind))\n"
+        "    multigrid.solve(h, np.ones((2, 15, 15)), multigrid.CycleSpec(max_iters=2))\n"
+        "assert 'scipy.fft' not in sys.modules\n"
+        "multigrid.build_hierarchy(16, 2, 1e-3, SmootherSpec('bsr'))\n"
+        "assert 'scipy.fft' in sys.modules\n")
+    src = Path(ocmg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_ibsr_diag_preconditioner_values():

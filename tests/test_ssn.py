@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.multigrid import CycleSpec
@@ -73,6 +75,45 @@ def test_dphi_matches_finite_differences_away_from_kinks():
     fd = (phi(p + d, CP) - phi(p - d, CP)) / (2 * d)
     np.testing.assert_allclose(fd, dphi_mask(p, CP) / CP.alpha,
                                atol=1e-9 / CP.alpha * 1e-3)
+
+
+@st.composite
+def control_cases(draw):
+    alpha = 10.0 ** draw(st.floats(-8.0, 0.0), label="log10 alpha")
+    beta = draw(st.floats(0.0, 1.0), label="beta")
+    u0 = -(10.0 ** draw(st.floats(-3.0, 3.0), label="log10 -u0"))
+    u1 = 10.0 ** draw(st.floats(-3.0, 3.0), label="log10 u1")
+    cp = ControlParams(alpha, beta, u0, u1)
+    # p spans every kink: +-beta, beta + alpha u1 and -beta + alpha u0
+    reach = 1.5 * (beta + alpha * max(-u0, u1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return cp, reach, rng.uniform(-reach, reach, 200)
+
+
+@settings(max_examples=100, deadline=None)
+@given(control_cases())
+def test_phi_lies_in_the_control_bounds(case):
+    cp, reach, p = case
+    kinks = _arr(cp.beta, -cp.beta, cp.beta + cp.alpha * cp.u1,
+                 -cp.beta + cp.alpha * cp.u0)
+    p = np.concatenate([p, kinks, [-2 * reach, 2 * reach]])
+    u = phi(p, cp)
+    # the branches cancel to alpha u up to rounding at the scale of the terms
+    scale = (np.abs(p) + cp.beta) / cp.alpha + max(-cp.u0, cp.u1)
+    slack = 8 * np.finfo(float).eps * scale
+    assert np.all(u >= cp.u0 - slack) and np.all(u <= cp.u1 + slack)
+
+
+@settings(max_examples=100, deadline=None)
+@given(control_cases())
+def test_dphi_mask_is_the_slope_of_alpha_phi_away_from_kinks(case):
+    cp, reach, p = case
+    h = 1e-6 * reach
+    kinks = _arr(cp.beta, -cp.beta, cp.beta + cp.alpha * cp.u1,
+                 -cp.beta + cp.alpha * cp.u0)
+    p = p[np.abs(p[:, None] - kinks[None, :]).min(axis=1) > 2 * h]
+    fd = cp.alpha * (phi(p + h, cp) - phi(p - h, cp)) / (2 * h)
+    np.testing.assert_allclose(fd, dphi_mask(p, cp), rtol=0, atol=1e-6)
 
 
 # ----------------------------------------------------------------- residual
