@@ -30,17 +30,20 @@ Operators provided, all matrix-free:
     the quadratic control problem; with a mask it is the generalized
     Jacobian arising from the active-set outer iteration.
 
-Strip policy: a field larger than STRIP_BYTES (512 KiB) is processed by
-apply_laplacian, apply_saddle and residual in row strips of about that
-size, taken across both components of a block field, so that a kernel's
-successive passes over a strip (its input, output and temporaries) stay
-in a 2 MiB L2 cache instead of streaming the whole field through memory
-once per pass.  On the residual, 512 KiB strips measured as fast as
-256 KiB ones and faster than 1 MiB ones at N=1024, and faster than the
-whole-array pass at N=256.  A strip reads its rows plus one halo row on
-each side and keeps the whole-array order of operations per element, so
-the result is bitwise the same as one whole-array pass.  A field that
-fits one strip takes the whole-array code, with no per-strip work.
+Strip policy: residual evaluates a field larger than STRIP_BYTES
+(512 KiB) in row strips of about that size (row_strips), taken across
+both components of a block field, so that its successive passes over a
+strip (input, output and temporaries) stay in a 2 MiB L2 cache instead
+of streaming the whole field through memory once per pass;
+smoothers.cjr_apply follows the same policy.  On the residual, 512 KiB
+strips measured as fast as 256 KiB ones and faster than 1 MiB ones at
+N=1024, and faster than the whole-array pass at N=256.  A strip reads
+its rows plus one halo row on each side and keeps the whole-array order
+of operations per element, so the result is bitwise the same as one
+whole-array pass.  A field that fits one strip takes the whole-array
+code, with no per-strip work.  apply_laplacian and apply_saddle always
+make one whole-array pass: none of their callers passes a field above
+STRIP_BYTES.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ def _laplacian_rows(u: np.ndarray, a: int, b: int, out: np.ndarray,
     """Rows [a, b) of L u into out, with rows a-1 and b as the halo.
 
     Per element: 4u, minus the neighbours above, below, left and right in
-    that order, times scale = 1/h^2, as in the whole-array formula.
+    that order, times scale = 1/h^2, as in apply_laplacian.
     """
     np.multiply(u[..., a:b, :], 4.0, out=out)
     if a > 0:
@@ -133,11 +136,6 @@ def _laplacian_rows(u: np.ndarray, a: int, b: int, out: np.ndarray,
 def apply_laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Five-point Laplacian with zero Dirichlet boundary."""
     grid.check_field(u)
-    if u.nbytes > STRIP_BYTES:
-        out = np.empty_like(u)
-        for a, b in row_strips(u):
-            _laplacian_rows(u, a, b, out[..., a:b, :], grid.N * grid.N)
-        return out
     out = 4.0 * u
     out[..., 1:, :] -= u[..., :-1, :]
     out[..., :-1, :] -= u[..., 1:, :]
@@ -166,7 +164,7 @@ def apply_mass(u: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,
                  out: np.ndarray) -> None:
-    """Rows [a, b) of A v into out, of shape (2, b - a, m)."""
+    """Rows [a, b) of A v into out, of shape (2, b - a, m), as apply_saddle."""
     _laplacian_rows(v, a, b, out, op.grid.N * op.grid.N)
     p = v[1, a:b]
     out[0] -= (p if op.mask is None else op.mask[a:b] * p) / op.alpha
@@ -176,11 +174,6 @@ def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,
 def apply_saddle(op: SaddleOperator, v: np.ndarray) -> np.ndarray:
     """A v = (L y - (M.p)/alpha, y + L p)."""
     op.grid.check_block(v)
-    if v.nbytes > STRIP_BYTES:
-        out = np.empty_like(v)
-        for a, b in row_strips(v):
-            _saddle_rows(op, v, a, b, out[:, a:b])
-        return out
     out = apply_laplacian(v, op.grid)
     out[0] -= (v[1] if op.mask is None else op.mask * v[1]) / op.alpha
     out[1] += v[0]
@@ -190,17 +183,17 @@ def apply_saddle(op: SaddleOperator, v: np.ndarray) -> np.ndarray:
 def residual(op: SaddleOperator, b: np.ndarray, v: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """b - A v, written into out if given (out must not overlap v)."""
-    if v.nbytes > STRIP_BYTES:
-        op.grid.check_block(v)
-        if out is None:
-            out = np.empty_like(v)
-        for lo, hi in row_strips(v):
-            strip = out[:, lo:hi]
-            _saddle_rows(op, v, lo, hi, strip)
-            np.subtract(b[:, lo:hi], strip, out=strip)
-        return out
-    Av = apply_saddle(op, v)
-    return np.subtract(b, Av, out=Av if out is None else out)
+    if v.nbytes <= STRIP_BYTES:
+        Av = apply_saddle(op, v)
+        return np.subtract(b, Av, out=Av if out is None else out)
+    op.grid.check_block(v)
+    if out is None:
+        out = np.empty_like(v)
+    for lo, hi in row_strips(v):
+        strip = out[:, lo:hi]
+        _saddle_rows(op, v, lo, hi, strip)
+        np.subtract(b[:, lo:hi], strip, out=strip)
+    return out
 
 
 def block_norm2(v: np.ndarray) -> float:

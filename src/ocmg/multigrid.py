@@ -261,7 +261,9 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
         v = np.random.default_rng(spec.seed).uniform(0.0, 1.0, (2, g.m, g.m))
     # each residual goes to the next cycle as its work buffer; it is kept
     # in a one-element list that the call pops, so solve holds no
-    # reference to it while the cycle runs
+    # reference to it while the cycle runs (CPython 3.11+ moves a Python
+    # call's arguments into the callee's frame; 3.10 kept them on the
+    # caller's stack until the call returned)
     pending = [residual(op, b, v)]
     r0 = block_norm2(pending[0])
     history = [r0]

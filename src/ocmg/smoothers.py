@@ -48,8 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (STRIP_BYTES, GridSpec, SaddleOperator, apply_laplacian,
-                   apply_mass, row_strips)
+from . import grid as _grid
+from .grid import (GridSpec, SaddleOperator, apply_laplacian, apply_mass,
+                   row_strips)
 
 SCHEMES = ("cjr", "bsr", "ibsr")
 EXACT_TOL = 1e-12  # relative tolerance of the exact (bsr) Schur solve
@@ -122,11 +123,12 @@ def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
     """One collective Jacobi correction omega * B_J^{-1} r (pointwise 2x2 solves).
 
     Written into out if given, which may be r.  A field larger than
-    STRIP_BYTES is processed in row strips, as the grid stencils are.
+    grid.STRIP_BYTES is processed in the row strips of grid.row_strips,
+    as grid.residual is.
     """
     d = 4.0 * op.grid.N ** 2
     w = np.empty_like(r) if out is None else out
-    if r.nbytes <= STRIP_BYTES:
+    if r.nbytes <= _grid.STRIP_BYTES:
         _cjr_rows(r, op.mask, d, op.alpha, omega, w)
         return w
     for a, b in row_strips(r):

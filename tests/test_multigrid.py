@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocmg import grid as grid_module
-from ocmg import smoothers as smoothers_module
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
 from ocmg import oracle
@@ -380,8 +379,7 @@ def test_cycle_with_a_handed_over_residual_matches_one_without(kind, nu,
     want = cycle(hier, 0, v, b, spec)
     with pytest.MonkeyPatch.context() as mp:
         if strip_rows is not None:
-            for module in (grid_module, smoothers_module):
-                mp.setattr(module, "STRIP_BYTES", strip_rows * 16 * grid.m)
+            mp.setattr(grid_module, "STRIP_BYTES", strip_rows * 16 * grid.m)
         own = cycle(hier, 0, v.copy(), b, spec, inplace=True)
         r = residual(hier.levels[0].op, b, v)
         handed = cycle(hier, 0, v.copy(), b, spec, r, inplace=True)

@@ -1,9 +1,11 @@
-"""Strip-mined kernels against their whole-array passes, bitwise.
+"""Strip-mined kernels against their one-pass evaluation, bitwise.
 
-A field larger than grid.STRIP_BYTES is processed in row strips.  The
-strip size is patched here so that the small random grids (N <= 24) split
-into several strips, down to one row each; the default size keeps them in
-one strip, which runs the whole-array code that serves as the reference.
+residual and cjr_apply process a field larger than grid.STRIP_BYTES in
+row strips.  The strip size is patched here so that the small random
+grids (N <= 24) split into several strips, down to one row each; the
+default size keeps them in one strip, a single pass over all rows that
+serves as the reference.  That pass is checked against the dense oracle
+in test_oracle_properties.
 """
 
 import numpy as np
@@ -11,9 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocmg import grid, smoothers
-from ocmg.grid import (GridSpec, SaddleOperator, apply_laplacian, apply_saddle,
-                       residual)
+from ocmg import grid
+from ocmg.grid import GridSpec, SaddleOperator, residual
 from ocmg.smoothers import cjr_apply
 
 WHOLE = 1 << 62  # no field is this large: every kernel takes one pass
@@ -21,16 +22,11 @@ WHOLE = 1 << 62  # no field is this large: every kernel takes one pass
 
 def _kernels(op, v, b):
     """Every strip-mined kernel on one case, each writing a fresh array."""
-    g = op.grid
-
     def cjr_into_r():
         r = v.copy()
         return cjr_apply(r, op, 0.7, out=r)
 
     return {
-        "laplacian scalar": lambda: apply_laplacian(v[0], g),
-        "laplacian stack": lambda: apply_laplacian(v, g),
-        "saddle": lambda: apply_saddle(op, v),
         "residual": lambda: residual(op, b, v),
         "residual out": lambda: residual(op, b, v, out=np.full_like(v, np.nan)),
         "cjr": lambda: cjr_apply(v, op, 0.7),
@@ -41,7 +37,6 @@ def _kernels(op, v, b):
 def _run(fn, strip_bytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid, "STRIP_BYTES", strip_bytes)
-        mp.setattr(smoothers, "STRIP_BYTES", strip_bytes)
         return fn()
 
 
