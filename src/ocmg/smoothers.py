@@ -49,8 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as _grid
-from .grid import (GridSpec, SaddleOperator, apply_laplacian, apply_mass,
-                   row_strips)
+from .grid import GridSpec, SaddleOperator, apply_laplacian, apply_mass
 
 SCHEMES = ("cjr", "bsr", "ibsr")
 EXACT_TOL = 1e-12  # relative tolerance of the exact (bsr) Schur solve
@@ -131,7 +130,7 @@ def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
     if r.nbytes <= _grid.STRIP_BYTES:
         _cjr_rows(r, op.mask, d, op.alpha, omega, w)
         return w
-    for a, b in row_strips(r):
+    for a, b in _grid.row_strips(r):
         mask = None if op.mask is None else op.mask[a:b]
         _cjr_rows(r[:, a:b], mask, d, op.alpha, omega, w[:, a:b])
     return w
