@@ -52,15 +52,12 @@ class LfaParams:
     q: int
     alpha: float
     h: float
-    samples_per_axis: int = 256
 
     def __post_init__(self):
         if self.q not in (2, 3, 4):
             raise ValueError(f"coarsening factor must be 2, 3 or 4, got {self.q}")
         if self.alpha <= 0 or self.h <= 0:
             raise ValueError("alpha and h must be positive")
-        if self.samples_per_axis < 32:
-            raise ValueError("need at least 32 samples per axis")
 
     @property
     def gamma(self) -> float:
@@ -72,7 +69,6 @@ class LfaReport:
     mu: float
     omega: float
     theta: tuple[float, float]  # maximizing frequency
-    method: str  # "closed-form" | "sampled"
 
 
 def symbol_laplacian(theta1, theta2, h: float):
@@ -156,7 +152,7 @@ class _SampledSymbol:
     def __init__(self, scheme: str, params: LfaParams):
         self.scheme = scheme
         self.params = params
-        self.t1, self.t2 = high_freq_grid(params.q, params.samples_per_axis)
+        self.t1, self.t2 = high_freq_grid(params.q)
         self.lam1, self.lam2 = relax_eigs(scheme, self.t1, self.t2,
                                           params.alpha, params.h)
 
@@ -176,23 +172,21 @@ def smoothing_factor_sampled(scheme: str, params: LfaParams, omega: float) -> Lf
     if omega <= 0:
         raise ValueError("omega must be positive")
     mu, theta = _SampledSymbol(scheme, params).mu(omega)
-    return LfaReport(mu=mu, omega=omega, theta=theta, method="sampled")
+    return LfaReport(mu=mu, omega=omega, theta=theta)
 
 
-def sampled_optimal(scheme: str, params: LfaParams,
-                    bracket: tuple[float, float] = (0.1, 1.5),
-                    tol: float = 1e-4) -> LfaReport:
-    """Golden-section minimizer of the sampled mu over omega.
+def sampled_optimal(scheme: str, params: LfaParams) -> LfaReport:
+    """Golden-section minimizer of the sampled mu over omega in [0.1, 1.5].
 
     mu(omega) is a max of |1 - omega*lambda| terms, each convex in omega,
-    so the objective is convex and the bracket assumption holds.
+    so the objective is convex; the search stops at a bracket of 1e-4.
     """
     sym = _SampledSymbol(scheme, params)
     inv_phi = (sqrt(5.0) - 1.0) / 2.0
-    a, b = bracket
+    a, b = 0.1, 1.5
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
     fc, fd = sym.mu(c)[0], sym.mu(d)[0]
-    while b - a > tol:
+    while b - a > 1e-4:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -203,7 +197,7 @@ def sampled_optimal(scheme: str, params: LfaParams,
             fd = sym.mu(d)[0]
     omega = 0.5 * (a + b)
     mu, theta = sym.mu(omega)
-    return LfaReport(mu=mu, omega=omega, theta=theta, method="sampled")
+    return LfaReport(mu=mu, omega=omega, theta=theta)
 
 
 def psi(omega: float, gamma: float) -> float:
@@ -238,7 +232,7 @@ def cjr_optimal(params: LfaParams) -> LfaReport:
     else:
         omega = 2.0 / (_TAU_MIN[params.q] + 2.0)
         mu = sqrt(psi(omega, params.gamma))
-    return LfaReport(mu=mu, omega=omega, theta=(np.pi, np.pi), method="closed-form")
+    return LfaReport(mu=mu, omega=omega, theta=(np.pi, np.pi))
 
 
 def bsr_damping(q: int) -> tuple[float, float]:
@@ -263,9 +257,9 @@ def lambda2_bsr(theta: tuple[float, float], params: LfaParams) -> float:
     return float((1.0 + params.alpha * a * a) / (1.0 + params.alpha * a * b))
 
 
-def scalar_range_check(kind: str, q: int, samples_per_axis: int = 256) -> tuple[float, float]:
+def scalar_range_check(kind: str, q: int) -> tuple[float, float]:
     """Sampled (min, max) of a/a1 (kind 'jacobi') or a/b (kind 'mass') over T^H_q."""
-    t1, t2 = high_freq_grid(q, samples_per_axis)
+    t1, t2 = high_freq_grid(q)
     a = symbol_laplacian(t1, t2, 1.0)
     if kind == "jacobi":
         ratio = a / 4.0

@@ -18,14 +18,12 @@ Hierarchy invariants:
 
 Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once; the coarsest level is a
-dense LU direct solve, factored once per hierarchy.  Its saddle matrix
-is assembled by the dense oracle, whose size guard (N <= oracle.MAX_N
-= 24) thereby bounds the coarsest grid: build_hierarchy rejects, before
-building any level, a chain that stops above it (N=50 with q=2 stops at
-25).  Fields are stacked (2, m, m) block fields (see grid); the
+sparse LU direct solve, factored once per hierarchy, of its saddle
+matrix assembled here with L = (I x T + T x I) N^2, T = tridiag(-1, 2,
+-1).  Fields are stacked (2, m, m) block fields (see grid); the
 transfers act on one (m, m) component at a time.  No residual is
-evaluated twice: solve hands the residual of its convergence check to the
-next cycle, and a coarse visit from the zero iterate smooths its
+evaluated twice: solve hands the residual of its convergence check to
+the next cycle, and a coarse visit from the zero iterate smooths its
 right-hand side directly.  No coarse solve is repeated either: the
 coarsest level ignores the iterate it is handed, so the W-cycle visits
 it once where it would visit it twice with the same right-hand side.
@@ -57,11 +55,9 @@ from functools import lru_cache
 from math import log
 
 import numpy as np
-import scipy.linalg
 
 from .grid import GridSpec, SaddleOperator, block_norm2, residual
 from .lfa import LfaParams, bsr_damping, cjr_optimal
-from .oracle import MAX_N, assemble
 from .smoothers import (SchurSpectral, SmootherSpec, bsr_apply, cjr_apply,
                         schur_diag)
 
@@ -96,7 +92,7 @@ class Level:
 class Hierarchy:
     levels: list[Level]
     q: int
-    coarse_lu: tuple  # scipy (lu, piv) of the coarsest saddle matrix
+    coarse_lu: object  # scipy SuperLU factor of the coarsest saddle matrix
 
 
 @dataclass
@@ -135,10 +131,6 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
         raise ValueError(
             f"N={N} cannot be coarsened by q={q} (needs N divisible by q with "
             f"N/q >= {coarsest_n})")
-    if sizes[-1] > MAX_N:
-        raise ValueError(
-            f"N={N} with q={q} coarsens as {' -> '.join(map(str, sizes))} and "
-            f"stops at N={sizes[-1]}; the coarse direct solve needs N <= {MAX_N}")
     levels = []
     lvl_mask = mask
     for n in sizes:
@@ -154,9 +146,20 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
             # active-set boundaries and the 1/alpha-weighted correction
             # then amplifies instead of contracting
             lvl_mask = restrict(lvl_mask, q)
-    coarse = levels[-1]
-    A = assemble("saddle", coarse.grid, alpha=alpha, mask=coarse.op.mask)
-    return Hierarchy(levels=levels, q=q, coarse_lu=scipy.linalg.lu_factor(A))
+    from scipy.sparse.linalg import splu  # here, not at start-up of every ocmg command
+    return Hierarchy(levels=levels, q=q, coarse_lu=splu(_saddle_matrix(levels[-1].op)))
+
+
+def _saddle_matrix(op: SaddleOperator):
+    """Sparse CSC [[L, -diag(mask)/alpha], [I, L]] in the [y; p] ravel order."""
+    from scipy import sparse
+    g = op.grid
+    T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(g.m, g.m))
+    I = sparse.identity(g.m)
+    L = (sparse.kron(I, T) + sparse.kron(T, I)) * g.N**2
+    mask = np.ones(g.npoints) if op.mask is None else op.mask.ravel()
+    return sparse.bmat([[L, sparse.diags_array(-mask / op.alpha)],
+                        [sparse.identity(g.npoints), L]], format="csc")
 
 
 # ---------------------------------------------------------------- transfers
@@ -197,7 +200,7 @@ def _relax(r: np.ndarray, lev: Level, out: np.ndarray | None = None) -> np.ndarr
 
 def _coarse_solve(hier: Hierarchy, b: np.ndarray) -> np.ndarray:
     # the C-order ravel of a block field is the saddle matrix's [y; p]
-    return scipy.linalg.lu_solve(hier.coarse_lu, b.ravel()).reshape(b.shape)
+    return hier.coarse_lu.solve(b.ravel()).reshape(b.shape)
 
 
 def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,

@@ -4,9 +4,9 @@ Everything here assembles explicit matrices on tiny grids (N <= MAX_N
 = 24, enforced) in the same row-major index convention as the stencil
 code, so matrix-vector products are comparable entry for entry; a
 (2, N-1, N-1) block field ravels to the [y; p] vector of the 2(N-1)^2
-matrices.  Used by the test suite to pin down every matrix-free path,
-and by the multigrid module to assemble the coarsest-level saddle
-matrix for its LU direct solve.
+matrices.  Used only by the test suite, to pin down every matrix-free
+path and the multigrid module's sparse coarse-solve matrix; no solver
+module imports it.
 
 Assembly kinds:
 

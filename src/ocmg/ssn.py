@@ -34,6 +34,8 @@ from .multigrid import CycleSpec, build_hierarchy, solve
 from .problems import ProblemData
 from .smoothers import SmootherSpec
 
+MAX_BACKTRACKS = 20  # step halvings per Newton step before the line search fails
+
 
 @dataclass(frozen=True)
 class ControlParams:
@@ -79,7 +81,8 @@ def phi(p: np.ndarray, cp: ControlParams) -> np.ndarray:
     out = (np.maximum(0.0, p - b) + np.minimum(0.0, p + b)
            - np.maximum(0.0, p - b - a * cp.u1)
            - np.minimum(0.0, p + b - a * cp.u0))
-    return out / a
+    # the branches cancel at the scale of |p| + beta: / a can round past a bound
+    return np.clip(out / a, cp.u0, cp.u1)
 
 
 def dphi_mask(p: np.ndarray, cp: ControlParams) -> np.ndarray:
@@ -116,8 +119,7 @@ def _mg_solve(data_grid: GridSpec, q: int, cp: ControlParams,
 
 def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
               smoother: SmootherSpec, spec: CycleSpec = CycleSpec(),
-              max_iters: int = 50, tol: float = 1e-10,
-              max_backtracks: int = 20) -> SsnResult:
+              max_iters: int = 50, tol: float = 1e-10) -> SsnResult:
     grid = data.grid
     b = np.stack([data.f, data.g])
     seed_res = _mg_solve(grid, q, cp, smoother, spec, b, None, "seed", None)
@@ -152,7 +154,7 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
         w = jac.v
         step = 1.0
         accepted = False
-        for _ in range(max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = v + step * w
             F_trial = residual_F(trial, data, cp)
             norm_trial = block_norm2(F_trial)
@@ -162,7 +164,7 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
             step *= 0.5
         if not accepted:
             raise SolverError(
-                f"line search failed after {max_backtracks} halvings "
+                f"line search failed after {MAX_BACKTRACKS} halvings "
                 f"at iteration {out.iters + 1} (||F||={norm_F:.3e})", out)
         prev_step_negligible = step * block_norm2(w) <= 1e-13 * max(
             1.0, block_norm2(v))

@@ -2,6 +2,9 @@
 
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,14 +83,26 @@ def test_mg_indivisible_grid_is_a_validation_error(capsys):
     assert "255" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("N, q", [("50", "2"), ("75", "3"), ("100", "4")])
-def test_mg_coarsest_grid_above_direct_solve_cap_is_a_validation_error(capsys, N, q):
-    # the level chain stops at N=25; the coarse direct solve takes N <= 24
-    code = run_cli(["mg", "--N", N, "--q", q])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert f"N={N} with q={q} coarsens as {N} -> 25" in err
-    assert "N <= 24" in err
+@pytest.mark.parametrize("N, q, scheme", [("50", "2", "cjr"), ("75", "3", "cjr"),
+                                          ("100", "4", "bsr")])
+def test_mg_coarsening_to_a_grid_above_n24_converges(capsys, N, q, scheme):
+    # the level chain stops at N=25, which the sparse coarse LU solves directly
+    code = run_cli(["mg", "--N", N, "--q", q, "--scheme", scheme])
+    assert code == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
+def test_mg_and_ssn_never_load_the_dense_oracle():
+    code = (
+        "import sys\n"
+        "from ocmg import cli\n"
+        "assert cli.main(['mg', '--N', '16']) == 0\n"
+        "assert cli.main(['ssn', '--N', '16']) == 0\n"
+        "assert 'ocmg.oracle' not in sys.modules, 'ocmg.oracle was loaded'\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL, timeout=120)
 
 
 def test_mg_unreached_tolerance_exits_2_but_writes_history(tmp_path):

@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocmg import grid as grid_module
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
-from ocmg import oracle
+from ocmg import multigrid, oracle
 from ocmg.multigrid import (
     CycleSpec,
     build_hierarchy,
@@ -58,19 +57,14 @@ def test_build_hierarchy_rejects_uncoarsenable():
         build_hierarchy(16, 5, 1e-2, SmootherSpec("cjr"))
 
 
-@pytest.mark.parametrize("N, q", [(50, 2), (75, 3), (100, 4)])
-def test_build_hierarchy_rejects_coarsest_grid_above_direct_solve_cap(N, q, monkeypatch):
-    # the chain stops at N=25, above the dense coarse solve's N <= 24; the
-    # check runs before any level is built
-    calls = []
-    monkeypatch.setattr("ocmg.multigrid.SchurSpectral",
-                        lambda *a: calls.append(a))
-    with pytest.raises(ValueError) as exc:
-        build_hierarchy(N, q, 1e-2, SmootherSpec("bsr"))
-    msg = str(exc.value)
-    assert f"N={N}" in msg and f"q={q}" in msg
-    assert f"{N} -> 25" in msg and f"N <= {oracle.MAX_N}" in msg
-    assert calls == []
+@pytest.mark.parametrize("N, q, kind", [(50, 2, "cjr"), (75, 3, "cjr"), (100, 4, "bsr")])
+def test_chains_stopping_above_n24_build_and_converge(N, q, kind):
+    # each chain stops at N=25; the sparse coarse LU takes any coarsest grid
+    hier = build_hierarchy(N, q, 1e-6, SmootherSpec(kind))
+    assert hier.levels[-1].grid.N == 25
+    data, _ = example1_fields(hier.levels[0].grid, 1e-6)
+    res = solve(hier, np.stack([data.f, data.g]), CycleSpec())
+    assert res.converged and res.rho < 1.0
 
 
 def test_hierarchy_levels_are_rediscretizations():
@@ -395,14 +389,14 @@ def test_cycle_visits_the_coarsest_level_once_per_coarse_correction(
     # from the level above would repeat the first: 2^(L-2) LU solves, not 2^(L-1)
     hier = build_hierarchy(N, q, 1e-3, SmootherSpec("cjr"))
     grid = hier.levels[0].grid
-    lu_solve = scipy.linalg.lu_solve
+    coarse_solve = multigrid._coarse_solve
     count = []
 
     def counted(*args, **kwargs):
         count.append(1)
-        return lu_solve(*args, **kwargs)
+        return coarse_solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", counted)
+    monkeypatch.setattr(multigrid, "_coarse_solve", counted)
     rng = _rng(8)
     v = rng.uniform(size=(2, grid.m, grid.m))
     b = rng.standard_normal((2, grid.m, grid.m))

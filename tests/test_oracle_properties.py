@@ -1,4 +1,5 @@
-"""Property tests: the matrix-free saddle operator and smoothers against the dense oracle.
+"""Property tests: the matrix-free saddle operator, the smoothers and the
+sparse coarse-solve matrix against the dense oracle.
 
 A block field's C-order ravel is the oracle's [y; p] vector, so every
 matrix-free result is compared with the dense matrix acting on v.ravel().
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocmg import oracle
+from ocmg import multigrid, oracle
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle
 from ocmg.smoothers import SmootherSpec, bsr_apply, cjr_apply
 
@@ -43,6 +44,15 @@ def test_saddle_operator_matches_dense(case):
     A = oracle.assemble("saddle", grid, alpha=alpha, mask=mask)
     got = apply_saddle(SaddleOperator(grid, alpha, mask), v)
     _assert_close(got.ravel(), A @ v.ravel())
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
+def test_coarse_solve_matrix_equals_dense_entry_by_entry(case):
+    grid, alpha, mask, _ = case
+    A = multigrid._saddle_matrix(SaddleOperator(grid, alpha, mask))
+    assert np.array_equal(A.toarray(),
+                          oracle.assemble("saddle", grid, alpha=alpha, mask=mask))
 
 
 @settings(max_examples=40, deadline=None)

@@ -104,6 +104,15 @@ def test_phi_lies_in_the_control_bounds(case):
     assert np.all(u >= cp.u0 - slack) and np.all(u <= cp.u1 + slack)
 
 
+def test_phi_stays_in_the_bounds_where_its_branches_round_past_them():
+    # at |p| ~ 50 the branches cancel to alpha u1 = 1e-8 with an absolute
+    # rounding of about 1e-15, which the division by alpha lifts to 1e-7
+    cp = ControlParams(alpha=1e-8, beta=1.0, u0=-1.0, u1=1.0)
+    p = np.random.default_rng(0).uniform(-50.0, 50.0, 100_000)
+    u = phi(p, cp)
+    assert u.min() >= cp.u0 and u.max() <= cp.u1
+
+
 @settings(max_examples=100, deadline=None)
 @given(control_cases())
 def test_dphi_mask_is_the_slope_of_alpha_phi_away_from_kinks(case):
