@@ -8,10 +8,12 @@ Four subcommands:
     repro  benchmark tables / damping sweep as CSV
 
 Exit status is 0 on success, 1 on validation errors (bad flags, bad
-config, incompatible N and q), 2 on solver failures (divergence, stalled
-Newton iteration, PCG breakdown).  A config file holds "key = value"
-lines; explicit flags win over config values, config values win over
-built-in defaults.
+config, incompatible N and q, NaN, an alpha whose 1/alpha overflows),
+2 on solver failures (divergence, stalled Newton iteration, PCG
+breakdown).  A config file holds "key = value" lines; explicit flags win
+over config values, config values over the defaults here, and these over
+the library's.  Each value is checked by the library type it enters;
+those are built before the problem data.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 
 from .grid import GridSpec
 from .lfa import SCHEMES as LFA_SCHEMES, LfaParams, bsr_damping, cjr_optimal, sampled_optimal
-from .multigrid import CYCLES, CycleSpec, build_hierarchy, solve
+from .multigrid import (CYCLES, CycleSpec, MgResult, build_hierarchy,
+                        coarsening_chain, solve)
 from .problems import ProblemData, dump_field, example1_fields, example2_fields, load_field
 from .smoothers import SCHEMES, PcgBreakdownError, SmootherSpec
 from .ssn import ControlParams, SolverError, sparsity_fractions, ssn_solve
@@ -35,20 +38,32 @@ from .ssn import ControlParams, SolverError, sparsity_fractions, ssn_solve
 TABLE_SIZES = {2: 256, 3: 243, 4: 256}
 TABLE_ALPHA = 1e-6
 
-_FIELD_TYPES = {
-    "scheme": str, "cycle": str, "out": str, "f_file": str, "g_file": str,
-    "N": int, "q": int, "nu": int, "seed": int, "pcg_iters": int,
-    "alpha": float, "beta": float, "u0": float, "u1": float,
-    "tol": float, "h": float,
+# every flag and config key by name, with its type
+_OPTIONS = {
+    "scheme": str, "q": int, "N": int, "alpha": float, "cycle": str,
+    "nu": int, "tol": float, "seed": int, "pcg_iters": int, "beta": float,
+    "u0": float, "u1": float, "h": float, "out": str,
+    "f_file": str, "g_file": str,  # config only
+}
+# each command's help, flags and the choices argparse offers for them; a
+# config value is checked by the library type it enters instead
+_MG_FLAGS = ("scheme", "q", "N", "alpha", "cycle", "nu", "tol", "seed",
+             "pcg_iters", "out")
+_MG_CHOICES = {"scheme": SCHEMES, "cycle": CYCLES}
+_COMMANDS = {
+    "lfa": ("smoothing factor report", ("scheme", "q", "alpha", "h", "out"),
+            {"scheme": LFA_SCHEMES}),
+    "mg": ("single multigrid solve", _MG_FLAGS, _MG_CHOICES),
+    "ssn": ("constrained control solve", _MG_FLAGS + ("beta", "u0", "u1"),
+            _MG_CHOICES),
 }
 
+# only what differs from, or is not set by, the library's own defaults
 _DEFAULTS = {
     "lfa": {"scheme": "cjr", "q": 2, "alpha": TABLE_ALPHA, "h": 1.0 / 256},
-    "mg": {"scheme": "cjr", "q": 2, "N": 256, "alpha": TABLE_ALPHA,
-           "cycle": "W", "nu": 1, "tol": 1e-10, "seed": 0, "pcg_iters": 2},
+    "mg": {"scheme": "cjr", "q": 2, "N": 256, "alpha": TABLE_ALPHA},
     "ssn": {"scheme": "ibsr", "q": 2, "N": 128, "alpha": 1e-4, "beta": 1e-3,
-            "u0": -30.0, "u1": 30.0, "cycle": "W", "nu": 2, "tol": 1e-10,
-            "seed": 0, "pcg_iters": 2},
+            "u0": -30.0, "u1": 30.0, "nu": 2},
     "repro": {"out": "."},
 }
 
@@ -64,32 +79,12 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ocmg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    lfa = sub.add_parser("lfa", help="smoothing factor report")
-    lfa.add_argument("--scheme", choices=LFA_SCHEMES)
-    lfa.add_argument("--q", type=int)
-    lfa.add_argument("--alpha", type=float)
-    lfa.add_argument("--h", type=float)
-    lfa.add_argument("--out")
-    lfa.add_argument("--config")
-
-    mg = sub.add_parser("mg", help="single multigrid solve")
-    for cmd in (mg, sub.add_parser("ssn", help="constrained control solve")):
-        cmd.add_argument("--scheme", choices=SCHEMES)
-        cmd.add_argument("--q", type=int)
-        cmd.add_argument("--N", type=int)
-        cmd.add_argument("--alpha", type=float)
-        cmd.add_argument("--cycle", choices=CYCLES)
-        cmd.add_argument("--nu", type=int)
-        cmd.add_argument("--tol", type=float)
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--pcg-iters", type=int, dest="pcg_iters")
-        cmd.add_argument("--out")
+    for command, (help_text, flags, choices) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        for key in flags:
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                             type=_OPTIONS[key], choices=choices.get(key))
         cmd.add_argument("--config")
-        if cmd.prog.endswith("ssn"):
-            cmd.add_argument("--beta", type=float)
-            cmd.add_argument("--u0", type=float)
-            cmd.add_argument("--u1", type=float)
 
     repro = sub.add_parser("repro", help="benchmark CSVs")
     repro.add_argument("target", choices=("table1", "table2", "sweep"))
@@ -109,10 +104,10 @@ def read_config(path: str) -> dict:
             key = key.strip()
             if not sep or not key or not value.strip():
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _FIELD_TYPES:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                table[key] = _FIELD_TYPES[key](value.strip())
+                table[key] = _OPTIONS[key](value.strip())
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}"
@@ -132,23 +127,15 @@ def _merge(args: argparse.Namespace) -> dict:
     return opts
 
 
-def _check(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
+def _given(opts: dict, **fields: str) -> dict:
+    """{field: opts[key]} for each key set; unset ones keep the library default."""
+    return {f: opts[key] for f, key in fields.items() if opts.get(key) is not None}
 
 
-def _validate_common(opts: dict, schemes=SCHEMES) -> None:
-    # config values bypass argparse choices, so re-check everything
-    _check(opts["scheme"] in schemes,
-           f"scheme must be one of {', '.join(schemes)}, got {opts['scheme']!r}")
-    _check(opts["q"] in (2, 3, 4), f"q must be 2, 3 or 4, got {opts['q']}")
-    if "cycle" in opts:
-        _check(opts["cycle"] in CYCLES, f"cycle must be V or W, got {opts['cycle']!r}")
-        _check(opts["nu"] >= 1, f"nu must be at least 1, got {opts['nu']}")
-        _check(opts["tol"] > 0, f"tol must be positive, got {opts['tol']}")
-        _check(opts["pcg_iters"] >= 1,
-               f"pcg-iters must be at least 1, got {opts['pcg_iters']}")
-    _check(opts["alpha"] > 0, f"alpha must be positive, got {opts['alpha']}")
+def _specs(opts: dict) -> tuple[SmootherSpec, CycleSpec]:
+    return (SmootherSpec(opts["scheme"], **_given(opts, pcg_iters="pcg_iters")),
+            CycleSpec(**_given(opts, cycle="cycle", nu_pre="nu", tol="tol",
+                               seed="seed")))
 
 
 def _load_problem(opts: dict, fallback) -> ProblemData:
@@ -156,26 +143,25 @@ def _load_problem(opts: dict, fallback) -> ProblemData:
     f_file, g_file = opts.get("f_file"), opts.get("g_file")
     if f_file is None and g_file is None:
         return fallback()
-    _check(f_file is not None and g_file is not None,
-           "f_file and g_file must be given together")
+    if f_file is None or g_file is None:
+        raise ValueError("f_file and g_file must be given together")
     gf, f = load_field(f_file)
     gg, g = load_field(g_file)
-    _check(gf.N == gg.N == opts["N"],
-           f"field files are on N={gf.N}/{gg.N}, expected N={opts['N']}")
+    if not gf.N == gg.N == opts["N"]:
+        raise ValueError(
+            f"field files are on N={gf.N}/{gg.N}, expected N={opts['N']}")
     return ProblemData(f, g, gf)
 
 
 def cmd_lfa(opts: dict) -> int:
-    _validate_common(opts, schemes=LFA_SCHEMES)
-    _check(opts["h"] > 0, f"h must be positive, got {opts['h']}")
     params = LfaParams(q=opts["q"], alpha=opts["alpha"], h=opts["h"])
+    sampled = sampled_optimal(opts["scheme"], params)  # rejects a scheme LFA lacks
     if opts["scheme"] == "cjr":
         closed = cjr_optimal(params)
         omega_c, mu_c, theta_c = closed.omega, closed.mu, closed.theta
     else:
         omega_c, mu_c = bsr_damping(opts["q"])
         theta_c = None
-    sampled = sampled_optimal(opts["scheme"], params)
 
     print(f"scheme={opts['scheme']} q={opts['q']} "
           f"alpha={opts['alpha']:g} h={opts['h']:.17g}")
@@ -207,18 +193,19 @@ def _write_history(stream, history: list[float]) -> None:
         w.writerow([k, f"{rn:.17g}", f"{rn / history[0]:.17g}"])
 
 
-def cmd_mg(opts: dict) -> int:
-    _validate_common(opts)
-    grid = GridSpec(opts["N"])
-    data = _load_problem(opts, lambda: example1_fields(grid, opts["alpha"])[0])
-    smoother = SmootherSpec(opts["scheme"], pcg_iters=opts["pcg_iters"])
+def _build_and_solve(opts: dict) -> tuple[CycleSpec, MgResult]:
+    """The mg solve opts describe; specs and hierarchy are built before the data."""
+    smoother, spec = _specs(opts)
     hier = build_hierarchy(opts["N"], opts["q"], opts["alpha"], smoother)
-    spec = CycleSpec(cycle=opts["cycle"], nu_pre=opts["nu"],
-                     tol=opts["tol"], seed=opts["seed"])
-    res = solve(hier, np.stack([data.f, data.g]), spec)
+    grid = hier.levels[0].grid
+    data = _load_problem(opts, lambda: example1_fields(grid, opts["alpha"])[0])
+    return spec, solve(hier, np.stack([data.f, data.g]), spec)
 
+
+def cmd_mg(opts: dict) -> int:
+    spec, res = _build_and_solve(opts)
     print(f"scheme={opts['scheme']} q={opts['q']} N={opts['N']} "
-          f"alpha={opts['alpha']:g} cycle={opts['cycle']} nu={opts['nu']}")
+          f"alpha={opts['alpha']:g} cycle={spec.cycle} nu={spec.nu_pre}")
     print(f"converged={res.converged} iters={res.iters} rho={res.rho:.3f}")
     if opts.get("out"):
         with open(opts["out"], "w", newline="", encoding="utf-8") as fh:
@@ -234,21 +221,18 @@ def cmd_mg(opts: dict) -> int:
 
 
 def cmd_ssn(opts: dict) -> int:
-    _validate_common(opts)
-    _check(opts["beta"] >= 0, f"beta must be nonnegative, got {opts['beta']}")
+    cp = ControlParams(opts["alpha"], opts["beta"], opts["u0"], opts["u1"])
+    smoother, spec = _specs(opts)
+    coarsening_chain(opts["N"], opts["q"])  # ssn_solve builds the hierarchies later
     grid = GridSpec(opts["N"])
     data = _load_problem(opts, lambda: example2_fields(grid))
-    cp = ControlParams(opts["alpha"], opts["beta"], opts["u0"], opts["u1"])
-    smoother = SmootherSpec(opts["scheme"], pcg_iters=opts["pcg_iters"])
-    spec = CycleSpec(cycle=opts["cycle"], nu_pre=opts["nu"],
-                     tol=opts["tol"], seed=opts["seed"])
 
     print(f"scheme={opts['scheme']} q={opts['q']} N={opts['N']} "
           f"alpha={opts['alpha']:g} beta={opts['beta']:g} "
           f"u0={opts['u0']:g} u1={opts['u1']:g} "
-          f"cycle={opts['cycle']} nu={opts['nu']}")
+          f"cycle={spec.cycle} nu={spec.nu_pre}")
     try:
-        res = ssn_solve(data, cp, opts["q"], smoother, spec, tol=opts["tol"])
+        res = ssn_solve(data, cp, opts["q"], smoother, spec, tol=spec.tol)
     except SolverError as exc:
         print(f"ocmg: {exc}", file=sys.stderr)
         if opts.get("out") and exc.state is not None:
@@ -309,13 +293,7 @@ def _mu_pred(cell: dict) -> float:
 def _measure_cell(cell: dict) -> float:
     """One benchmark solve; failures turn into nan so the table survives."""
     try:
-        grid = GridSpec(cell["N"])
-        data, _ = example1_fields(grid, cell["alpha"])
-        smoother = SmootherSpec(cell["scheme"], pcg_iters=cell["pcg_iters"])
-        hier = build_hierarchy(cell["N"], cell["q"], cell["alpha"], smoother)
-        res = solve(hier, np.stack([data.f, data.g]),
-                    CycleSpec(cycle=cell["cycle"], nu_pre=cell["nu"], seed=0))
-        return res.rho
+        return _build_and_solve(cell)[1].rho
     except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
         print(f"ocmg: cell {cell} failed: {exc}", file=sys.stderr)
         return float("nan")
@@ -354,7 +332,8 @@ def write_rows(path: str, rows: list[dict], with_alpha: bool = False) -> None:
 
 def cmd_repro(opts: dict) -> int:
     workers = int(os.environ.get("OCMG_WORKERS", "1"))
-    _check(workers >= 1, f"OCMG_WORKERS must be at least 1, got {workers}")
+    if workers < 1:
+        raise ValueError(f"OCMG_WORKERS must be at least 1, got {workers}")
     target = opts["target"]
     cells = {"table1": table1_cells,
              "table2": table2_cells,

@@ -48,6 +48,7 @@ STRIP_BYTES.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,12 @@ class GridSpec:
                 f"block field shape {v.shape} is not (2, {self.m}, {self.m})")
 
 
+def check_alpha(alpha: float) -> None:
+    """The one alpha check: positive and finite with a finite 1/alpha (NaN fails)."""
+    if not (0.0 < alpha < math.inf and math.isfinite(1.0 / float(alpha))):
+        raise ValueError(f"alpha must be positive with a finite 1/alpha, got {alpha}")
+
+
 @dataclass(frozen=True)
 class SaddleOperator:
     """Matrix-free A = [[L, -M/alpha], [I, L]]; mask None means M = I."""
@@ -96,8 +103,7 @@ class SaddleOperator:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
         if self.mask is not None:
             self.grid.check_field(self.mask)
 

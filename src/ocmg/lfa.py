@@ -35,9 +35,11 @@ search in omega, providing an independent check of the closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
+
+from .grid import check_alpha
 
 SCHEMES = ("cjr", "bsr")
 
@@ -56,8 +58,9 @@ class LfaParams:
     def __post_init__(self):
         if self.q not in (2, 3, 4):
             raise ValueError(f"coarsening factor must be 2, 3 or 4, got {self.q}")
-        if self.alpha <= 0 or self.h <= 0:
-            raise ValueError("alpha and h must be positive")
+        check_alpha(self.alpha)
+        if not (self.h > 0 and isfinite(self.gamma * self.gamma)):
+            raise ValueError(f"h must be positive with a finite gamma^2, got h={self.h}")
 
     @property
     def gamma(self) -> float:
@@ -169,8 +172,8 @@ class _SampledSymbol:
 
 def smoothing_factor_sampled(scheme: str, params: LfaParams, omega: float) -> LfaReport:
     """max over sampled high frequencies of the spectral radius of S~."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not omega > 0:
+        raise ValueError(f"omega must be positive, got {omega}")
     mu, theta = _SampledSymbol(scheme, params).mu(omega)
     return LfaReport(mu=mu, omega=omega, theta=theta)
 

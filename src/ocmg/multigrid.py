@@ -76,7 +76,11 @@ class CycleSpec:
         if self.cycle not in CYCLES:
             raise ValueError(f"cycle must be 'V' or 'W', got {self.cycle!r}")
         if self.nu_pre < 1:
-            raise ValueError("nu_pre must be >= 1")
+            raise ValueError(f"nu must be at least 1, got {self.nu_pre}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass
@@ -112,6 +116,18 @@ def level_sizes(N: int, q: int, coarsest_n: int = 8) -> list[int]:
     return sizes
 
 
+def coarsening_chain(N: int, q: int, coarsest_n: int = 8) -> list[int]:
+    """level_sizes of a hierarchy; a q outside {2, 3, 4} or one level is an error."""
+    if q not in (2, 3, 4):
+        raise ValueError(f"coarsening factor must be 2, 3 or 4, got {q}")
+    sizes = level_sizes(N, q, coarsest_n)
+    if len(sizes) < 2:
+        raise ValueError(
+            f"N={N} cannot be coarsened by q={q} (needs N divisible by q with "
+            f"N/q >= {coarsest_n})")
+    return sizes
+
+
 def _resolve_omega(spec: SmootherSpec, q: int, alpha: float, h: float) -> float:
     if spec.omega is not None:
         return spec.omega
@@ -124,16 +140,9 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
                     mask: np.ndarray | None = None,
                     coarsest_n: int = 8) -> Hierarchy:
     """Re-discretized level chain with per-level smoother parameters."""
-    if q not in (2, 3, 4):
-        raise ValueError(f"coarsening factor must be 2, 3 or 4, got {q}")
-    sizes = level_sizes(N, q, coarsest_n)
-    if len(sizes) < 2:
-        raise ValueError(
-            f"N={N} cannot be coarsened by q={q} (needs N divisible by q with "
-            f"N/q >= {coarsest_n})")
     levels = []
     lvl_mask = mask
-    for n in sizes:
+    for n in coarsening_chain(N, q, coarsest_n):
         grid = GridSpec(n)
         op = SaddleOperator(grid, alpha, lvl_mask)
         spec = replace(smoother, omega=_resolve_omega(smoother, q, alpha, grid.h))

@@ -96,24 +96,27 @@ def dump_field(path, field: np.ndarray, grid: GridSpec) -> None:
 def load_field(path) -> tuple[GridSpec, np.ndarray]:
     """Read a field file; every interior point must appear exactly once."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "N":
-            raise ValueError(f"bad field header in {path}")
-        grid = GridSpec(int(header[1]))
-        out = np.full((grid.m, grid.m), np.nan)  # NaN marks a missing point
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            i_s, j_s, val = line.split()
-            i, j, x = int(i_s), int(j_s), float(val)
-            if not (1 <= i <= grid.m and 1 <= j <= grid.m):
-                raise ValueError(f"{path}:{lineno}: point ({i}, {j}) is not "
-                                 f"an interior node of N={grid.N}")
-            if not math.isfinite(x):
-                raise ValueError(f"{path}:{lineno}: non-finite value {val!r}")
-            if not math.isnan(out[j - 1, i - 1]):
-                raise ValueError(f"{path}:{lineno}: duplicate point ({i}, {j})")
-            out[j - 1, i - 1] = x
+        lineno, line = 1, fh.readline()
+        try:
+            key, n = line.split()
+            if key != "N":
+                raise ValueError("expected the header 'N <value>'")
+            grid = GridSpec(int(n))
+            out = np.full((grid.m, grid.m), np.nan)  # NaN marks a missing point
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                i_s, j_s, val = line.split()  # exactly "i j value"
+                i, j, x = int(i_s), int(j_s), float(val)
+                if not (1 <= i <= grid.m and 1 <= j <= grid.m):
+                    raise ValueError(f"point ({i}, {j}) is not an interior node of N={n}")
+                if not math.isfinite(x):
+                    raise ValueError("non-finite value")
+                if not math.isnan(out[j - 1, i - 1]):
+                    raise ValueError(f"duplicate point ({i}, {j})")
+                out[j - 1, i - 1] = x
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}: {line.strip()!r}") from None
     if np.isnan(out).any():
         raise ValueError(f"field file {path} does not cover the grid")
     return grid, out

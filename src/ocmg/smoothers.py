@@ -70,11 +70,11 @@ class SmootherSpec:
 
     def __post_init__(self):
         if self.kind not in SCHEMES:
-            raise ValueError(f"unknown smoother kind {self.kind!r}")
-        if self.omega is not None and self.omega <= 0:
-            raise ValueError("omega must be positive")
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.kind!r}")
+        if self.omega is not None and not self.omega > 0:
+            raise ValueError(f"omega must be positive, got {self.omega}")
         if self.pcg_iters < 1:
-            raise ValueError("pcg_iters must be >= 1")
+            raise ValueError(f"pcg_iters must be at least 1, got {self.pcg_iters}")
 
 
 class PcgBreakdownError(RuntimeError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, apply_laplacian, block_norm2
+from .grid import GridSpec, apply_laplacian, block_norm2, check_alpha
 from .multigrid import CycleSpec, build_hierarchy, solve
 from .problems import ProblemData
 from .smoothers import SmootherSpec
@@ -45,9 +45,8 @@ class ControlParams:
     u1: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0:
+        check_alpha(self.alpha)
+        if not self.beta >= 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if not self.u0 < 0 < self.u1:
             raise ValueError(

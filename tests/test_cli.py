@@ -189,6 +189,53 @@ def test_mg_rejects_nonsense_values():
     assert run_cli(["mg", "--cycle", "X", "--N", "32"]) == 1
 
 
+def _config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mg", "--N", "16", "--alpha", "nan"],
+    ["mg", "--N", "16", "--tol", "nan"],
+    ["mg", "--N", "16", "--tol", "-1"],
+    ["mg", "--N", "16", "--alpha", "1e-320"],
+    ["ssn", "--N", "16", "--alpha", "1e-320"],
+    ["ssn", "--N", "16", "--beta", "nan"],
+    ["lfa", "--h", "nan"],
+    ["lfa", "--h", "1e5", "--alpha", "1e-300"],
+])
+def test_bad_values_exit_1_with_one_message_line(capsys, argv):
+    # NaN passes "x <= 0" checks; 1e-320 is positive but 1/alpha overflows
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ocmg: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, text", [
+    ("lfa", "scheme = ibsr\n"),
+    ("mg", "cycle = X\nN = 16\n"),
+    ("mg", "scheme = foo\nN = 16\n"),
+    ("mg", "pcg_iters = 0\nN = 16\n"),
+    ("ssn", "q = 5\nN = 16\n"),
+])
+def test_bad_config_values_are_rejected_by_the_library_types(tmp_path, capsys,
+                                                             command, text):
+    assert run_cli([command, "--config", _config(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ocmg: ") and captured.err.count("\n") == 1
+
+
+def test_unset_values_take_the_library_defaults(capsys):
+    assert run_cli(["mg", "--N", "16"]) == 0
+    spec = cli.CycleSpec()
+    assert f"cycle={spec.cycle} nu={spec.nu_pre}\n" in capsys.readouterr().out
+    assert run_cli(["ssn", "--N", "16"]) == 0
+    assert f"cycle={spec.cycle} nu=2\n" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------- ssn
 
 def test_ssn_dumps_fields_and_reports_sparsity(tmp_path, capsys):

@@ -10,6 +10,7 @@ from ocmg.grid import (
     apply_mass,
     apply_saddle,
     block_norm2,
+    check_alpha,
     residual,
 )
 from ocmg import oracle
@@ -205,3 +206,17 @@ def test_linearity():
     lhs = apply_saddle(op, 2.5 * u + (-1.25) * w)
     rhs = 2.5 * apply_saddle(op, u) + (-1.25) * apply_saddle(op, w)
     assert block_norm2(lhs - rhs) <= 1e-12 * block_norm2(rhs)
+
+
+# ------------------------------------------------------------------ alpha
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), 1e-320])
+def test_saddle_operator_rejects_alpha_without_a_finite_reciprocal(alpha):
+    # 1e-320 is subnormal: positive, but 1/alpha overflows to inf
+    with pytest.raises(ValueError, match="alpha"):
+        SaddleOperator(GridSpec(4), alpha)
+
+
+def test_alpha_check_accepts_every_alpha_with_a_finite_reciprocal():
+    for alpha in (1e-12, 1e-300, 2.2250738585072014e-308, 1e300):
+        check_alpha(alpha)

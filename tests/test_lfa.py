@@ -30,6 +30,15 @@ def params_for_gamma(q, gamma, h=1.0):
     return p
 
 
+@pytest.mark.parametrize("alpha, h", [(float("nan"), 0.1), (1e-320, 0.1),
+                                     (1e-6, float("nan")), (1e-6, 0.0),
+                                     (1e-300, 1e5)])
+def test_params_reject_nan_and_overflowing_values(alpha, h):
+    # (1e-300, 1e5): a finite gamma whose square overflows
+    with pytest.raises(ValueError):
+        LfaParams(q=2, alpha=alpha, h=h)
+
+
 # ---------------------------------------------------------------- symbols
 
 def test_symbol_laplacian_values():

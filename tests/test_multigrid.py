@@ -57,6 +57,26 @@ def test_build_hierarchy_rejects_uncoarsenable():
         build_hierarchy(16, 5, 1e-2, SmootherSpec("cjr"))
 
 
+def test_build_hierarchy_rejects_nan_alpha_before_the_coarse_lu(monkeypatch):
+    # NaN alpha used to reach splu, which failed with "Factor is exactly singular"
+    import scipy.sparse.linalg
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu reached")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+    with pytest.raises(ValueError, match="alpha"):
+        build_hierarchy(16, 2, float("nan"), SmootherSpec("cjr"))
+
+
+@pytest.mark.parametrize("kw", [dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
+                                dict(max_iters=0), dict(nu_pre=0), dict(cycle="X")])
+def test_cycle_spec_rejects_bad_values(kw):
+    # max_iters=0 used to give rho = 0.0 for a solve that never ran
+    with pytest.raises(ValueError):
+        CycleSpec(**kw)
+
+
 @pytest.mark.parametrize("N, q, kind", [(50, 2, "cjr"), (75, 3, "cjr"), (100, 4, "bsr")])
 def test_chains_stopping_above_n24_build_and_converge(N, q, kind):
     # each chain stops at N=25; the sparse coarse LU takes any coarsest grid

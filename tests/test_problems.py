@@ -1,5 +1,7 @@
 """Benchmark data sets: manufactured consistency, orientation, and field files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -144,4 +146,15 @@ def test_load_field_rejects_non_finite_values(tmp_path, value):
     lines[5] = lines[5].rsplit(" ", 1)[0] + " " + value
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="non-finite"):
+        load_field(path)
+
+
+@pytest.mark.parametrize("lineno, text", [
+    (1, "N abc"), (1, "N"), (1, "N 1"), (3, "1 2"), (3, "1 x 2.0"), (3, "1 2 3 4"),
+])
+def test_load_field_names_file_and_line_of_malformed_input(tmp_path, lineno, text):
+    path, lines = _dump_lines(tmp_path)
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "):
         load_field(path)

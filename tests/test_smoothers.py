@@ -379,3 +379,8 @@ def test_spec_validation():
         SmootherSpec("cjr", omega=-1.0)
     with pytest.raises(ValueError):
         SmootherSpec("ibsr", pcg_iters=0)
+
+
+def test_spec_rejects_nan_omega():
+    with pytest.raises(ValueError, match="omega"):
+        SmootherSpec("cjr", omega=float("nan"))

@@ -172,6 +172,13 @@ def test_control_params_validation():
         ControlParams(alpha=1.0, beta=0.1, u0=1.0, u1=2.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.1), (1e-320, 0.1),
+                                         (1.0, float("nan"))])
+def test_control_params_reject_nan_and_subnormal_alpha(alpha, beta):
+    with pytest.raises(ValueError):
+        ControlParams(alpha=alpha, beta=beta, u0=-1.0, u1=1.0)
+
+
 def _solve_example2(alpha, beta, N=32, kind="ibsr", **kw):
     grid = GridSpec(N)
     data = example2_fields(grid)
