@@ -27,9 +27,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .grid import GridSpec
-from .lfa import SCHEMES as LFA_SCHEMES, LfaParams, bsr_damping, cjr_optimal, sampled_optimal
-from .multigrid import (CYCLES, CycleSpec, MgResult, build_hierarchy,
-                        coarsening_chain, solve)
+from .lfa import SCHEMES as LFA_SCHEMES, LfaParams, closed_form, sampled_optimal
+from .multigrid import CYCLES, CycleSpec, MgResult, build_hierarchy, level_sizes, solve
 from .problems import ProblemData, dump_field, example1_fields, example2_fields, load_field
 from .smoothers import SCHEMES, PcgBreakdownError, SmootherSpec
 from .ssn import ControlParams, SolverError, sparsity_fractions, ssn_solve
@@ -156,22 +155,17 @@ def _load_problem(opts: dict, fallback) -> ProblemData:
 def cmd_lfa(opts: dict) -> int:
     params = LfaParams(q=opts["q"], alpha=opts["alpha"], h=opts["h"])
     sampled = sampled_optimal(opts["scheme"], params)  # rejects a scheme LFA lacks
-    if opts["scheme"] == "cjr":
-        closed = cjr_optimal(params)
-        omega_c, mu_c, theta_c = closed.omega, closed.mu, closed.theta
-    else:
-        omega_c, mu_c = bsr_damping(opts["q"])
-        theta_c = None
+    closed = closed_form(opts["scheme"], params)
 
     print(f"scheme={opts['scheme']} q={opts['q']} "
           f"alpha={opts['alpha']:g} h={opts['h']:.17g}")
-    theta_txt = "" if theta_c is None else \
-        f" theta=({theta_c[0]:.6f}, {theta_c[1]:.6f})"
-    print(f"closed-form: omega={omega_c:.8f} mu={mu_c:.8f}{theta_txt}")
+    theta_txt = "" if closed.theta is None else \
+        f" theta=({closed.theta[0]:.6f}, {closed.theta[1]:.6f})"
+    print(f"closed-form: omega={closed.omega:.8f} mu={closed.mu:.8f}{theta_txt}")
     print(f"sampled:     omega={sampled.omega:.8f} mu={sampled.mu:.8f}"
           f" theta=({sampled.theta[0]:.6f}, {sampled.theta[1]:.6f})")
-    print(f"difference:  |domega|={abs(sampled.omega - omega_c):.3e}"
-          f" |dmu|={abs(sampled.mu - mu_c):.3e}")
+    print(f"difference:  |domega|={abs(sampled.omega - closed.omega):.3e}"
+          f" |dmu|={abs(sampled.mu - closed.mu):.3e}")
 
     if opts.get("out"):
         with open(opts["out"], "w", newline="", encoding="utf-8") as fh:
@@ -180,7 +174,7 @@ def cmd_lfa(opts: dict) -> int:
                         "mu_closed", "omega_sampled", "mu_sampled",
                         "theta1", "theta2"])
             w.writerow([opts["scheme"], opts["q"], f"{opts['alpha']:.17g}",
-                        f"{opts['h']:.17g}", f"{omega_c:.17g}", f"{mu_c:.17g}",
+                        f"{opts['h']:.17g}", f"{closed.omega:.17g}", f"{closed.mu:.17g}",
                         f"{sampled.omega:.17g}", f"{sampled.mu:.17g}",
                         f"{sampled.theta[0]:.17g}", f"{sampled.theta[1]:.17g}"])
     return 0
@@ -223,7 +217,7 @@ def cmd_mg(opts: dict) -> int:
 def cmd_ssn(opts: dict) -> int:
     cp = ControlParams(opts["alpha"], opts["beta"], opts["u0"], opts["u1"])
     smoother, spec = _specs(opts)
-    coarsening_chain(opts["N"], opts["q"])  # ssn_solve builds the hierarchies later
+    level_sizes(opts["N"], opts["q"])  # ssn_solve builds the hierarchies later
     grid = GridSpec(opts["N"])
     data = _load_problem(opts, lambda: example2_fields(grid))
 
@@ -284,10 +278,8 @@ def sweep_cells() -> list[dict]:
 
 
 def _mu_pred(cell: dict) -> float:
-    if cell["scheme"] == "cjr":
-        params = LfaParams(q=cell["q"], alpha=cell["alpha"], h=1.0 / cell["N"])
-        return cjr_optimal(params).mu ** cell["nu"]
-    return bsr_damping(cell["q"])[1] ** cell["nu"]
+    params = LfaParams(q=cell["q"], alpha=cell["alpha"], h=1.0 / cell["N"])
+    return closed_form(cell["scheme"], params).mu ** cell["nu"]
 
 
 def _measure_cell(cell: dict) -> float:

@@ -42,8 +42,9 @@ its rows plus one halo row on each side and keeps the whole-array order
 of operations per element, so the result is bitwise the same as one
 whole-array pass.  A field that fits one strip takes the whole-array
 code, with no per-strip work.  apply_laplacian and apply_saddle always
-make one whole-array pass: none of their callers passes a field above
-STRIP_BYTES.
+make one whole-array pass, also on the larger fields that apply_laplacian
+gets from smoothers.schur_apply (bsr, ibsr) at N >= 258 and from
+ssn.residual_F at N >= 183.
 """
 
 from __future__ import annotations
@@ -92,6 +93,12 @@ def check_alpha(alpha: float) -> None:
     """The one alpha check: positive and finite with a finite 1/alpha (NaN fails)."""
     if not (0.0 < alpha < math.inf and math.isfinite(1.0 / float(alpha))):
         raise ValueError(f"alpha must be positive with a finite 1/alpha, got {alpha}")
+
+
+def check_q(q: int) -> None:
+    """The one coarsening-factor check: q is 2, 3 or 4."""
+    if q not in (2, 3, 4):
+        raise ValueError(f"coarsening factor must be 2, 3 or 4, got {q}")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .grid import check_alpha
+from .grid import check_alpha, check_q
 
 SCHEMES = ("cjr", "bsr")
 
@@ -56,8 +56,7 @@ class LfaParams:
     h: float
 
     def __post_init__(self):
-        if self.q not in (2, 3, 4):
-            raise ValueError(f"coarsening factor must be 2, 3 or 4, got {self.q}")
+        check_q(self.q)
         check_alpha(self.alpha)
         if not (self.h > 0 and isfinite(self.gamma * self.gamma)):
             raise ValueError(f"h must be positive with a finite gamma^2, got h={self.h}")
@@ -71,7 +70,7 @@ class LfaParams:
 class LfaReport:
     mu: float
     omega: float
-    theta: tuple[float, float]  # maximizing frequency
+    theta: tuple[float, float] | None  # maximizing frequency; None for a bound
 
 
 def symbol_laplacian(theta1, theta2, h: float):
@@ -97,8 +96,7 @@ def high_freq_grid(q: int, samples_per_axis: int = 256):
     high-frequency aliases (3pi/2 and negative angles) carry the same
     cosines, hence the forced negatives.
     """
-    if q not in (2, 3, 4):
-        raise ValueError(f"coarsening factor must be 2, 3 or 4, got {q}")
+    check_q(q)
     lo, hi = -np.pi / 2.0, 3.0 * np.pi / 2.0
     t = lo + np.arange(1, samples_per_axis + 1) * (hi - lo) / samples_per_axis
     forced = np.array([-np.pi / q, -np.pi / 4.0, 0.0, np.pi / 4.0,
@@ -127,13 +125,13 @@ def relax_eigs(scheme: str, t1, t2, alpha: float, h: float):
     if scheme == "cjr":
         a1 = 4.0 / (h * h)
         det_b = a1 * a1 + ia
-        tr = 2.0 * (a1 * a + ia) / det_b
+        # divided before doubling: 2 (a1 a + 1/alpha) overflows at alpha ~ 1e-308
+        tr = 2.0 * ((a1 * a + ia) / det_b)
         det = (a * a + ia) / det_b
     elif scheme == "bsr":
         b = 1.0 / symbol_mass(t1, t2, h)
-        det_b = a * b + ia
-        tr = (a * a + ia + a * b + ia) / det_b
-        det = (a * a + ia) / det_b
+        det = (a * a + ia) / (a * b + ia)
+        tr = 1.0 + det  # triangular: the eigenvalues are 1 and det
     else:
         raise ValueError(f"unknown scheme {scheme!r} (LFA covers {SCHEMES})")
     return _eig2(tr, det)
@@ -244,13 +242,25 @@ def bsr_damping(q: int) -> tuple[float, float]:
     omega = 2/(m + M) for the a/b-interval [m, M] of the given q; the
     bound (M - m)/(M + m) holds for every alpha and h.
     """
+    check_q(q)
     if q == 2:
         return 3.0 / 4.0, 1.0 / 3.0
     if q == 3:
         return 36.0 / 47.0, 17.0 / 47.0
-    if q == 4:
-        return 18.0 / (25.0 - 3.0 * sqrt(2.0)), (7.0 + 3.0 * sqrt(2.0)) / (25.0 - 3.0 * sqrt(2.0))
-    raise ValueError(f"coarsening factor must be 2, 3 or 4, got {q}")
+    return 18.0 / (25.0 - 3.0 * sqrt(2.0)), (7.0 + 3.0 * sqrt(2.0)) / (25.0 - 3.0 * sqrt(2.0))
+
+
+def closed_form(scheme: str, params: LfaParams) -> LfaReport:
+    """The one map from a scheme to its closed-form damping and smoothing factor.
+
+    cjr_optimal for cjr; the per-q bsr_damping bound for bsr and ibsr (theta None).
+    """
+    if scheme == "cjr":
+        return cjr_optimal(params)
+    if scheme in ("bsr", "ibsr"):
+        omega, mu = bsr_damping(params.q)
+        return LfaReport(mu=mu, omega=omega, theta=None)
+    raise ValueError(f"unknown scheme {scheme!r} (closed forms cover cjr, bsr, ibsr)")
 
 
 def lambda2_bsr(theta: tuple[float, float], params: LfaParams) -> float:

@@ -5,7 +5,7 @@ Hierarchy invariants:
   * every coarse operator is the re-discretization of the saddle system
     with mesh step H = q h (never a Galerkin product);
   * coarsening continues while N is divisible by q and N/q stays at or
-    above the coarsest size (default 8), giving the level chains
+    above COARSEST_N = 8, giving the level chains
     256 -> 128 -> 64 -> 32 -> 16 -> 8   (q = 2)
     243 -> 81 -> 27 -> 9                (q = 3)
     256 -> 64 -> 16                     (q = 4);
@@ -28,14 +28,13 @@ right-hand side directly.  No coarse solve is repeated either: the
 coarsest level ignores the iterate it is handed, so the W-cycle visits
 it once where it would visit it twice with the same right-hand side.
 
-Buffers: a cycle handed its residual with inplace=True owns that array
-and reuses it as its work buffer.  The smoother writes its correction
-into it, each later residual (after every smoothing step) is written
-back into it, and the cycle drops it once it is restricted, before
-descending.  solve hands over the residual of its convergence check this
-way and keeps no reference to it, so a level-0 cycle holds two fine
+Buffers: a cycle owns the iterate and the residual it is handed (see
+cycle).  The residual is its work buffer: the smoother writes its
+correction into it, each later residual (after every smoothing step) is
+written back into it, and the cycle drops it once it is restricted,
+before descending.  solve hands over the residual of its convergence
+check and keeps no reference to it, so a level-0 cycle holds two fine
 block fields (the iterate and the buffer) where it would hold three.
-Without inplace=True a cycle modifies none of v, b and r.
 
 Transfers are tensor products of sparse 1D operators built once per
 (N, q): full weighting R1, weights (q - |k|)/q^2 for k = -(q-1)..(q-1),
@@ -56,12 +55,13 @@ from math import log
 
 import numpy as np
 
-from .grid import GridSpec, SaddleOperator, block_norm2, residual
-from .lfa import LfaParams, bsr_damping, cjr_optimal
+from .grid import GridSpec, SaddleOperator, block_norm2, check_q, residual
+from .lfa import LfaParams, closed_form
 from .smoothers import (SchurSpectral, SmootherSpec, bsr_apply, cjr_apply,
                         schur_diag)
 
 CYCLES = ("V", "W")
+COARSEST_N = 8  # no coarse grid has fewer subdivisions
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,8 @@ class CycleSpec:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -108,44 +110,34 @@ class MgResult:
     converged: bool
 
 
-def level_sizes(N: int, q: int, coarsest_n: int = 8) -> list[int]:
-    """Subdivision counts per level under the coarsening rule."""
+def level_sizes(N: int, q: int) -> list[int]:
+    """Subdivision counts per level under the coarsening rule.
+
+    A q outside {2, 3, 4}, or an N that gives no coarse level, is an error.
+    """
+    check_q(q)
     sizes = [N]
-    while sizes[-1] % q == 0 and sizes[-1] // q >= coarsest_n:
+    while sizes[-1] % q == 0 and sizes[-1] // q >= COARSEST_N:
         sizes.append(sizes[-1] // q)
-    return sizes
-
-
-def coarsening_chain(N: int, q: int, coarsest_n: int = 8) -> list[int]:
-    """level_sizes of a hierarchy; a q outside {2, 3, 4} or one level is an error."""
-    if q not in (2, 3, 4):
-        raise ValueError(f"coarsening factor must be 2, 3 or 4, got {q}")
-    sizes = level_sizes(N, q, coarsest_n)
     if len(sizes) < 2:
         raise ValueError(
             f"N={N} cannot be coarsened by q={q} (needs N divisible by q with "
-            f"N/q >= {coarsest_n})")
+            f"N/q >= {COARSEST_N})")
     return sizes
 
 
-def _resolve_omega(spec: SmootherSpec, q: int, alpha: float, h: float) -> float:
-    if spec.omega is not None:
-        return spec.omega
-    if spec.kind == "cjr":
-        return cjr_optimal(LfaParams(q=q, alpha=alpha, h=h)).omega
-    return bsr_damping(q)[0]
-
-
 def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
-                    mask: np.ndarray | None = None,
-                    coarsest_n: int = 8) -> Hierarchy:
+                    mask: np.ndarray | None = None) -> Hierarchy:
     """Re-discretized level chain with per-level smoother parameters."""
     levels = []
     lvl_mask = mask
-    for n in coarsening_chain(N, q, coarsest_n):
+    for n in level_sizes(N, q):
         grid = GridSpec(n)
         op = SaddleOperator(grid, alpha, lvl_mask)
-        spec = replace(smoother, omega=_resolve_omega(smoother, q, alpha, grid.h))
+        omega = smoother.omega
+        if omega is None:
+            omega = closed_form(smoother.kind, LfaParams(q=q, alpha=alpha, h=grid.h)).omega
+        spec = replace(smoother, omega=omega)
         spectral = SchurSpectral(grid, alpha) if spec.kind == "bsr" else None
         diag = schur_diag(op) if spec.kind == "ibsr" else None
         levels.append(Level(grid, op, spec, spectral, diag))
@@ -213,14 +205,13 @@ def _coarse_solve(hier: Hierarchy, b: np.ndarray) -> np.ndarray:
 
 
 def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
-          spec: CycleSpec, r: np.ndarray | None = None,
-          inplace: bool = False) -> np.ndarray:
+          spec: CycleSpec, r: np.ndarray | None = None) -> np.ndarray:
     """One recursive cycle from the given level; returns the updated iterate.
 
-    v None is the zero iterate and r, if given, its residual b - A v.  b
-    is never modified.  With inplace=True the caller hands over v and r:
-    v is updated in place and returned, and r is overwritten as the
-    cycle's work buffer.  Otherwise neither is modified.
+    The cycle owns what it is handed: v is updated in place and returned,
+    and r, if given, must be the residual b - A v and is overwritten as
+    the cycle's work buffer.  v None is the zero iterate; the coarsest
+    level ignores v and returns a new array.  b is never modified.
     """
     last = len(hier.levels) - 1
     if level == last:
@@ -229,12 +220,9 @@ def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
     if v is None:  # the residual of the zero iterate is b itself
         v, r = _relax(b, lev), None
     else:
-        owned = inplace or r is None
-        v = v if inplace else v.copy()
         if r is None:
             r = residual(lev.op, b, v)
-        r = _relax(r, lev, out=r if owned else None)
-        v += r
+        v += _relax(r, lev, out=r)
     # r, if not None, is now an array the cycle owns: the next residuals go there
     for _ in range(spec.nu_pre - 1):
         r = residual(lev.op, b, v, out=r)
@@ -246,7 +234,7 @@ def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
     # the coarsest level ignores the iterate, so a second visit would repeat the first
     visits = 1 if spec.cycle == "V" or level + 1 == last else 2
     for _ in range(visits):
-        ec = cycle(hier, level + 1, ec, rc, spec, inplace=True)
+        ec = cycle(hier, level + 1, ec, rc, spec)
     for vk, eck in zip(v, ec):
         vk += prolong(eck, q)
     return v
@@ -285,7 +273,7 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
         return MgResult(v, 0, float("nan"), history, False)
     rel, k = 1.0, 0
     for k in range(1, spec.max_iters + 1):
-        v = cycle(hier, 0, v, b, spec, pending.pop(), inplace=True)
+        v = cycle(hier, 0, v, b, spec, pending.pop())
         pending.append(residual(op, b, v))
         history.append(block_norm2(pending[0]))
         rel = history[-1] / r0

@@ -31,8 +31,11 @@ class ProblemData:
     grid: GridSpec
 
     def __post_init__(self):
-        self.grid.check_field(self.f)
-        self.grid.check_field(self.g)
+        for name, field in (("f", self.f), ("g", self.g)):
+            self.grid.check_field(field)
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.linalg.norm(field)):
+                    raise ValueError(f"{name} has no finite norm (its values are too large)")
 
 
 def _sep(grid: GridSpec, fac1, fac2) -> np.ndarray:

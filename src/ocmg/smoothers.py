@@ -60,8 +60,8 @@ class SmootherSpec:
     """Scheme kind plus damping and inner-solve policy.
 
     omega None means "resolved later": the multigrid hierarchy fills in
-    the per-level optimum (gamma-dependent for cjr, fixed per q for the
-    Braess-Sarazin variants).
+    each level's lfa.closed_form damping (gamma-dependent for cjr, fixed
+    per q for the Braess-Sarazin variants).
     """
 
     kind: str  # one of SCHEMES
@@ -188,7 +188,6 @@ class SchurSpectral:
         mass_1d = (4.0 + 2.0 * c) * grid.h / 6.0
         self.eig = (lap_1d[:, None] + lap_1d[None, :]
                     + np.outer(mass_1d, mass_1d) / alpha)
-        self.grid = grid
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         bh = self._dstn(b, type=1, norm="ortho")

@@ -1,10 +1,10 @@
 """Semi-smooth Newton outer solver for the box-constrained sparse control problem.
 
 The nonlinear optimality system couples the five-point state and adjoint
-equations through the pointwise soft-shrinkage map
+equations through the pointwise soft-shrinkage map, the soft threshold
+of p by beta, scaled by 1/alpha and clipped to the bounds,
 
-    phi(p) = (1/alpha) [ max(0, p-beta) + min(0, p+beta)
-                         - max(0, p-beta-alpha u1) - min(0, p+beta-alpha u0) ],
+    phi(p) = clip( (max(0, p-beta) + min(0, p+beta)) / alpha,  u0, u1 ),
 
 whose output always lies in [u0, u1] and vanishes on the dead zone
 |p| <= beta.  A generalized derivative of alpha*phi is the {0,1} mask
@@ -75,13 +75,9 @@ class SolverError(RuntimeError):
 
 
 def phi(p: np.ndarray, cp: ControlParams) -> np.ndarray:
-    """Pointwise control recovery map; range is [u0, u1]."""
-    a, b = cp.alpha, cp.beta
-    out = (np.maximum(0.0, p - b) + np.minimum(0.0, p + b)
-           - np.maximum(0.0, p - b - a * cp.u1)
-           - np.minimum(0.0, p + b - a * cp.u0))
-    # the branches cancel at the scale of |p| + beta: / a can round past a bound
-    return np.clip(out / a, cp.u0, cp.u1)
+    """Pointwise control recovery map; range is [u0, u1], bounds hit exactly."""
+    shrunk = np.maximum(0.0, p - cp.beta) + np.minimum(0.0, p + cp.beta)
+    return np.clip(shrunk / cp.alpha, cp.u0, cp.u1)
 
 
 def dphi_mask(p: np.ndarray, cp: ControlParams) -> np.ndarray:

@@ -206,10 +206,10 @@ def test_criterion_7_dense_oracle_equivalence():
                 worst = max(worst, rel)
 
     # whole solver against a dense solve on the smallest usable chain
-    grid = GridSpec(8)
+    grid = GridSpec(16)
     rng_b = np.random.default_rng(8)
     b = rng_b.standard_normal((2, grid.m, grid.m))
-    hier = build_hierarchy(8, 2, alpha, SmootherSpec("cjr"), coarsest_n=4)
+    hier = build_hierarchy(16, 2, alpha, SmootherSpec("cjr"))
     res = solve(hier, b, CycleSpec(cycle="W", nu_pre=2, tol=1e-12, seed=0))
     A = oracle.assemble("saddle", grid, alpha=alpha)
     want = oracle.dense_solve(A, b.ravel())
@@ -217,7 +217,7 @@ def test_criterion_7_dense_oracle_equivalence():
     ok = worst <= 1e-9 and mg_rel <= 1e-9
     _report(7, ok, f"operators/smoothers vs dense over 100 vectors on "
                    f"N in {{4,8,12}}: worst rel={worst:.1e} (tol 1e-9); "
-                   f"multigrid vs dense at N=8: rel={mg_rel:.1e}")
+                   f"multigrid vs dense at N=16: rel={mg_rel:.1e}")
 
 
 def test_criterion_8_discretization_order():

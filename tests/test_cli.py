@@ -135,13 +135,26 @@ def test_mg_non_finite_data_is_a_validation_error(tmp_path, capsys, value):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_mg_data_whose_norm_overflows_is_a_validation_error(tmp_path, capsys):
+    # field files of 1.7e308 and the example data at alpha=1e-300 (f holds
+    # p*/alpha ~ 1e300) both used to pass as data and fail as a solve
+    for argv in (["mg", "--config", _field_config(tmp_path, "1.7e308")],
+                 ["mg", "--N", "16", "--alpha", "1e-300"]):
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ocmg: f has no finite norm")
+        assert captured.err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_mg_overflowing_residual_exits_2_without_cycling(tmp_path, capsys):
-    # finite data whose residual norm overflows: the solve must stop before
-    # cycling, instead of handing inf/NaN to the coarse LAPACK solve
+    # data of a finite norm whose residual norm overflows (A v holds
+    # p/alpha ~ 1e300): the solve must stop before cycling, instead of
+    # handing inf/NaN to the coarse LAPACK solve
     out = tmp_path / "hist.csv"
-    code = run_cli(["mg", "--config", _field_config(tmp_path, "1.7e308"),
-                    "--out", str(out)])
+    code = run_cli(["mg", "--config", _field_config(tmp_path, "1"),
+                    "--alpha", "1e-300", "--out", str(out)])
     assert code == 2
     captured = capsys.readouterr()
     assert "converged=False iters=0" in captured.out
@@ -226,6 +239,12 @@ def test_bad_config_values_are_rejected_by_the_library_types(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ocmg: ") and captured.err.count("\n") == 1
+
+
+def test_negative_seed_is_rejected_by_name(capsys):
+    # it used to exit 1 with numpy's bare "expected non-negative integer"
+    assert run_cli(["mg", "--N", "16", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "ocmg: seed must be nonnegative, got -1\n"
 
 
 def test_unset_values_take_the_library_defaults(capsys):

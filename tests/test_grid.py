@@ -11,9 +11,10 @@ from ocmg.grid import (
     apply_saddle,
     block_norm2,
     check_alpha,
+    check_q,
     residual,
 )
-from ocmg import oracle
+from ocmg import lfa, multigrid, oracle
 
 
 def _rng(seed=0):
@@ -220,3 +221,18 @@ def test_saddle_operator_rejects_alpha_without_a_finite_reciprocal(alpha):
 def test_alpha_check_accepts_every_alpha_with_a_finite_reciprocal():
     for alpha in (1e-12, 1e-300, 2.2250738585072014e-308, 1e300):
         check_alpha(alpha)
+
+
+# ---------------------------------------------------------------------- q
+
+@pytest.mark.parametrize("check", [
+    check_q,
+    lambda q: lfa.LfaParams(q=q, alpha=1e-6, h=1.0 / 64),
+    lfa.high_freq_grid,
+    lfa.bsr_damping,
+    lambda q: multigrid.level_sizes(64, q),
+])
+@pytest.mark.parametrize("q", [0, 1, 5, 8])
+def test_every_coarsening_factor_goes_through_one_check(check, q):
+    with pytest.raises(ValueError, match=f"^coarsening factor must be 2, 3 or 4, got {q}$"):
+        check(q)

@@ -7,9 +7,11 @@ import pytest
 
 from ocmg.lfa import (
     LfaParams,
+    LfaReport,
     bsr_damping,
     cjr_eigs_analytic,
     cjr_optimal,
+    closed_form,
     high_freq_grid,
     lambda2_bsr,
     psi,
@@ -198,6 +200,27 @@ def test_bsr_damping_constants():
     assert mu4 == pytest.approx(0.54163, abs=1e-5)
     with pytest.raises(ValueError):
         bsr_damping(7)
+
+
+def test_closed_form_maps_each_scheme_to_its_damping_rule():
+    p = LfaParams(q=3, alpha=1e-6, h=1.0 / 81)
+    assert closed_form("cjr", p) == cjr_optimal(p)
+    omega, mu = bsr_damping(3)
+    for scheme in ("bsr", "ibsr"):
+        assert closed_form(scheme, p) == LfaReport(mu=mu, omega=omega, theta=None)
+    with pytest.raises(ValueError, match="scheme"):
+        closed_form("sor", p)
+
+
+@pytest.mark.parametrize("scheme", ["cjr", "bsr"])
+def test_sampled_mu_is_finite_where_one_over_alpha_nears_overflow(scheme):
+    # 2 (a1 a + 1/alpha) overflowed in the cjr trace, and the bsr trace
+    # summed 1/alpha twice: mu was nan
+    params = LfaParams(q=2, alpha=1e-308, h=0.5)
+    lam = relax_eigs(scheme, *high_freq_grid(2), params.alpha, params.h)
+    assert all(np.isfinite(part).all() for part in lam)
+    rep = sampled_optimal(scheme, params)
+    assert np.isfinite(rep.mu) and rep.mu < 1.0
 
 
 def test_lambda2_limits():

@@ -46,8 +46,9 @@ def test_level_sizes_q4():
 
 
 def test_level_sizes_stops_on_divisibility():
-    assert level_sizes(100, 3) == [100]
-    assert level_sizes(8, 2, coarsest_n=4) == [8, 4]
+    assert level_sizes(72, 2) == [72, 36, 18, 9]
+    with pytest.raises(ValueError, match="cannot be coarsened"):
+        level_sizes(100, 3)
 
 
 def test_build_hierarchy_rejects_uncoarsenable():
@@ -75,6 +76,12 @@ def test_cycle_spec_rejects_bad_values(kw):
     # max_iters=0 used to give rho = 0.0 for a solve that never ran
     with pytest.raises(ValueError):
         CycleSpec(**kw)
+
+
+def test_cycle_spec_rejects_a_negative_seed_by_name():
+    # it used to reach default_rng in solve, whose message names neither
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        CycleSpec(seed=-1)
 
 
 @pytest.mark.parametrize("N, q, kind", [(50, 2, "cjr"), (75, 3, "cjr"), (100, 4, "bsr")])
@@ -337,11 +344,12 @@ def test_w_equals_v_on_two_level_hierarchy(kind):
 
 
 def test_two_level_solve_reaches_dense_solution():
-    # N=8 over a direct N=4 coarse solve: plenty of smoothing must reach
+    # N=16 over a direct N=8 coarse solve: plenty of smoothing must reach
     # the dense solution well within 30 cycles.
-    N, alpha = 8, 1e-2
+    N, alpha = 16, 1e-2
     grid = GridSpec(N)
-    hier = build_hierarchy(N, 2, alpha, SmootherSpec("cjr"), coarsest_n=4)
+    hier = build_hierarchy(N, 2, alpha, SmootherSpec("cjr"))
+    assert len(hier.levels) == 2
     rng = _rng(5)
     b = rng.standard_normal((2, grid.m, grid.m))
     res = solve(hier, b, CycleSpec(cycle="V", nu_pre=3, tol=1e-10, max_iters=30))
@@ -355,6 +363,8 @@ def test_two_level_solve_reaches_dense_solution():
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
 @pytest.mark.parametrize("nu", [1, 2])
 def test_cycle_leaves_caller_fields_unmodified(kind, nu):
+    # the caller's b is never modified; the iterate it hands over is
+    # updated in place and returned
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
     grid = hier.levels[0].grid
     rng = _rng(6)
@@ -363,17 +373,15 @@ def test_cycle_leaves_caller_fields_unmodified(kind, nu):
     v_in, b_in = v.copy(), b.copy()
     spec = CycleSpec(cycle="W", nu_pre=nu)
     out = cycle(hier, 0, v, b, spec)
-    r = residual(hier.levels[0].op, b, v)
-    r_in = r.copy()
-    out_r = cycle(hier, 0, v, b, spec, r)
-    for x, x_in in ((v, v_in), (b, b_in), (r, r_in)):
-        np.testing.assert_array_equal(x, x_in)
+    assert out is v
+    np.testing.assert_array_equal(b, b_in)
+    assert not np.array_equal(v, v_in)
     # handing over the known residual changes nothing but the work done
+    v_r = v_in.copy()
+    out_r = cycle(hier, 0, v_r, b, spec, residual(hier.levels[0].op, b, v_r))
+    assert out_r is v_r
     np.testing.assert_array_equal(out_r, out)
-    # an iterate handed over with inplace=True is updated and returned
-    out_ip = cycle(hier, 0, v, b, spec, r, inplace=True)
-    assert out_ip is v
-    np.testing.assert_array_equal(v, out)
+    np.testing.assert_array_equal(b, b_in)
 
 
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
@@ -381,8 +389,8 @@ def test_cycle_leaves_caller_fields_unmodified(kind, nu):
 @pytest.mark.parametrize("strip_rows", [None, 3])
 def test_cycle_with_a_handed_over_residual_matches_one_without(kind, nu,
                                                                strip_rows):
-    # with inplace=True the residual is the cycle's work buffer; the iterate
-    # is bitwise the one of a cycle that evaluates its own residual, also
+    # a handed-over residual is the cycle's work buffer; the iterate is
+    # bitwise the one of a cycle that evaluates its own residual, also
     # when every level is processed in strips of a few rows
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
     grid = hier.levels[0].grid
@@ -390,13 +398,13 @@ def test_cycle_with_a_handed_over_residual_matches_one_without(kind, nu,
     v = rng.uniform(size=(2, grid.m, grid.m))
     b = rng.standard_normal((2, grid.m, grid.m))
     spec = CycleSpec(cycle="W", nu_pre=nu)
-    want = cycle(hier, 0, v, b, spec)
+    want = cycle(hier, 0, v.copy(), b, spec)
     with pytest.MonkeyPatch.context() as mp:
         if strip_rows is not None:
             mp.setattr(grid_module, "STRIP_BYTES", strip_rows * 16 * grid.m)
-        own = cycle(hier, 0, v.copy(), b, spec, inplace=True)
+        own = cycle(hier, 0, v.copy(), b, spec)
         r = residual(hier.levels[0].op, b, v)
-        handed = cycle(hier, 0, v.copy(), b, spec, r, inplace=True)
+        handed = cycle(hier, 0, v.copy(), b, spec, r)
     np.testing.assert_array_equal(own, want)
     np.testing.assert_array_equal(handed, want)
 

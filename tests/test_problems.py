@@ -71,6 +71,15 @@ def test_problem_data_shape_guard():
         ProblemData(np.zeros((3, 3)), np.zeros((7, 7)), grid)
 
 
+@pytest.mark.parametrize("name", ["f", "g"])
+def test_problem_data_rejects_a_field_whose_norm_overflows(name):
+    grid = GridSpec(8)
+    fields = {"f": np.zeros((7, 7)), "g": np.zeros((7, 7))}
+    fields[name] = np.full((7, 7), 1e200)  # finite, but its squares overflow
+    with pytest.raises(ValueError, match=f"^{name} has no finite norm"):
+        ProblemData(fields["f"], fields["g"], grid)
+
+
 def test_discrete_norm_scaling():
     grid = GridSpec(10)
     e = np.ones((grid.m, grid.m))

@@ -98,19 +98,27 @@ def test_phi_lies_in_the_control_bounds(case):
                  -cp.beta + cp.alpha * cp.u0)
     p = np.concatenate([p, kinks, [-2 * reach, 2 * reach]])
     u = phi(p, cp)
-    # the branches cancel to alpha u up to rounding at the scale of the terms
-    scale = (np.abs(p) + cp.beta) / cp.alpha + max(-cp.u0, cp.u1)
-    slack = 8 * np.finfo(float).eps * scale
-    assert np.all(u >= cp.u0 - slack) and np.all(u <= cp.u1 + slack)
+    assert np.all(u >= cp.u0) and np.all(u <= cp.u1)
+    assert (u[-2], u[-1]) == (cp.u0, cp.u1)
 
 
 def test_phi_stays_in_the_bounds_where_its_branches_round_past_them():
-    # at |p| ~ 50 the branches cancel to alpha u1 = 1e-8 with an absolute
-    # rounding of about 1e-15, which the division by alpha lifts to 1e-7
+    # a four-branch form of phi that cancels to alpha u1 = 1e-8 at |p| ~ 50
+    # rounds by about 1e-15, which the division by alpha lifts to 1e-7
     cp = ControlParams(alpha=1e-8, beta=1.0, u0=-1.0, u1=1.0)
     p = np.random.default_rng(0).uniform(-50.0, 50.0, 100_000)
     u = phi(p, cp)
     assert u.min() >= cp.u0 and u.max() <= cp.u1
+
+
+def test_phi_equals_the_bounds_exactly_beyond_the_clip_points():
+    # the four-branch form cancelled to alpha u1 and, divided by alpha,
+    # ended a few ulps inside the bound; sparsity_fractions then missed
+    # a quarter of the active set at these (ssn-sparse) parameters
+    cp = ControlParams(alpha=1e-6, beta=1e-3, u0=-30.0, u1=30.0)
+    past = np.random.default_rng(1).uniform(1e-9, 1.0, 10_000)
+    assert np.all(phi(cp.beta + cp.alpha * cp.u1 + past, cp) == cp.u1)
+    assert np.all(phi(-cp.beta + cp.alpha * cp.u0 - past, cp) == cp.u0)
 
 
 @settings(max_examples=100, deadline=None)
