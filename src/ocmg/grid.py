@@ -17,7 +17,8 @@ Its C-order ravel is the vector [y; p], the unknown ordering of the dense
 oracle's 2(N-1)^2 matrices.  The scalar stencils act on the trailing two
 axes, so one call applies them to both components of a block field.
 
-Operators provided, all matrix-free:
+Operators provided, matrix-free (for the direct solves, L and Q are also
+assembled sparse, only by sparse_laplacian and sparse_mass):
 
   * five-point Laplacian       L u = (4u_c - u_W - u_E - u_S - u_N) / h^2
   * nine-point mass operator   Q u = (h^2/36) [1 4 1; 4 16 4; 1 4 1] * u
@@ -43,7 +44,7 @@ of operations per element, so the result is bitwise the same as one
 whole-array pass.  A field that fits one strip takes the whole-array
 code, with no per-strip work.  apply_laplacian and apply_saddle always
 make one whole-array pass, also on the larger fields that apply_laplacian
-gets from smoothers.schur_apply (bsr, ibsr) at N >= 258 and from
+gets from smoothers.schur_apply (ibsr) at N >= 258 and from
 ssn.residual_F at N >= 183.
 """
 
@@ -173,6 +174,32 @@ def apply_mass(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     out[..., :-1] += tmp[..., 1:]
     out *= grid.h * grid.h / 36.0
     return out
+
+
+def sparse_laplacian(grid: GridSpec):
+    """apply_laplacian as a sparse matrix: (I x T + T x I) / h^2, T = tridiag(-1, 2, -1)."""
+    from scipy import sparse  # here, not at start-up of every ocmg command
+    T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(grid.m, grid.m))
+    I = sparse.identity(grid.m)
+    return (sparse.kron(I, T) + sparse.kron(T, I)) * grid.N**2
+
+
+def sparse_mass(grid: GridSpec):
+    """apply_mass as a sparse matrix: (T4 x T4) h^2/36, T4 = tridiag(1, 4, 1)."""
+    from scipy import sparse  # here, not at start-up of every ocmg command
+    T4 = sparse.diags_array([1.0, 4.0, 1.0], offsets=[-1, 0, 1], shape=(grid.m, grid.m))
+    return sparse.kron(T4, T4) * grid.h**2 / 36.0
+
+
+class SparseLU:
+    """Sparse LU of a CSC matrix acting on C-order ravelled fields."""
+
+    def __init__(self, A):
+        from scipy.sparse.linalg import splu  # here, not at start-up of every ocmg command
+        self._lu = splu(A)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:  # A^{-1} b, shaped as b
+        return self._lu.solve(b.ravel()).reshape(b.shape)
 
 
 def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,

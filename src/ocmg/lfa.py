@@ -110,11 +110,10 @@ def high_freq_grid(q: int, samples_per_axis: int = 256):
     return t1[keep], t2[keep]
 
 
-def _eig2(tr, det):
-    """Eigenvalues of a 2x2 matrix from trace and determinant."""
-    half = tr / 2.0
-    disc = np.asarray(half * half - det, dtype=complex)
-    root = np.sqrt(disc)
+def _eig2(half, disc):
+    """half +- sqrt(disc): a 2x2 matrix's eigenvalues from its half-trace and
+    disc = half^2 - det, formed without the cancellation of half^2 - det."""
+    root = np.sqrt(np.asarray(disc, dtype=complex))
     return half + root, half - root
 
 
@@ -125,16 +124,16 @@ def relax_eigs(scheme: str, t1, t2, alpha: float, h: float):
     if scheme == "cjr":
         a1 = 4.0 / (h * h)
         det_b = a1 * a1 + ia
-        # divided before doubling: 2 (a1 a + 1/alpha) overflows at alpha ~ 1e-308
-        tr = 2.0 * ((a1 * a + ia) / det_b)
-        det = (a * a + ia) / det_b
+        half = (a1 * a + ia) / det_b
+        disc = -ia * ((a1 - a) / det_b) ** 2  # = half^2 - (a^2 + 1/alpha)/det_b
     elif scheme == "bsr":
         b = 1.0 / symbol_mass(t1, t2, h)
         det = (a * a + ia) / (a * b + ia)
-        tr = 1.0 + det  # triangular: the eigenvalues are 1 and det
+        half = (1.0 + det) / 2.0  # triangular: the eigenvalues are 1 and det
+        disc = ((1.0 - det) / 2.0) ** 2
     else:
         raise ValueError(f"unknown scheme {scheme!r} (LFA covers {SCHEMES})")
-    return _eig2(tr, det)
+    return _eig2(half, disc)
 
 
 def cjr_eigs_analytic(tau, gamma: float):

@@ -19,14 +19,16 @@ Hierarchy invariants:
 Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once; the coarsest level is a
 sparse LU direct solve, factored once per hierarchy, of its saddle
-matrix assembled here with L = (I x T + T x I) N^2, T = tridiag(-1, 2,
--1).  Fields are stacked (2, m, m) block fields (see grid); the
-transfers act on one (m, m) component at a time.  No residual is
-evaluated twice: solve hands the residual of its convergence check to
-the next cycle, and a coarse visit from the zero iterate smooths its
-right-hand side directly.  No coarse solve is repeated either: the
-coarsest level ignores the iterate it is handed, so the W-cycle visits
-it once where it would visit it twice with the same right-hand side.
+matrix assembled here.  Each level caches what its smoother reuses: the
+exact Schur inverse for bsr (smoothers.schur_inverse: DSTs, or a sparse
+LU with a mask), the Schur diagonal for ibsr.  Fields are stacked (2, m,
+m) block fields (see grid); the transfers act on one (m, m) component at
+a time.  No residual is evaluated twice: solve hands the residual of its
+convergence check to the next cycle, and a coarse visit from the zero
+iterate smooths its right-hand side directly.  No coarse solve is
+repeated either: the coarsest level ignores the iterate it is handed, so
+the W-cycle visits it once where it would visit it twice with the same
+right-hand side.
 
 Buffers: a cycle owns the iterate and the residual it is handed (see
 cycle).  The residual is its work buffer: the smoother writes its
@@ -55,10 +57,11 @@ from math import log
 
 import numpy as np
 
-from .grid import GridSpec, SaddleOperator, block_norm2, check_q, residual
+from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2, check_q,
+                   residual, sparse_laplacian)
 from .lfa import LfaParams, closed_form
 from .smoothers import (SchurSpectral, SmootherSpec, bsr_apply, cjr_apply,
-                        schur_diag)
+                        schur_diag, schur_inverse)
 
 CYCLES = ("V", "W")
 COARSEST_N = 8  # no coarse grid has fewer subdivisions
@@ -90,15 +93,15 @@ class Level:
     grid: GridSpec
     op: SaddleOperator
     smoother: SmootherSpec  # omega resolved
-    spectral: SchurSpectral | None  # exact-BSR inner preconditioner cache
-    diag: np.ndarray | float | None  # IBSR inner preconditioner cache, schur_diag(op)
+    schur_inv: SchurSpectral | SparseLU | None  # bsr cache, schur_inverse(op)
+    diag: np.ndarray | float | None  # ibsr cache, schur_diag(op)
 
 
 @dataclass
 class Hierarchy:
     levels: list[Level]
     q: int
-    coarse_lu: object  # scipy SuperLU factor of the coarsest saddle matrix
+    coarse_lu: SparseLU  # of the coarsest saddle matrix
 
 
 @dataclass
@@ -130,37 +133,32 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
                     mask: np.ndarray | None = None) -> Hierarchy:
     """Re-discretized level chain with per-level smoother parameters."""
     levels = []
-    lvl_mask = mask
     for n in level_sizes(N, q):
-        grid = GridSpec(n)
-        op = SaddleOperator(grid, alpha, lvl_mask)
-        omega = smoother.omega
-        if omega is None:
-            omega = closed_form(smoother.kind, LfaParams(q=q, alpha=alpha, h=grid.h)).omega
-        spec = replace(smoother, omega=omega)
-        spectral = SchurSpectral(grid, alpha) if spec.kind == "bsr" else None
-        diag = schur_diag(op) if spec.kind == "ibsr" else None
-        levels.append(Level(grid, op, spec, spectral, diag))
-        if lvl_mask is not None and n // q >= 2:
+        if levels and mask is not None:
             # homogenized coarse coupling: full-weighting average of the
             # mask field; a subsampled {0,1} mask misrepresents thin
             # active-set boundaries and the 1/alpha-weighted correction
             # then amplifies instead of contracting
-            lvl_mask = restrict(lvl_mask, q)
-    from scipy.sparse.linalg import splu  # here, not at start-up of every ocmg command
-    return Hierarchy(levels=levels, q=q, coarse_lu=splu(_saddle_matrix(levels[-1].op)))
+            mask = restrict(mask, q)
+        grid = GridSpec(n)
+        op = SaddleOperator(grid, alpha, mask)
+        omega = smoother.omega
+        if omega is None:
+            omega = closed_form(smoother.kind, LfaParams(q=q, alpha=alpha, h=grid.h)).omega
+        spec = replace(smoother, omega=omega)
+        schur_inv = schur_inverse(op) if spec.kind == "bsr" else None
+        diag = schur_diag(op) if spec.kind == "ibsr" else None
+        levels.append(Level(grid, op, spec, schur_inv, diag))
+    return Hierarchy(levels=levels, q=q, coarse_lu=SparseLU(_saddle_matrix(levels[-1].op)))
 
 
 def _saddle_matrix(op: SaddleOperator):
     """Sparse CSC [[L, -diag(mask)/alpha], [I, L]] in the [y; p] ravel order."""
     from scipy import sparse
-    g = op.grid
-    T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(g.m, g.m))
-    I = sparse.identity(g.m)
-    L = (sparse.kron(I, T) + sparse.kron(T, I)) * g.N**2
-    mask = np.ones(g.npoints) if op.mask is None else op.mask.ravel()
+    L, n = sparse_laplacian(op.grid), op.grid.npoints
+    mask = np.ones(n) if op.mask is None else op.mask.ravel()
     return sparse.bmat([[L, sparse.diags_array(-mask / op.alpha)],
-                        [sparse.identity(g.npoints), L]], format="csc")
+                        [sparse.identity(n), L]], format="csc")
 
 
 # ---------------------------------------------------------------- transfers
@@ -196,12 +194,12 @@ def prolong(coarse: np.ndarray, q: int) -> np.ndarray:
 def _relax(r: np.ndarray, lev: Level, out: np.ndarray | None = None) -> np.ndarray:
     if lev.smoother.kind == "cjr":
         return cjr_apply(r, lev.op, lev.smoother.omega, out)
-    return bsr_apply(r, lev.op, lev.smoother, lev.spectral, lev.diag, out)
+    return bsr_apply(r, lev.op, lev.smoother, lev.schur_inv, lev.diag, out)
 
 
 def _coarse_solve(hier: Hierarchy, b: np.ndarray) -> np.ndarray:
     # the C-order ravel of a block field is the saddle matrix's [y; p]
-    return hier.coarse_lu.solve(b.ravel()).reshape(b.shape)
+    return hier.coarse_lu.solve(b)
 
 
 def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
@@ -271,16 +269,14 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
         return MgResult(v, 0, 0.0, history, True)
     if not np.isfinite(r0):
         return MgResult(v, 0, float("nan"), history, False)
-    rel, k = 1.0, 0
-    for k in range(1, spec.max_iters + 1):
+    for k in range(1, spec.max_iters + 1):  # CycleSpec: max_iters >= 1
         v = cycle(hier, 0, v, b, spec, pending.pop())
         pending.append(residual(op, b, v))
         history.append(block_norm2(pending[0]))
         rel = history[-1] / r0
         if rel <= spec.tol or not rel <= 1e8:  # converged, diverging or NaN
             break
-    rho = rel ** (1.0 / k) if k > 0 else 0.0
-    return MgResult(v, k, rho, history, rel <= spec.tol)
+    return MgResult(v, k, rel ** (1.0 / k), history, rel <= spec.tol)
 
 
 def eta_ratio(rho_s: float, rho_j: float) -> float:

@@ -58,12 +58,6 @@ def assemble_mass(grid: GridSpec) -> np.ndarray:
     return np.kron(T, T) * grid.h**2 / 36.0
 
 
-def _mask_diag(grid: GridSpec, mask: np.ndarray | None) -> np.ndarray:
-    if mask is None:
-        return np.eye(grid.npoints)
-    return np.diag(mask.ravel().astype(float))
-
-
 def assemble(kind: str, grid: GridSpec, alpha: float | None = None,
              mask: np.ndarray | None = None) -> np.ndarray:
     """Explicit matrix for one of the operator kinds listed above."""
@@ -76,7 +70,7 @@ def assemble(kind: str, grid: GridSpec, alpha: float | None = None,
     if alpha is None:
         raise ValueError(f"kind {kind!r} needs alpha")
     n = grid.npoints
-    M = _mask_diag(grid, mask)
+    M = np.eye(n) if mask is None else np.diag(mask.ravel().astype(float))
     L = assemble_laplacian(grid)
     I = np.eye(n)
 

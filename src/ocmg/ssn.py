@@ -148,16 +148,14 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
                         "Jacobian", out, v0=np.zeros_like(v))
         w = jac.v
         step = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             trial = v + step * w
             F_trial = residual_F(trial, data, cp)
             norm_trial = block_norm2(F_trial)
             if norm_trial < norm_F:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise SolverError(
                 f"line search failed after {MAX_BACKTRACKS} halvings "
                 f"at iteration {out.iters + 1} (||F||={norm_F:.3e})", out)

@@ -275,6 +275,13 @@ def test_ssn_dumps_fields_and_reports_sparsity(tmp_path, capsys):
     assert np.mean(u == 0.0) == pytest.approx(zero, abs=5e-7)
 
 
+def test_ssn_with_exact_bsr_converges_at_small_alpha(capsys):
+    # masked exact bsr used to lose positivity in its inner CG here (exit 2)
+    code = run_cli(["ssn", "--scheme", "bsr", "--N", "32", "--alpha", "1e-10"])
+    assert code == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
 def test_ssn_large_beta_kills_the_control(capsys):
     code = run_cli(["ssn", "--scheme", "ibsr", "--q", "2", "--N", "16",
                     "--alpha", "1e-4", "--beta", "10"])

@@ -108,6 +108,19 @@ def test_sampled_bsr_table_value():
     assert rep.mu == pytest.approx(0.333, abs=2e-3)
 
 
+def test_sampled_bsr_mu_is_exact_where_the_eigenvalues_nearly_coincide():
+    # at alpha=1e-12, h=0.25 the bsr eigenvalues 1 and det agree to ~1e-11;
+    # a half-trace/determinant discriminant cancels to ~1e-8 there
+    p = LfaParams(q=2, alpha=1e-12, h=0.25)
+    rep = sampled_optimal("bsr", p)
+    t1, t2 = high_freq_grid(2)
+    a = symbol_laplacian(t1, t2, p.h)
+    b = 1.0 / symbol_mass(t1, t2, p.h)
+    det = (1.0 + p.alpha * a * a) / (1.0 + p.alpha * a * b)
+    want = max(abs(1.0 - rep.omega), np.max(np.abs(1.0 - rep.omega * det)))
+    assert rep.mu == pytest.approx(want, rel=1e-12)
+
+
 def test_sampled_cjr_collapses_to_scalar_jacobi():
     # gamma ~ 0: eigenvalues approach tau, so mu(omega) is the scalar
     # damped-Jacobi factor max(|1 - omega tau|) over tau in [1/2, 2]

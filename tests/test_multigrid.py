@@ -20,7 +20,7 @@ from ocmg.multigrid import (
     solve,
 )
 from ocmg.problems import example1_fields
-from ocmg.smoothers import SmootherSpec, schur_diag
+from ocmg.smoothers import SmootherSpec, schur_apply, schur_diag
 
 
 def _rng(seed=0):
@@ -634,3 +634,14 @@ def test_eta_ratio_values():
 def test_eta_ratio_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
         eta_ratio(*bad)
+
+
+def test_masked_bsr_levels_cache_an_exact_schur_inverse():
+    rng = _rng(10)
+    mask = (rng.uniform(size=(31, 31)) < 0.7).astype(float)
+    hier = build_hierarchy(32, 2, 1e-6, SmootherSpec("bsr"), mask=mask)
+    for lev in hier.levels:
+        assert lev.op.mask is not None
+        b = rng.standard_normal((lev.grid.m, lev.grid.m))
+        x = lev.schur_inv.solve(b)
+        assert np.linalg.norm(schur_apply(x, lev.op) - b) <= 1e-12 * np.linalg.norm(b)

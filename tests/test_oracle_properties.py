@@ -1,5 +1,5 @@
 """Property tests: the matrix-free saddle operator, the smoothers and the
-sparse coarse-solve matrix against the dense oracle.
+sparse coarse-solve and Schur matrices against the dense oracle.
 
 A block field's C-order ravel is the oracle's [y; p] vector, so every
 matrix-free result is compared with the dense matrix acting on v.ravel().
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ocmg import multigrid, oracle
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle
-from ocmg.smoothers import SmootherSpec, bsr_apply, cjr_apply
+from ocmg.smoothers import SmootherSpec, bsr_apply, cjr_apply, schur_matrix
 
 RTOL = 1e-11
 
@@ -57,6 +57,19 @@ def test_coarse_solve_matrix_equals_dense_entry_by_entry(case):
 
 @settings(max_examples=40, deadline=None)
 @given(cases())
+def test_schur_matrix_equals_dense_entry_by_entry(case):
+    grid, alpha, mask, _ = case
+    S = schur_matrix(SaddleOperator(grid, alpha, mask))
+    dense = oracle.assemble("schur", grid, alpha=alpha, mask=mask)
+    # relative to the largest entry: L and Q (mask)/alpha may cancel in one
+    # entry, and scipy divides a sparse matrix by a scalar as a product
+    # with its reciprocal, so such an entry can differ in its last digits
+    np.testing.assert_allclose(S.toarray(), dense, rtol=0.0,
+                               atol=1e-14 * np.abs(dense).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
 def test_collective_jacobi_matches_dense_inverse(case):
     grid, alpha, mask, r = case
     B = oracle.assemble("B_J", grid, alpha=alpha, mask=mask)
@@ -64,13 +77,10 @@ def test_collective_jacobi_matches_dense_inverse(case):
     _assert_close(got.ravel(), np.linalg.solve(B, r.ravel()))
 
 
-# Unmasked only: a mask makes the Schur operator nonsymmetric, and at small
-# alpha the exact solve's CG then misses the dense result or raises
-# PcgBreakdownError, as the smoothers module documents.
-@settings(max_examples=25, deadline=None)
-@given(cases(masks=("none",)))
+@settings(max_examples=40, deadline=None)
+@given(cases())
 def test_exact_braess_sarazin_matches_dense_inverse(case):
-    grid, alpha, _, r = case
-    B = oracle.assemble("B_m", grid, alpha=alpha)
-    got = bsr_apply(r, SaddleOperator(grid, alpha), SmootherSpec("bsr", omega=1.0))
+    grid, alpha, mask, r = case
+    B = oracle.assemble("B_m", grid, alpha=alpha, mask=mask)
+    got = bsr_apply(r, SaddleOperator(grid, alpha, mask), SmootherSpec("bsr", omega=1.0))
     _assert_close(got.ravel(), np.linalg.solve(B, r.ravel()))
