@@ -4,11 +4,17 @@ Hierarchy invariants:
 
   * every coarse operator is the re-discretization of the saddle system
     with mesh step H = q h (never a Galerkin product);
-  * coarsening continues while N is divisible by q and N/q stays at or
-    above COARSEST_N = 8, giving the level chains
-    256 -> 128 -> 64 -> 32 -> 16 -> 8   (q = 2)
-    243 -> 81 -> 27 -> 9                (q = 3)
-    256 -> 64 -> 16                     (q = 4);
+  * every chain coarsens at least once; after that it coarsens while
+    the coarsest grid has more than DIRECT_N = 32 subdivisions, so the
+    coarsest level is the first coarse grid with at most 32 subdivisions
+    (2 * 31^2 = 1,922 unknowns, where one sparse LU solve costs less than
+    the cycle dispatch of the levels below it) unless divisibility stops
+    the chain first.  Each step needs N divisible by q and N/q >=
+    COARSEST_N = 8.  The level chains:
+    256 -> 128 -> 64 -> 32   (q = 2; N = 128 and N = 1024 also stop at 32)
+    243 -> 81 -> 27          (q = 3)
+    256 -> 64 -> 16          (q = 4)
+    50 -> 25, 75 -> 25, 100 -> 25 and 16 -> 8;
   * active-set masks are carried down by full-weighting averaging, so a
     coarse Jacobian couples through the local free-set fraction in [0,1]
     rather than through a subsampled {0,1} pattern;
@@ -65,6 +71,7 @@ from .smoothers import (SchurSpectral, SmootherSpec, bsr_apply, cjr_apply,
 
 CYCLES = ("V", "W")
 COARSEST_N = 8  # no coarse grid has fewer subdivisions
+DIRECT_N = 32  # a coarse grid this small is solved directly, not coarsened
 
 
 @dataclass(frozen=True)
@@ -116,11 +123,14 @@ class MgResult:
 def level_sizes(N: int, q: int) -> list[int]:
     """Subdivision counts per level under the coarsening rule.
 
+    Coarsen once, then while the coarsest grid has more than DIRECT_N
+    subdivisions; each step needs N divisible by q and N/q >= COARSEST_N.
     A q outside {2, 3, 4}, or an N that gives no coarse level, is an error.
     """
     check_q(q)
     sizes = [N]
-    while sizes[-1] % q == 0 and sizes[-1] // q >= COARSEST_N:
+    while (sizes[-1] % q == 0 and sizes[-1] // q >= COARSEST_N
+           and (len(sizes) == 1 or sizes[-1] > DIRECT_N)):
         sizes.append(sizes[-1] // q)
     if len(sizes) < 2:
         raise ValueError(

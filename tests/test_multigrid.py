@@ -10,6 +10,8 @@ from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, resid
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
 from ocmg import multigrid, oracle
 from ocmg.multigrid import (
+    COARSEST_N,
+    DIRECT_N,
     CycleSpec,
     build_hierarchy,
     cycle,
@@ -34,11 +36,11 @@ def _zeros(N):
 # ------------------------------------------------------------- level chains
 
 def test_level_sizes_q2():
-    assert level_sizes(256, 2) == [256, 128, 64, 32, 16, 8]
+    assert level_sizes(256, 2) == [256, 128, 64, 32]
 
 
 def test_level_sizes_q3():
-    assert level_sizes(243, 3) == [243, 81, 27, 9]
+    assert level_sizes(243, 3) == [243, 81, 27]
 
 
 def test_level_sizes_q4():
@@ -46,9 +48,36 @@ def test_level_sizes_q4():
 
 
 def test_level_sizes_stops_on_divisibility():
-    assert level_sizes(72, 2) == [72, 36, 18, 9]
+    assert level_sizes(72, 2) == [72, 36, 18]
+    assert level_sizes(148, 2) == [148, 74, 37]  # stops above DIRECT_N
     with pytest.raises(ValueError, match="cannot be coarsened"):
         level_sizes(100, 3)
+
+
+def test_level_sizes_stop_at_the_directly_solved_grid():
+    assert level_sizes(1024, 2)[-1] == 32
+    assert level_sizes(128, 2) == [128, 64, 32]
+    assert level_sizes(16, 2) == [16, 8]  # the one coarsening is never skipped
+    assert level_sizes(32, 2) == [32, 16]
+    assert level_sizes(24, 3) == [24, 8]
+    assert level_sizes(50, 2) == [50, 25]
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(8, 2048), q=st.sampled_from([2, 3, 4]))
+def test_level_sizes_rule(N, q):
+    try:
+        sizes = level_sizes(N, q)
+    except ValueError:
+        assert N % q or N // q < COARSEST_N
+        return
+    assert sizes[0] == N and len(sizes) >= 2
+    assert all(n == q * c for n, c in zip(sizes, sizes[1:]))
+    assert min(sizes[1:]) >= COARSEST_N
+    last = sizes[-1]
+    assert last <= DIRECT_N or last % q or last // q < COARSEST_N
+    # no level in between is small enough to be solved directly
+    assert all(n > DIRECT_N for n in sizes[1:-1])
 
 
 def test_build_hierarchy_rejects_uncoarsenable():
@@ -96,7 +125,7 @@ def test_chains_stopping_above_n24_build_and_converge(N, q, kind):
 
 def test_hierarchy_levels_are_rediscretizations():
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec("cjr"))
-    assert [lev.grid.N for lev in hier.levels] == [32, 16, 8]
+    assert [lev.grid.N for lev in hier.levels] == [32, 16]
     for lev in hier.levels:
         assert lev.op.alpha == 1e-3
         assert lev.grid.h == 1.0 / lev.grid.N
@@ -104,7 +133,7 @@ def test_hierarchy_levels_are_rediscretizations():
 
 def test_cjr_omega_recomputed_per_level():
     # alpha small enough that the coarsest level crosses the gamma switch
-    alpha = 1e-6
+    alpha = 1e-7
     hier = build_hierarchy(32, 2, alpha, SmootherSpec("cjr"))
     for lev in hier.levels:
         expect = cjr_optimal(LfaParams(q=2, alpha=alpha, h=lev.grid.h)).omega
@@ -313,6 +342,32 @@ def test_cycle_coarsest_level_is_direct_solve():
     np.testing.assert_allclose(v.ravel(), expect, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("N, q", [(64, 2), (81, 3)])
+@pytest.mark.parametrize("mask_kind", ["none", "binary", "fractional"])
+@pytest.mark.parametrize("alpha", [1e-2, 1e-6, 1e-10])
+def test_coarse_solve_is_backward_stable_above_the_oracle_size(N, q, mask_kind,
+                                                               alpha):
+    # coarsest grids of N=32 and N=27 are beyond the dense oracle, so the
+    # LU solution is checked against the matrix-free operator; the mask is
+    # drawn on the fine grid and reaches the coarsest level averaged
+    rng = _rng(12)
+    shape = (N - 1, N - 1)
+    mask = {"none": None,
+            "binary": (rng.random(shape) < 0.5).astype(float),
+            "fractional": rng.random(shape)}[mask_kind]
+    hier = build_hierarchy(N, q, alpha, SmootherSpec("cjr"), mask=mask)
+    coarse = hier.levels[-1]
+    assert coarse.grid.N == N // q
+    b = rng.standard_normal((2, coarse.grid.m, coarse.grid.m))
+    x = multigrid._coarse_solve(hier, b)
+    # at least the infinity norm of [[L, -diag(mask)/alpha], [I, L]],
+    # whose L rows have absolute sums of at most 8/h^2
+    mask_max = 1.0 if coarse.op.mask is None else coarse.op.mask.max()
+    norm_a = 8.0 / coarse.grid.h**2 + max(1.0, mask_max / alpha)
+    err = np.abs(apply_saddle(coarse.op, x) - b).max()
+    assert err <= 1e-14 * (norm_a * np.abs(x).max() + np.abs(b).max())
+
+
 def test_cycle_error_decreases_monotonically():
     # moderate alpha: for tiny alpha the saddle iteration is far from
     # normal and the plain Euclidean error can grow transiently
@@ -410,7 +465,7 @@ def test_cycle_with_a_handed_over_residual_matches_one_without(kind, nu,
 
 
 @pytest.mark.parametrize("N, q, kind, calls", [
-    (64, 2, "W", 4), (64, 2, "V", 1), (81, 3, "W", 2), (64, 4, "W", 1)])
+    (256, 2, "W", 4), (64, 2, "V", 1), (243, 3, "W", 2), (64, 4, "W", 1)])
 def test_cycle_visits_the_coarsest_level_once_per_coarse_correction(
         N, q, kind, calls, monkeypatch):
     # the coarsest level ignores its iterate, so the W-cycle's second visit
@@ -444,23 +499,25 @@ def test_ibsr_levels_cache_the_schur_diagonal():
 
 
 # Residual histories and iterate checksums of six W(1,0) cycles on the
-# manufactured problem at alpha=1e-6, recorded with the per-k loop transfers
-# and a cycle that recomputed every residual.  Checksum: <w0, y>, <w1, p>,
-# ||y||, ||p|| with w = default_rng(1).standard_normal((2, m, m)).
+# manufactured problem at alpha=1e-6.  The q=4 entries (64 -> 16) were
+# recorded with the per-k loop transfers and a cycle that recomputed every
+# residual, the q=2 and q=3 ones (64 -> 32, 81 -> 27) with the sparse
+# transfers and the lean cycle.  Checksum: <w0, y>, <w1, p>, ||y||, ||p||
+# with w = default_rng(1).standard_normal((2, m, m)).
 REFERENCE_SIZES = {2: 64, 3: 81, 4: 64}
 REFERENCE = {
     ("cjr", 2): (
-        [52852947.741985254, 7481824.958353358, 6414277.224105464,
-         5086509.744741547, 3638368.87200939, 2460183.6011569123,
-         1608194.1122902737],
-        (-112.27406510528499, 11.988434589356174, 127.47779599983987,
-         36.678152296877094)),
+        [52852947.741985254, 7477277.381816066, 6422481.17033471,
+         5079027.240542814, 3626059.138652624, 2450112.1269617714,
+         1601548.9437502192],
+        (-91.34442794327455, 11.985946065293284, 122.96071553387247,
+         36.67811885076876)),
     ("cjr", 3): (
-        [66824210.69292641, 10769476.216983061, 11157266.254345449,
-         11504100.983144343, 10758159.847425418, 9517938.788257176,
-         8156387.5986331245],
-        (281.864727397111, -27.872498713581, 407.1202731812883,
-         46.44049927432867)),
+        [66824210.69292641, 9885748.732490608, 11076755.614133226,
+         11408724.14305192, 10630489.586547423, 9402727.59728119,
+         8066163.305884353],
+        (251.91030882958086, -27.978807941045183, 345.84698020745446,
+         46.43962379676813)),
     ("cjr", 4): (
         [52852947.741985254, 9008204.49750828, 11157710.154884301,
          12892876.45637964, 13447204.76126176, 13254415.012684653,
@@ -468,17 +525,17 @@ REFERENCE = {
         (-1014.9083109546493, 13.3899300454726, 1042.2990753304455,
          36.75762669482839)),
     ("bsr", 2): (
-        [52852947.741985254, 4636546.534721049, 983574.9861784021,
-         242507.48431075536, 59607.94456061774, 15002.733388357341,
-         3727.64330760322],
-        (-152.1859731473369, 11.803496089289684, 101.5284019482558,
-         36.67757056446158)),
+        [52852947.741985254, 4607001.871229786, 981912.9691322662,
+         242196.3563322256, 59585.43411612411, 15002.719374576442,
+         3727.661038316151],
+        (-152.19938424513194, 11.803495344409484, 101.5283469302342,
+         36.677570541039756)),
     ("bsr", 3): (
-        [66824210.69292641, 5988778.3156175995, 1263854.5283512732,
-         313408.8056665268, 83665.26334247088, 23099.505144617524,
-         6478.2568877981685],
-        (48.13053762249332, -31.260138896573675, 127.6233072412521,
-         46.419966942980054)),
+        [66824210.69292641, 5966098.119541858, 1264421.8995503772,
+         311624.680077284, 82438.63715768205, 22511.755189677107,
+         6245.401682477991],
+        (48.10117284171275, -31.26018519697777, 127.62239534862017,
+         46.41996642798942)),
     ("bsr", 4): (
         [52852947.741985254, 2692014.702251726, 369297.0585137715,
          70004.97211046364, 28809.81805403646, 10904.01861864582,
@@ -486,17 +543,17 @@ REFERENCE = {
         (-153.41352335965618, 11.804710652956114, 101.53333459759115,
          36.67757140977303)),
     ("ibsr", 2): (
-        [52852947.741985254, 4767019.281303172, 1214280.770838377,
-         303508.45886570413, 89840.53563035623, 24623.77411927353,
-         6905.1362691035265],
-        (-152.5392493288084, 11.799628650636427, 101.52666805953821,
-         36.67756893653649)),
+        [52852947.741985254, 4732503.102008385, 1201555.4168297325,
+         301784.8384904457, 89121.93659664947, 24415.685888542517,
+         6854.476577232898],
+        (-152.45587184254592, 11.799756486512937, 101.52635495148901,
+         36.677569134063155)),
     ("ibsr", 3): (
-        [66824210.69292641, 7252562.755350793, 1792122.5883504648,
-         511388.3299373634, 168758.4637559367, 54182.478848957784,
-         20572.8126665709],
-        (49.86912117785212, -31.225526172950666, 127.73967107162252,
-         46.41997174909173)),
+        [66824210.69292641, 7035792.975785156, 1720050.6160390144,
+         485441.6124308983, 160210.49183503352, 51697.7346210509,
+         19884.949171173856],
+        (49.76386792236548, -31.22583849824423, 127.737750896472,
+         46.41997048341051)),
     ("ibsr", 4): (
         [52852947.741985254, 4870829.487771727, 1166560.0285660373,
          535184.0199113725, 333719.6530508636, 209669.30024524606,
