@@ -22,7 +22,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -291,13 +290,9 @@ def _measure_cell(cell: dict) -> float:
         return float("nan")
 
 
-def run_cells(cells: list[dict], workers: int = 1) -> list[dict]:
+def run_cells(cells: list[dict]) -> list[dict]:
     """Measure every cell, attach predictions, return sorted rows."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rhos = list(pool.map(_measure_cell, cells))
-    else:
-        rhos = [_measure_cell(c) for c in cells]
+    rhos = [_measure_cell(c) for c in cells]
     rows = [dict(cell, mu_pred=_mu_pred(cell), rho_measured=rho)
             for cell, rho in zip(cells, rhos)]
     rows.sort(key=lambda r: (r["scheme"], r["q"], r["nu"], r["cycle"],
@@ -323,14 +318,11 @@ def write_rows(path: str, rows: list[dict], with_alpha: bool = False) -> None:
 
 
 def cmd_repro(opts: dict) -> int:
-    workers = int(os.environ.get("OCMG_WORKERS", "1"))
-    if workers < 1:
-        raise ValueError(f"OCMG_WORKERS must be at least 1, got {workers}")
     target = opts["target"]
     cells = {"table1": table1_cells,
              "table2": table2_cells,
              "sweep": sweep_cells}[target]()
-    rows = run_cells(cells, workers=workers)
+    rows = run_cells(cells)
     os.makedirs(opts["out"], exist_ok=True)
     path = os.path.join(opts["out"], f"{target}.csv")
     write_rows(path, rows, with_alpha=(target == "sweep"))

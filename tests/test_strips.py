@@ -1,11 +1,17 @@
-"""Strip-mined kernels against their one-pass evaluation, bitwise.
+"""Strip-mined and flat-pass kernels against column-sliced references, bitwise.
 
 residual and cjr_apply process a field larger than grid.STRIP_BYTES in
 row strips.  The strip size is patched here so that the small random
 grids (N <= 24) split into several strips, down to one row each; the
-default size keeps them in one strip, a single pass over all rows that
-serves as the reference.  That pass is checked against the dense oracle
-in test_oracle_properties.
+default size keeps them in one strip, a single pass over all rows.
+
+apply_laplacian, apply_mass and the strip kernel behind residual make
+their east-west neighbour updates as flat passes over the trailing
+(rows, m) axes (grid._east_west).  The references below are the
+column-sliced updates those passes replace; each run patches them into
+grid, with one strip, as the reference every kernel must reproduce
+exactly.  That reference is checked against the dense oracle in
+test_oracle_properties.
 """
 
 import numpy as np
@@ -20,6 +26,46 @@ from ocmg.smoothers import cjr_apply
 WHOLE = 1 << 62  # no field is this large: every kernel takes one pass
 
 
+def ref_laplacian(u, g):
+    out = 4.0 * u
+    out[..., 1:, :] -= u[..., :-1, :]
+    out[..., :-1, :] -= u[..., 1:, :]
+    out[..., 1:] -= u[..., :-1]
+    out[..., :-1] -= u[..., 1:]
+    out *= g.N * g.N
+    return out
+
+
+def ref_mass(u, g):
+    tmp = 4.0 * u
+    tmp[..., 1:, :] += u[..., :-1, :]
+    tmp[..., :-1, :] += u[..., 1:, :]
+    out = 4.0 * tmp
+    out[..., 1:] += tmp[..., :-1]
+    out[..., :-1] += tmp[..., 1:]
+    out *= g.h * g.h / 36.0
+    return out
+
+
+def ref_laplacian_rows(u, a, b, out, scale):
+    np.multiply(u[..., a:b, :], 4.0, out=out)
+    if a > 0:
+        out -= u[..., a - 1:b - 1, :]
+    else:
+        out[..., 1:, :] -= u[..., :b - 1, :]
+    if b < u.shape[-2]:
+        out -= u[..., a + 1:b + 1, :]
+    else:
+        out[..., :-1, :] -= u[..., a + 1:, :]
+    out[..., 1:] -= u[..., a:b, :-1]
+    out[..., :-1] -= u[..., a:b, 1:]
+    out *= scale
+
+
+REFERENCE = {"apply_laplacian": ref_laplacian, "apply_mass": ref_mass,
+             "_laplacian_rows": ref_laplacian_rows}
+
+
 def _kernels(op, v, b):
     """Every strip-mined kernel on one case, each writing a fresh array."""
     def cjr_into_r():
@@ -31,18 +77,24 @@ def _kernels(op, v, b):
         "residual out": lambda: residual(op, b, v, out=np.full_like(v, np.nan)),
         "cjr": lambda: cjr_apply(v, op, 0.7),
         "cjr out=r": cjr_into_r,
+        "apply_laplacian": lambda: grid.apply_laplacian(v, op.grid),
+        "apply_mass": lambda: grid.apply_mass(v, op.grid),
+        "apply_saddle": lambda: grid.apply_saddle(op, v),
     }
 
 
-def _run(fn, strip_bytes):
+def _run(fn, strip_bytes, kernels=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid, "STRIP_BYTES", strip_bytes)
+        for name, kernel in (kernels or {}).items():
+            mp.setattr(grid, name, kernel)
         return fn()
 
 
 def _assert_strips_bitwise(op, v, b, strip_bytes):
     for name, fn in _kernels(op, v, b).items():
-        assert np.array_equal(_run(fn, strip_bytes), _run(fn, WHOLE)), name
+        assert np.array_equal(_run(fn, strip_bytes),
+                              _run(fn, WHOLE, REFERENCE)), name
 
 
 @st.composite
@@ -85,3 +137,53 @@ def test_strips_at_the_finest_benchmark_grid():
     op = SaddleOperator(g, 1e-6, mask)
     assert v.nbytes > grid.STRIP_BYTES
     _assert_strips_bitwise(op, v, b, grid.STRIP_BYTES)
+
+
+@st.composite
+def fields(draw):
+    """A scalar or stacked field on N in 2..40 (N=2 is one interior point)."""
+    g = GridSpec(draw(st.integers(2, 40), label="N"))
+    lead = draw(st.sampled_from(((), (1,), (2,), (3,))), label="stack")
+    rows = draw(st.integers(1, g.m), label="rows per strip")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return g, rng.standard_normal(lead + (g.m, g.m)), rows
+
+
+def _strips_into_view(rows_kernel, u, rows, scale):
+    """Every strip of rows_kernel written into a strip view of one NaN array."""
+    out = np.full(u.shape, np.nan)
+    m = u.shape[-1]
+    for a in range(0, m, rows):
+        rows_kernel(u, a, min(a + rows, m), out[..., a:a + rows, :], scale)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields())
+def test_flat_passes_equal_the_column_sliced_kernels(case):
+    g, u, rows = case
+    ut = np.ascontiguousarray(np.swapaxes(u, -1, -2))
+    strided = np.swapaxes(ut, -1, -2)  # u's values, not C-contiguous when m > 1
+    for x in (u, strided):
+        assert np.array_equal(grid.apply_laplacian(x, g), ref_laplacian(u, g))
+        assert np.array_equal(grid.apply_mass(x, g), ref_mass(u, g))
+        assert np.array_equal(
+            _strips_into_view(grid._laplacian_rows, x, rows, g.N * g.N),
+            _strips_into_view(ref_laplacian_rows, u, rows, g.N * g.N))
+
+
+def test_strip_writes_land_in_the_callers_view_of_out():
+    g = GridSpec(9)
+    u = np.random.default_rng(5).standard_normal((2, g.m, g.m))
+    out = np.full((2, g.m + 4, g.m), np.nan)
+    grid._laplacian_rows(u, 2, 6, out[:, 3:7], g.N * g.N)
+    assert np.array_equal(out[:, 3:7], ref_laplacian(u, g)[:, 2:6])
+    assert np.isnan(np.delete(out, np.s_[3:7], axis=1)).all()
+
+
+def test_an_out_that_is_not_a_flat_view_is_refused():
+    g = GridSpec(6)
+    u = np.ones((g.m, g.m))
+    out = np.zeros((g.m, g.m)).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        grid._laplacian_rows(u, 0, g.m, out, g.N * g.N)
