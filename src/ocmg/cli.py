@@ -190,7 +190,7 @@ def _build_and_solve(opts: dict) -> tuple[CycleSpec, MgResult]:
     """The mg solve opts describe; specs and hierarchy are built before the data."""
     smoother, spec = _specs(opts)
     hier = build_hierarchy(opts["N"], opts["q"], opts["alpha"], smoother)
-    grid = hier.levels[0].grid
+    grid = hier.levels[0].op.grid
     data = _load_problem(opts, lambda: example1_fields(grid, opts["alpha"])[0])
     return spec, solve(hier, np.stack([data.f, data.g]), spec)
 

@@ -31,19 +31,21 @@ assembled sparse, only by sparse_laplacian and sparse_mass):
     the quadratic control problem; with a mask it is the generalized
     Jacobian arising from the active-set outer iteration.
 
-Strip policy: residual evaluates a field larger than STRIP_BYTES
-(512 KiB) in row strips of about that size (row_strips), taken across
-both components of a block field, so that its passes over a strip stay
-in a 2 MiB L2 cache; smoothers.cjr_apply does the same.  512 KiB strips
-measured as fast as 256 KiB ones and faster than 1 MiB ones at N=1024,
-and faster than one whole-array pass at N=256.  A strip reads one halo
-row on each side and keeps the per-element order of operations, so it
-is bitwise one whole-array pass, the code a field of one strip takes.
-apply_laplacian and apply_saddle always make one whole-array pass.
+Strip policy: every Laplacian, saddle and residual evaluation runs one
+row kernel (_laplacian_rows, _saddle_rows) over row ranges [a, b).
+residual evaluates a field in row strips of about STRIP_BYTES (512 KiB)
+each (row_strips), taken across both components of a block field, so
+that its passes over a strip stay in a 2 MiB L2 cache;
+smoothers.cjr_apply does the same.  A field of at most STRIP_BYTES is
+one strip, and apply_laplacian and apply_saddle take all rows as one
+range.  512 KiB strips measured as fast as 256 KiB ones and faster than
+1 MiB ones at N=1024, and faster than one whole-array pass at N=256.  A
+strip reads one halo row on each side and keeps the per-element order
+of operations, so any split into strips is bitwise one whole-array pass.
 
-Flat east-west policy: the x1-neighbour updates of the Laplacian, the
-mass operator and the strip kernel are each one ufunc call on the
-trailing (rows, m) axes seen as one flat axis (_east_west), not on a
+Flat east-west policy: the x1-neighbour updates of the Laplacian row
+kernel and the mass operator are each one ufunc call on the trailing
+(rows, m) axes seen as one flat axis (_east_west), not on a
 column-sliced 2-D view that NumPy walks row by row.  The flat call makes
 the sliced update with the same operands, and also updates the rows - 1
 entries where it couples a row end to the next row start; those are
@@ -152,7 +154,7 @@ def _laplacian_rows(u: np.ndarray, a: int, b: int, out: np.ndarray,
     """Rows [a, b) of L u into out, with rows a-1 and b as the halo.
 
     Per element: 4u, minus the neighbours above, below, left and right in
-    that order, times scale = 1/h^2, as in apply_laplacian.
+    that order, times scale = 1/h^2.
     """
     np.multiply(u[..., a:b, :], 4.0, out=out)
     if a > 0:
@@ -170,11 +172,8 @@ def _laplacian_rows(u: np.ndarray, a: int, b: int, out: np.ndarray,
 def apply_laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Five-point Laplacian with zero Dirichlet boundary."""
     grid.check_field(u)
-    out = np.multiply(u, 4.0, order="C")  # C order: _east_west views it flat
-    out[..., 1:, :] -= u[..., :-1, :]
-    out[..., :-1, :] -= u[..., 1:, :]
-    _east_west(np.subtract, out, u)
-    out *= grid.N * grid.N  # 1/h^2
+    out = np.empty(u.shape, np.result_type(u, 4.0))  # C order: _east_west views it flat
+    _laplacian_rows(u, 0, grid.m, out, grid.N * grid.N)
     return out
 
 
@@ -225,7 +224,7 @@ class SparseLU:
 
 def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,
                  out: np.ndarray) -> None:
-    """Rows [a, b) of A v into out, of shape (2, b - a, m), as apply_saddle."""
+    """Rows [a, b) of A v (see apply_saddle) into out, of shape (2, b - a, m)."""
     _laplacian_rows(v, a, b, out, op.grid.N * op.grid.N)
     p = v[1, a:b]
     out[0] -= (p if op.mask is None else op.mask[a:b] * p) / op.alpha
@@ -235,21 +234,17 @@ def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,
 def apply_saddle(op: SaddleOperator, v: np.ndarray) -> np.ndarray:
     """A v = (L y - (M.p)/alpha, y + L p)."""
     op.grid.check_block(v)
-    out = apply_laplacian(v, op.grid)
-    out[0] -= (v[1] if op.mask is None else op.mask * v[1]) / op.alpha
-    out[1] += v[0]
+    out = np.empty(v.shape, np.result_type(v, 4.0))
+    _saddle_rows(op, v, 0, op.grid.m, out)
     return out
 
 
 def residual(op: SaddleOperator, b: np.ndarray, v: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
     """b - A v, written into out if given (C-contiguous, not overlapping v)."""
-    if v.nbytes <= STRIP_BYTES:
-        Av = apply_saddle(op, v)
-        return np.subtract(b, Av, out=Av if out is None else out)
     op.grid.check_block(v)
     if out is None:
-        out = np.empty_like(v, order="C")
+        out = np.empty(v.shape, np.result_type(v, 4.0))
     for lo, hi in row_strips(v):
         strip = out[:, lo:hi]
         _saddle_rows(op, v, lo, hi, strip)

@@ -47,6 +47,7 @@ SCHEMES = ("cjr", "bsr")
 # the gamma-dependent optimum takes over from the fixed two-point balance
 _TAU_MIN = {2: 0.5, 3: 0.25, 4: (2.0 - sqrt(2.0)) / 4.0}
 _GAMMA2_SWITCH = {2: 6.0, 3: 14.0, 4: (12.0 + 2.0 * sqrt(2.0)) / (2.0 - sqrt(2.0))}
+SAMPLES_PER_AXIS = 256  # uniform angles per axis of the sampled high-frequency set
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def symbol_mass(theta1, theta2, h: float):
     return val
 
 
-def high_freq_grid(q: int, samples_per_axis: int = 256):
+def high_freq_grid(q: int):
     """Sampled high-frequency set T^H_q as two flat angle arrays.
 
     Uniform samples of (-pi/2, 3pi/2]^2 minus the low box (-pi/q, pi/q]^2,
@@ -98,7 +99,7 @@ def high_freq_grid(q: int, samples_per_axis: int = 256):
     """
     check_q(q)
     lo, hi = -np.pi / 2.0, 3.0 * np.pi / 2.0
-    t = lo + np.arange(1, samples_per_axis + 1) * (hi - lo) / samples_per_axis
+    t = lo + np.arange(1, SAMPLES_PER_AXIS + 1) * (hi - lo) / SAMPLES_PER_AXIS
     forced = np.array([-np.pi / q, -np.pi / 4.0, 0.0, np.pi / 4.0,
                        np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0])
     forced = forced[(forced > lo) & (forced <= hi)]
@@ -165,14 +166,6 @@ class _SampledSymbol:
         else:
             k, val = k2, m2[k2]
         return float(val), (float(self.t1[k]), float(self.t2[k]))
-
-
-def smoothing_factor_sampled(scheme: str, params: LfaParams, omega: float) -> LfaReport:
-    """max over sampled high frequencies of the spectral radius of S~."""
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    mu, theta = _SampledSymbol(scheme, params).mu(omega)
-    return LfaReport(mu=mu, omega=omega, theta=theta)
 
 
 def sampled_optimal(scheme: str, params: LfaParams) -> LfaReport:

@@ -97,7 +97,6 @@ class CycleSpec:
 
 @dataclass
 class Level:
-    grid: GridSpec
     op: SaddleOperator
     smoother: SmootherSpec  # omega resolved
     schur_inv: SchurSpectral | SparseLU | None  # bsr cache, schur_inverse(op)
@@ -158,7 +157,7 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
         spec = replace(smoother, omega=omega)
         schur_inv = schur_inverse(op) if spec.kind == "bsr" else None
         diag = schur_diag(op) if spec.kind == "ibsr" else None
-        levels.append(Level(grid, op, spec, schur_inv, diag))
+        levels.append(Level(op, spec, schur_inv, diag))
     return Hierarchy(levels=levels, q=q, coarse_lu=SparseLU(_saddle_matrix(levels[-1].op)))
 
 
@@ -258,8 +257,8 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
     non-finite b raises ValueError; a non-finite residual norm ends the
     solve unconverged before it can reach the coarse LU solve.
     """
-    g = hier.levels[0].grid
     op = hier.levels[0].op
+    g = op.grid
     g.check_block(b)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side contains non-finite values")

@@ -105,15 +105,12 @@ def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
               out: np.ndarray | None = None) -> np.ndarray:
     """One collective Jacobi correction omega * B_J^{-1} r (pointwise 2x2 solves).
 
-    Written into out if given, which may be r.  A field larger than
-    grid.STRIP_BYTES is processed in the row strips of grid.row_strips,
-    as grid.residual is.
+    Written into out if given, which may be r.  The field is processed in
+    the row strips of grid.row_strips, as grid.residual is; a field of at
+    most grid.STRIP_BYTES is one strip.
     """
     d = 4.0 * op.grid.N ** 2
     w = np.empty_like(r) if out is None else out
-    if r.nbytes <= _grid.STRIP_BYTES:
-        _cjr_rows(r, op.mask, d, op.alpha, omega, w)
-        return w
     for a, b in _grid.row_strips(r):
         mask = None if op.mask is None else op.mask[a:b]
         _cjr_rows(r[:, a:b], mask, d, op.alpha, omega, w[:, a:b])

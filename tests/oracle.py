@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec
+from ocmg.grid import GridSpec
 
 MAX_N = 24  # memory guard: dense matrices only on tiny grids
 

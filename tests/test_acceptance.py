@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from ocmg import oracle
+import oracle
 from ocmg.grid import (
     GridSpec,
     SaddleOperator,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ocmg.grid import (
+    STRIP_BYTES,
     GridSpec,
     SaddleOperator,
     apply_laplacian,
@@ -15,7 +16,9 @@ from ocmg.grid import (
     residual,
     sparse_laplacian,
 )
-from ocmg import lfa, multigrid, oracle
+from ocmg import lfa, multigrid
+
+import oracle
 
 
 def _rng(seed=0):
@@ -182,6 +185,27 @@ def test_residual_exact_iterate_is_zero():
     b = apply_saddle(op, v)
     r = residual(op, b, v)
     assert block_norm2(r) <= 1e-12 * block_norm2(b)
+
+
+def test_residual_refuses_an_out_that_is_not_c_contiguous():
+    # a field below STRIP_BYTES is one strip of the same row kernel
+    g = GridSpec(8)
+    op = SaddleOperator(g, alpha=0.5)
+    v, b = _rand_block(g, _rng(5)), _rand_block(g, _rng(6))
+    assert v.nbytes <= STRIP_BYTES
+    out = np.zeros_like(v).transpose(0, 2, 1)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        residual(op, b, v, out=out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_stencils_return_c_ordered_arrays_of_the_result_dtype(dtype):
+    g = GridSpec(6)
+    op = SaddleOperator(g, alpha=0.5)
+    v = np.asfortranarray((8 * _rand_block(g, _rng(7))).astype(dtype))
+    for out in (apply_laplacian(v, g), apply_saddle(op, v), residual(op, v, v)):
+        assert out.flags.c_contiguous
+        assert out.dtype == np.result_type(v, 4.0)
 
 
 def test_block_norm2_examples():

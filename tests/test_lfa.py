@@ -5,6 +5,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from ocmg import lfa
 from ocmg.lfa import (
     LfaParams,
     LfaReport,
@@ -18,10 +19,15 @@ from ocmg.lfa import (
     relax_eigs,
     sampled_optimal,
     scalar_range_check,
-    smoothing_factor_sampled,
     symbol_laplacian,
     symbol_mass,
 )
+
+
+def smoothing_factor_sampled(scheme, params, omega):
+    """max over sampled high frequencies of the spectral radius of S~."""
+    mu, theta = lfa._SampledSymbol(scheme, params).mu(omega)
+    return LfaReport(mu=mu, omega=omega, theta=theta)
 
 
 def params_for_gamma(q, gamma, h=1.0):
@@ -60,7 +66,7 @@ def test_symbol_mass_values():
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_high_freq_grid_membership(q):
-    t1, t2 = high_freq_grid(q, 64)
+    t1, t2 = high_freq_grid(q)
     assert np.all((t1 > -np.pi / 2 - 1e-12) & (t1 <= 3 * np.pi / 2 + 1e-12))
     assert np.all((t2 > -np.pi / 2 - 1e-12) & (t2 <= 3 * np.pi / 2 + 1e-12))
     in_box = lambda x: (x > -np.pi / q) & (x <= np.pi / q + 1e-15)
@@ -69,14 +75,14 @@ def test_high_freq_grid_membership(q):
 
 def test_high_freq_grid_hits_tau_extremes_q2():
     # tau = a/a1 attains 2 at cosines (-1,-1) and 1/2 at (0,1)
-    t1, t2 = high_freq_grid(2, 64)
+    t1, t2 = high_freq_grid(2)
     tau = symbol_laplacian(t1, t2, 1.0) / 4.0
     assert np.max(tau) == pytest.approx(2.0, abs=1e-12)
     assert np.min(tau) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_high_freq_grid_hits_tau_min_q4():
-    t1, t2 = high_freq_grid(4, 64)
+    t1, t2 = high_freq_grid(4)
     tau = symbol_laplacian(t1, t2, 1.0) / 4.0
     assert np.min(tau) == pytest.approx((2.0 - sqrt(2.0)) / 4.0, abs=1e-3)
 
@@ -89,7 +95,7 @@ def test_high_freq_grid_bad_q():
 @pytest.mark.parametrize("q,c_cut", [(3, 0.5), (4, sqrt(2.0) / 2.0)])
 def test_cosine_boxes(q, c_cut):
     # every high frequency has (cos t1, cos t2) with c2 <= cut or c1 <= cut
-    t1, t2 = high_freq_grid(q, 128)
+    t1, t2 = high_freq_grid(q)
     c1, c2 = np.cos(t1), np.cos(t2)
     assert np.all((c2 <= c_cut + 1e-9) | (c1 <= c_cut + 1e-9))
 
@@ -177,7 +183,7 @@ def test_psi_at_omega0_identity():
 def test_generic_eigs_match_analytic_cjr():
     alpha, h = 1e-4, 1.0 / 32
     gamma = h * h / (4 * sqrt(alpha))
-    t1, t2 = high_freq_grid(2, 64)
+    t1, t2 = high_freq_grid(2)
     g1, g2 = relax_eigs("cjr", t1, t2, alpha, h)
     tau = symbol_laplacian(t1, t2, h) * h * h / 4.0
     a1, a2 = cjr_eigs_analytic(tau, gamma)
@@ -248,7 +254,7 @@ def test_lambda2_limits():
 
 def test_lambda2_q2_sweep_strictly_inside():
     p = LfaParams(q=2, alpha=1e-6, h=1.0 / 64)
-    t1, t2 = high_freq_grid(2, 128)
+    t1, t2 = high_freq_grid(2)
     a = symbol_laplacian(t1, t2, p.h)
     b = 1.0 / symbol_mass(t1, t2, p.h)
     lam2 = (1.0 + p.alpha * a * a) / (1.0 + p.alpha * a * b)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ocmg import grid as grid_module
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
-from ocmg import multigrid, oracle
+from ocmg import multigrid
 from ocmg.multigrid import (
     COARSEST_N,
     DIRECT_N,
@@ -23,6 +23,8 @@ from ocmg.multigrid import (
 )
 from ocmg.problems import example1_fields
 from ocmg.smoothers import SmootherSpec, schur_apply, schur_diag
+
+import oracle
 
 
 def _rng(seed=0):
@@ -117,18 +119,18 @@ def test_cycle_spec_rejects_a_negative_seed_by_name():
 def test_chains_stopping_above_n24_build_and_converge(N, q, kind):
     # each chain stops at N=25; the sparse coarse LU takes any coarsest grid
     hier = build_hierarchy(N, q, 1e-6, SmootherSpec(kind))
-    assert hier.levels[-1].grid.N == 25
-    data, _ = example1_fields(hier.levels[0].grid, 1e-6)
+    assert hier.levels[-1].op.grid.N == 25
+    data, _ = example1_fields(hier.levels[0].op.grid, 1e-6)
     res = solve(hier, np.stack([data.f, data.g]), CycleSpec())
     assert res.converged and res.rho < 1.0
 
 
 def test_hierarchy_levels_are_rediscretizations():
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec("cjr"))
-    assert [lev.grid.N for lev in hier.levels] == [32, 16]
+    assert [lev.op.grid.N for lev in hier.levels] == [32, 16]
     for lev in hier.levels:
         assert lev.op.alpha == 1e-3
-        assert lev.grid.h == 1.0 / lev.grid.N
+        assert lev.op.grid.h == 1.0 / lev.op.grid.N
 
 
 def test_cjr_omega_recomputed_per_level():
@@ -136,7 +138,7 @@ def test_cjr_omega_recomputed_per_level():
     alpha = 1e-7
     hier = build_hierarchy(32, 2, alpha, SmootherSpec("cjr"))
     for lev in hier.levels:
-        expect = cjr_optimal(LfaParams(q=2, alpha=alpha, h=lev.grid.h)).omega
+        expect = cjr_optimal(LfaParams(q=2, alpha=alpha, h=lev.op.grid.h)).omega
         assert lev.smoother.omega == expect
     # gamma grows on coarse grids, so the damping must actually vary
     omegas = [lev.smoother.omega for lev in hier.levels]
@@ -334,10 +336,10 @@ def test_cycle_coarsest_level_is_direct_solve():
     hier = build_hierarchy(16, 2, 1e-2, SmootherSpec("cjr"))
     coarse = hier.levels[-1]
     rng = _rng(1)
-    b = rng.standard_normal((2, coarse.grid.m, coarse.grid.m))
-    v = cycle(hier, len(hier.levels) - 1, _zeros(coarse.grid.N), b,
+    b = rng.standard_normal((2, coarse.op.grid.m, coarse.op.grid.m))
+    v = cycle(hier, len(hier.levels) - 1, _zeros(coarse.op.grid.N), b,
               CycleSpec())
-    A = oracle.assemble("saddle", coarse.grid, alpha=1e-2)
+    A = oracle.assemble("saddle", coarse.op.grid, alpha=1e-2)
     expect = oracle.dense_solve(A, b.ravel())
     np.testing.assert_allclose(v.ravel(), expect, rtol=1e-12, atol=1e-12)
 
@@ -357,13 +359,13 @@ def test_coarse_solve_is_backward_stable_above_the_oracle_size(N, q, mask_kind,
             "fractional": rng.random(shape)}[mask_kind]
     hier = build_hierarchy(N, q, alpha, SmootherSpec("cjr"), mask=mask)
     coarse = hier.levels[-1]
-    assert coarse.grid.N == N // q
-    b = rng.standard_normal((2, coarse.grid.m, coarse.grid.m))
+    assert coarse.op.grid.N == N // q
+    b = rng.standard_normal((2, coarse.op.grid.m, coarse.op.grid.m))
     x = multigrid._coarse_solve(hier, b)
     # at least the infinity norm of [[L, -diag(mask)/alpha], [I, L]],
     # whose L rows have absolute sums of at most 8/h^2
     mask_max = 1.0 if coarse.op.mask is None else coarse.op.mask.max()
-    norm_a = 8.0 / coarse.grid.h**2 + max(1.0, mask_max / alpha)
+    norm_a = 8.0 / coarse.op.grid.h**2 + max(1.0, mask_max / alpha)
     err = np.abs(apply_saddle(coarse.op, x) - b).max()
     assert err <= 1e-14 * (norm_a * np.abs(x).max() + np.abs(b).max())
 
@@ -389,7 +391,7 @@ def test_cycle_error_decreases_monotonically():
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
 def test_w_equals_v_on_two_level_hierarchy(kind):
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec(kind))
-    grid = hier.levels[0].grid
+    grid = hier.levels[0].op.grid
     rng = _rng(4)
     b = rng.standard_normal((2, grid.m, grid.m))
     v0 = rng.uniform(size=(2, grid.m, grid.m))
@@ -421,7 +423,7 @@ def test_cycle_leaves_caller_fields_unmodified(kind, nu):
     # the caller's b is never modified; the iterate it hands over is
     # updated in place and returned
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
-    grid = hier.levels[0].grid
+    grid = hier.levels[0].op.grid
     rng = _rng(6)
     v = rng.uniform(size=(2, grid.m, grid.m))
     b = rng.standard_normal((2, grid.m, grid.m))
@@ -448,7 +450,7 @@ def test_cycle_with_a_handed_over_residual_matches_one_without(kind, nu,
     # bitwise the one of a cycle that evaluates its own residual, also
     # when every level is processed in strips of a few rows
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
-    grid = hier.levels[0].grid
+    grid = hier.levels[0].op.grid
     rng = _rng(7)
     v = rng.uniform(size=(2, grid.m, grid.m))
     b = rng.standard_normal((2, grid.m, grid.m))
@@ -471,7 +473,7 @@ def test_cycle_visits_the_coarsest_level_once_per_coarse_correction(
     # the coarsest level ignores its iterate, so the W-cycle's second visit
     # from the level above would repeat the first: 2^(L-2) LU solves, not 2^(L-1)
     hier = build_hierarchy(N, q, 1e-3, SmootherSpec("cjr"))
-    grid = hier.levels[0].grid
+    grid = hier.levels[0].op.grid
     coarse_solve = multigrid._coarse_solve
     count = []
 
@@ -699,6 +701,6 @@ def test_masked_bsr_levels_cache_an_exact_schur_inverse():
     hier = build_hierarchy(32, 2, 1e-6, SmootherSpec("bsr"), mask=mask)
     for lev in hier.levels:
         assert lev.op.mask is not None
-        b = rng.standard_normal((lev.grid.m, lev.grid.m))
+        b = rng.standard_normal((lev.op.grid.m, lev.op.grid.m))
         x = lev.schur_inv.solve(b)
         assert np.linalg.norm(schur_apply(x, lev.op) - b) <= 1e-12 * np.linalg.norm(b)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ocmg.grid import GridSpec
-from ocmg import oracle
+
+import oracle
 
 
 def test_laplacian_n2_is_16():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ocmg.grid import GridSpec
-from ocmg import oracle
 from ocmg.problems import (
     ProblemData,
     discrete_norm,
@@ -15,6 +14,8 @@ from ocmg.problems import (
     example2_fields,
     load_field,
 )
+
+import oracle
 
 
 def test_manufactured_pair_satisfies_dense_system():

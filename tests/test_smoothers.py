@@ -17,7 +17,6 @@ from ocmg.grid import (
     residual,
 )
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
-from ocmg import oracle
 from ocmg.smoothers import (
     SCHEMES,
     PcgBreakdownError,
@@ -29,6 +28,8 @@ from ocmg.smoothers import (
     schur_apply,
     schur_diag,
 )
+
+import oracle
 
 
 def _rng(seed=0):

@@ -1,16 +1,18 @@
 """Strip-mined and flat-pass kernels against column-sliced references, bitwise.
 
-residual and cjr_apply process a field larger than grid.STRIP_BYTES in
-row strips.  The strip size is patched here so that the small random
-grids (N <= 24) split into several strips, down to one row each; the
-default size keeps them in one strip, a single pass over all rows.
+residual and cjr_apply process every field in the row strips of
+grid.row_strips; a field of at most grid.STRIP_BYTES is one strip.  The
+strip size is patched here so that the small random grids (N <= 24)
+split into several strips, down to one row each; the default size keeps
+them in one strip, a single pass over all rows.
 
-apply_laplacian, apply_mass and the strip kernel behind residual make
-their east-west neighbour updates as flat passes over the trailing
-(rows, m) axes (grid._east_west).  The references below are the
-column-sliced updates those passes replace; each run patches them into
-grid, with one strip, as the reference every kernel must reproduce
-exactly.  That reference is checked against the dense oracle in
+apply_laplacian, apply_saddle and residual all run the row kernel
+grid._laplacian_rows, and it and apply_mass make their east-west
+neighbour updates as flat passes over the trailing (rows, m) axes
+(grid._east_west).  The references below are the column-sliced updates
+those passes replace; each run patches them into grid, with one strip,
+as the reference every kernel must reproduce exactly.  That reference
+is checked against the dense oracle (tests/oracle.py) in
 test_oracle_properties.
 """
 
