@@ -19,6 +19,7 @@ those are built before the problem data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -27,7 +28,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .lfa import SCHEMES as LFA_SCHEMES, LfaParams, closed_form, sampled_optimal
-from .multigrid import CYCLES, CycleSpec, MgResult, build_hierarchy, level_sizes, solve
+from .multigrid import CYCLES, CycleSpec, Hierarchy, build_hierarchy, level_sizes, solve
 from .problems import ProblemData, dump_field, example1_fields, example2_fields, load_field
 from .smoothers import SCHEMES, PcgBreakdownError, SmootherSpec
 from .ssn import ControlParams, SolverError, sparsity_fractions, ssn_solve
@@ -136,19 +137,14 @@ def _specs(opts: dict) -> tuple[SmootherSpec, CycleSpec]:
                                seed="seed")))
 
 
-def _load_problem(opts: dict, fallback) -> ProblemData:
-    """Example data unless a config supplied both field files."""
+def _load_problem(opts: dict, grid: GridSpec, fallback) -> ProblemData:
+    """Example data on grid unless a config supplied both field files."""
     f_file, g_file = opts.get("f_file"), opts.get("g_file")
     if f_file is None and g_file is None:
         return fallback()
     if f_file is None or g_file is None:
         raise ValueError("f_file and g_file must be given together")
-    gf, f = load_field(f_file)
-    gg, g = load_field(g_file)
-    if not gf.N == gg.N == opts["N"]:
-        raise ValueError(
-            f"field files are on N={gf.N}/{gg.N}, expected N={opts['N']}")
-    return ProblemData(f, g, gf)
+    return ProblemData(load_field(f_file, grid), load_field(g_file, grid), grid)
 
 
 def cmd_lfa(opts: dict) -> int:
@@ -186,25 +182,24 @@ def _write_history(stream, history: list[float]) -> None:
         w.writerow([k, f"{rn:.17g}", f"{rn / history[0]:.17g}"])
 
 
-def _build_and_solve(opts: dict) -> tuple[CycleSpec, MgResult]:
-    """The mg solve opts describe; specs and hierarchy are built before the data."""
+def _build(opts: dict) -> tuple[Hierarchy, np.ndarray, CycleSpec]:
+    """solve's arguments for the mg solve opts describe; the data come last."""
     smoother, spec = _specs(opts)
     hier = build_hierarchy(opts["N"], opts["q"], opts["alpha"], smoother)
     grid = hier.levels[0].op.grid
-    data = _load_problem(opts, lambda: example1_fields(grid, opts["alpha"])[0])
-    return spec, solve(hier, np.stack([data.f, data.g]), spec)
+    data = _load_problem(opts, grid, lambda: example1_fields(grid, opts["alpha"])[0])
+    return hier, np.stack([data.f, data.g]), spec
 
 
 def cmd_mg(opts: dict) -> int:
-    spec, res = _build_and_solve(opts)
-    print(f"scheme={opts['scheme']} q={opts['q']} N={opts['N']} "
-          f"alpha={opts['alpha']:g} cycle={spec.cycle} nu={spec.nu_pre}")
-    print(f"converged={res.converged} iters={res.iters} rho={res.rho:.3f}")
-    if opts.get("out"):
-        with open(opts["out"], "w", newline="", encoding="utf-8") as fh:
-            _write_history(fh, res.history)
-    else:
-        _write_history(sys.stdout, res.history)
+    hier, b, spec = _build(opts)
+    with (open(opts["out"], "w", newline="", encoding="utf-8") if opts.get("out")
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        res = solve(hier, b, spec)
+        print(f"scheme={opts['scheme']} q={opts['q']} N={opts['N']} "
+              f"alpha={opts['alpha']:g} cycle={spec.cycle} nu={spec.nu_pre}")
+        print(f"converged={res.converged} iters={res.iters} rho={res.rho:.3f}")
+        _write_history(fh, res.history)
     if not res.converged:
         why = ("did not reach tolerance" if np.isfinite(res.history[-1])
                else "residual norm is not finite")
@@ -218,7 +213,9 @@ def cmd_ssn(opts: dict) -> int:
     smoother, spec = _specs(opts)
     level_sizes(opts["N"], opts["q"])  # ssn_solve builds the hierarchies later
     grid = GridSpec(opts["N"])
-    data = _load_problem(opts, lambda: example2_fields(grid))
+    data = _load_problem(opts, grid, lambda: example2_fields(grid))
+    if opts.get("out"):
+        os.makedirs(opts["out"], exist_ok=True)
 
     print(f"scheme={opts['scheme']} q={opts['q']} N={opts['N']} "
           f"alpha={opts['alpha']:g} beta={opts['beta']:g} "
@@ -243,7 +240,6 @@ def cmd_ssn(opts: dict) -> int:
 
 
 def _dump_state(outdir: str, state, grid: GridSpec) -> None:
-    os.makedirs(outdir, exist_ok=True)
     for name, field in (("y", state.y), ("p", state.p), ("u", state.u)):
         dump_field(os.path.join(outdir, f"{name}.txt"), field, grid)
     print(f"wrote y.txt p.txt u.txt -> {outdir}")
@@ -284,7 +280,7 @@ def _mu_pred(cell: dict) -> float:
 def _measure_cell(cell: dict) -> float:
     """One benchmark solve; failures turn into nan so the table survives."""
     try:
-        return _build_and_solve(cell)[1].rho
+        return solve(*_build(cell)).rho
     except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
         print(f"ocmg: cell {cell} failed: {exc}", file=sys.stderr)
         return float("nan")
@@ -322,8 +318,8 @@ def cmd_repro(opts: dict) -> int:
     cells = {"table1": table1_cells,
              "table2": table2_cells,
              "sweep": sweep_cells}[target]()
-    rows = run_cells(cells)
     os.makedirs(opts["out"], exist_ok=True)
+    rows = run_cells(cells)
     path = os.path.join(opts["out"], f"{target}.csv")
     write_rows(path, rows, with_alpha=(target == "sweep"))
     bad = sum(1 for r in rows if np.isnan(r["rho_measured"]))

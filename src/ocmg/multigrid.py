@@ -25,16 +25,15 @@ Hierarchy invariants:
 Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once; the coarsest level is a
 sparse LU direct solve, factored once per hierarchy, of its saddle
-matrix assembled here.  Each level caches what its smoother reuses: the
-exact Schur inverse for bsr (smoothers.schur_inverse: DSTs, or a sparse
-LU with a mask), the Schur diagonal for ibsr.  Fields are stacked (2, m,
-m) block fields (see grid); the transfers act on one (m, m) component at
-a time.  No residual is evaluated twice: solve hands the residual of its
-convergence check to the next cycle, and a coarse visit from the zero
-iterate smooths its right-hand side directly.  No coarse solve is
-repeated either: the coarsest level ignores the iterate it is handed, so
-the W-cycle visits it once where it would visit it twice with the same
-right-hand side.
+matrix assembled here, and builds no smoother; every other level holds
+the relaxation smoothers.relaxation built for it.  Fields are stacked
+(2, m, m) block fields (see grid); the transfers act on one (m, m)
+component at a time.  No residual is evaluated twice: solve hands the
+residual of its convergence check to the next cycle, and a coarse visit
+from the zero iterate smooths its right-hand side directly.  No coarse
+solve is repeated either: the coarsest level ignores the iterate it is
+handed, so the W-cycle visits it once where it would visit it twice with
+the same right-hand side.
 
 Buffers: a cycle owns the iterate and the residual it is handed (see
 cycle).  The residual is its work buffer: the smoother writes its
@@ -57,17 +56,17 @@ random initial guess, matching the benchmark protocol reproduced here.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import log
+from math import inf, log
 
 import numpy as np
 
 from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2, check_q,
                    residual, sparse_laplacian)
 from .lfa import LfaParams, closed_form
-from .smoothers import (SchurSpectral, SmootherSpec, bsr_apply, cjr_apply,
-                        schur_diag, schur_inverse)
+from .smoothers import SmootherSpec, relaxation
 
 CYCLES = ("V", "W")
 COARSEST_N = 8  # no coarse grid has fewer subdivisions
@@ -87,8 +86,8 @@ class CycleSpec:
             raise ValueError(f"cycle must be 'V' or 'W', got {self.cycle!r}")
         if self.nu_pre < 1:
             raise ValueError(f"nu must be at least 1, got {self.nu_pre}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.seed < 0:
@@ -98,9 +97,8 @@ class CycleSpec:
 @dataclass
 class Level:
     op: SaddleOperator
-    smoother: SmootherSpec  # omega resolved
-    schur_inv: SchurSpectral | SparseLU | None  # bsr cache, schur_inverse(op)
-    diag: np.ndarray | float | None  # ibsr cache, schur_diag(op)
+    smoother: SmootherSpec  # omega resolved, except on the coarsest level
+    relax: Callable[..., np.ndarray] | None  # relaxation(op, smoother); None on the coarsest
 
 
 @dataclass
@@ -141,24 +139,22 @@ def level_sizes(N: int, q: int) -> list[int]:
 def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
                     mask: np.ndarray | None = None) -> Hierarchy:
     """Re-discretized level chain with per-level smoother parameters."""
-    levels = []
+    ops = []
     for n in level_sizes(N, q):
-        if levels and mask is not None:
+        if ops and mask is not None:
             # homogenized coarse coupling: full-weighting average of the
             # mask field; a subsampled {0,1} mask misrepresents thin
             # active-set boundaries and the 1/alpha-weighted correction
             # then amplifies instead of contracting
             mask = restrict(mask, q)
-        grid = GridSpec(n)
-        op = SaddleOperator(grid, alpha, mask)
-        omega = smoother.omega
-        if omega is None:
-            omega = closed_form(smoother.kind, LfaParams(q=q, alpha=alpha, h=grid.h)).omega
-        spec = replace(smoother, omega=omega)
-        schur_inv = schur_inverse(op) if spec.kind == "bsr" else None
-        diag = schur_diag(op) if spec.kind == "ibsr" else None
-        levels.append(Level(op, spec, schur_inv, diag))
-    return Hierarchy(levels=levels, q=q, coarse_lu=SparseLU(_saddle_matrix(levels[-1].op)))
+        ops.append(SaddleOperator(GridSpec(n), alpha, mask))
+    levels = []
+    for op in ops[:-1]:
+        spec = replace(smoother, omega=smoother.omega or closed_form(
+            smoother.kind, LfaParams(q=q, alpha=alpha, h=op.grid.h)).omega)
+        levels.append(Level(op, spec, relaxation(op, spec)))
+    levels.append(Level(ops[-1], smoother, None))  # solved by coarse_lu, never relaxed
+    return Hierarchy(levels=levels, q=q, coarse_lu=SparseLU(_saddle_matrix(ops[-1])))
 
 
 def _saddle_matrix(op: SaddleOperator):
@@ -200,12 +196,6 @@ def prolong(coarse: np.ndarray, q: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- cycling
 
-def _relax(r: np.ndarray, lev: Level, out: np.ndarray | None = None) -> np.ndarray:
-    if lev.smoother.kind == "cjr":
-        return cjr_apply(r, lev.op, lev.smoother.omega, out)
-    return bsr_apply(r, lev.op, lev.smoother, lev.schur_inv, lev.diag, out)
-
-
 def _coarse_solve(hier: Hierarchy, b: np.ndarray) -> np.ndarray:
     # the C-order ravel of a block field is the saddle matrix's [y; p]
     return hier.coarse_lu.solve(b)
@@ -225,15 +215,15 @@ def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
         return _coarse_solve(hier, b)
     lev, q = hier.levels[level], hier.q
     if v is None:  # the residual of the zero iterate is b itself
-        v, r = _relax(b, lev), None
+        v, r = lev.relax(b), None
     else:
         if r is None:
             r = residual(lev.op, b, v)
-        v += _relax(r, lev, out=r)
+        v += lev.relax(r, out=r)
     # r, if not None, is now an array the cycle owns: the next residuals go there
     for _ in range(spec.nu_pre - 1):
         r = residual(lev.op, b, v, out=r)
-        v += _relax(r, lev, out=r)
+        v += lev.relax(r, out=r)
     r = residual(lev.op, b, v, out=r)
     rc = np.stack([restrict(rk, q) for rk in r])
     del r  # unused below; freeing it lowers the peak memory of the cycle

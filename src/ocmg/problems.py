@@ -96,15 +96,15 @@ def dump_field(path, field: np.ndarray, grid: GridSpec) -> None:
                 fh.write(f"{i} {j} {field[j - 1, i - 1]:.17g}\n")
 
 
-def load_field(path) -> tuple[GridSpec, np.ndarray]:
-    """Read a field file; every interior point must appear exactly once."""
+def load_field(path, grid: GridSpec) -> np.ndarray:
+    """Read a field file whose header names grid's N (checked before allocating);
+    every interior point must appear exactly once."""
     with open(path) as fh:
         lineno, line = 1, fh.readline()
         try:
             key, n = line.split()
-            if key != "N":
-                raise ValueError("expected the header 'N <value>'")
-            grid = GridSpec(int(n))
+            if key != "N" or int(n) != grid.N:
+                raise ValueError(f"expected the header 'N {grid.N}'")
             out = np.full((grid.m, grid.m), np.nan)  # NaN marks a missing point
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
@@ -112,7 +112,7 @@ def load_field(path) -> tuple[GridSpec, np.ndarray]:
                 i_s, j_s, val = line.split()  # exactly "i j value"
                 i, j, x = int(i_s), int(j_s), float(val)
                 if not (1 <= i <= grid.m and 1 <= j <= grid.m):
-                    raise ValueError(f"point ({i}, {j}) is not an interior node of N={n}")
+                    raise ValueError(f"point ({i}, {j}) is not an interior node of N={grid.N}")
                 if not math.isfinite(x):
                     raise ValueError("non-finite value")
                 if not math.isnan(out[j - 1, i - 1]):
@@ -122,4 +122,4 @@ def load_field(path) -> tuple[GridSpec, np.ndarray]:
             raise ValueError(f"{path}:{lineno}: {exc}: {line.strip()!r}") from None
     if np.isnan(out).any():
         raise ValueError(f"field file {path} does not cover the grid")
-    return grid, out
+    return out

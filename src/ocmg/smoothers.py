@@ -29,6 +29,9 @@ The Schur solve is where the two Braess-Sarazin variants differ:
     A mask makes the Schur operator nonsymmetric; CG is run unchanged, as
     a smoother needs only a rough solve, and reports loss of positivity.
 
+relaxation(op, spec) decides once what a scheme reuses (nothing for cjr,
+schur_solver for bsr and ibsr) and returns the damped correction.
+
 cjr_apply and bsr_apply write into an optional out array, which may be r
 itself: both read all of r they need before writing the part of out that
 overlaps it.
@@ -36,6 +39,7 @@ overlaps it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +56,8 @@ class SmootherSpec:
     """Scheme kind plus damping and inner-solve policy.
 
     omega None means "resolved later": the multigrid hierarchy fills in
-    each level's lfa.closed_form damping (gamma-dependent for cjr, fixed
-    per q for the Braess-Sarazin variants).
+    each smoothing level's lfa.closed_form damping (gamma-dependent for
+    cjr, fixed per q for the Braess-Sarazin variants).
     """
 
     kind: str  # one of SCHEMES
@@ -63,8 +67,8 @@ class SmootherSpec:
     def __post_init__(self):
         if self.kind not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.kind!r}")
-        if self.omega is not None and not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if self.omega is not None and not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if self.pcg_iters < 1:
             raise ValueError(f"pcg_iters must be at least 1, got {self.pcg_iters}")
 
@@ -185,32 +189,40 @@ def schur_inverse(op: SaddleOperator) -> SchurSpectral | SparseLU:
             else SparseLU(schur_matrix(op)))
 
 
-def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
-              schur_inv: SchurSpectral | SparseLU | None = None,
-              diag: np.ndarray | float | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """One Braess-Sarazin correction omega * B_m^{-1} r (exact or truncated).
+def schur_solver(op: SaddleOperator, spec: SmootherSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact (bsr) or truncated (ibsr) Schur solve, with what it reuses built
+    here; ibsr starts from rhs / diag and runs its fixed-count CG on the residual."""
+    if spec.kind == "bsr":
+        inv = schur_inverse(op)
+        return lambda rhs: inv.solve(rhs)
+    assert spec.kind == "ibsr"
+    diag = schur_diag(op)
+    matvec = lambda w: schur_apply(w, op)
 
-    schur_inv (bsr, schur_inverse(op)) and diag (ibsr, schur_diag(op))
-    are what a level caches; they are built here when not given.  The
-    result is written into out if given, which may be r.
-    """
-    assert spec.kind in ("bsr", "ibsr")
+    def truncated(rhs: np.ndarray) -> np.ndarray:
+        w0 = rhs / diag
+        return w0 + pcg(matvec, rhs - matvec(w0), spec.pcg_iters, lambda v: v / diag)
+    return truncated
+
+
+def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
+              schur_solve: Callable[[np.ndarray], np.ndarray] | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """One Braess-Sarazin correction omega * B_m^{-1} r, written into out if given
+    (which may be r); schur_solve is schur_solver(op, spec), built here if not given."""
     assert spec.omega is not None, "omega must be resolved before applying"
     rhs = r[1] - apply_mass(r[0], op.grid)
     m = 1.0 if op.mask is None else op.mask
-    if spec.kind == "bsr":
-        w_p = (schur_inv or schur_inverse(op)).solve(rhs)
-    else:
-        matvec = lambda w: schur_apply(w, op)
-        # The truncated solve is seeded with the diagonal-preconditioned
-        # right-hand side; the fixed-count CG then runs on the residual
-        # system, which is the usual shift for a nonzero initial guess.
-        if diag is None:
-            diag = schur_diag(op)
-        w0 = rhs / diag
-        w_p = w0 + pcg(matvec, rhs - matvec(w0), spec.pcg_iters,
-                       precond=lambda v: v / diag)
+    w_p = (schur_solve or schur_solver(op, spec))(rhs)
     w = np.stack([apply_mass(r[0] + m * w_p / op.alpha, op.grid), w_p], out=out)
     w *= spec.omega
     return w
+
+
+def relaxation(op: SaddleOperator, spec: SmootherSpec) -> Callable[..., np.ndarray]:
+    """r, out=None -> omega B^{-1} r for spec on op, with what spec reuses built
+    once; its kernels are looked up by name at each call, so rebinding one reaches it."""
+    if spec.kind == "cjr":
+        return lambda r, out=None: cjr_apply(r, op, spec.omega, out)
+    solve = schur_solver(op, spec)
+    return lambda r, out=None: bsr_apply(r, op, spec, solve, out)

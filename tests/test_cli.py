@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import ocmg.cli as cli
+from ocmg.grid import GridSpec
 from ocmg.problems import load_field
+from ocmg.ssn import SolverError, SsnResult
 
 
 def run_cli(argv):
@@ -166,6 +168,18 @@ def test_mg_overflowing_residual_exits_2_without_cycling(tmp_path, capsys):
     assert rows[0]["residual_norm"] == "inf"
 
 
+def test_mg_field_file_header_is_checked_before_allocating(tmp_path, capsys):
+    # the header N=1e9 used to size an (N-1)^2 array before N was compared,
+    # which died in numpy with a traceback
+    cfg = _field_config(tmp_path, "1")
+    (tmp_path / "f.txt").write_text("N 1000000000\n1 1 1\n")
+    assert run_cli(["mg", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ocmg: {tmp_path / 'f.txt'}:1: expected the header "
+                            "'N 16': 'N 1000000000'\n")
+
+
 def test_mg_config_matches_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scheme = ibsr\nN = 32\nalpha = 1e-4  # trailing comment\n")
@@ -213,6 +227,7 @@ def _config(tmp_path, text):
     ["mg", "--N", "16", "--alpha", "nan"],
     ["mg", "--N", "16", "--tol", "nan"],
     ["mg", "--N", "16", "--tol", "-1"],
+    ["mg", "--N", "16", "--tol", "inf"],
     ["mg", "--N", "16", "--alpha", "1e-320"],
     ["ssn", "--N", "16", "--alpha", "1e-320"],
     ["ssn", "--N", "16", "--beta", "nan"],
@@ -267,11 +282,10 @@ def test_ssn_dumps_fields_and_reports_sparsity(tmp_path, capsys):
     assert "converged=True" in report
     zero = float(report.split("zero_fraction=")[1].split()[0])
     assert 0.0 <= zero <= 1.0
+    grid = GridSpec(32)
     for name in ("y", "p", "u"):
-        grid, field = load_field(out / f"{name}.txt")
-        assert grid.N == 32
-        assert np.all(np.isfinite(field))
-    _, u = load_field(out / "u.txt")
+        assert np.all(np.isfinite(load_field(out / f"{name}.txt", grid)))
+    u = load_field(out / "u.txt", grid)
     # report prints six decimals
     assert np.mean(u == 0.0) == pytest.approx(zero, abs=5e-7)
 
@@ -344,6 +358,39 @@ def test_repro_sweep_csv_has_the_alpha_column(tmp_path, monkeypatch):
     assert run_cli(["repro", "sweep", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0].endswith("alpha") and len(lines) == 1 + len(_tiny_cells())
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called before the output was checked")
+    return refuse
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (["mg", "--N", "16"], "solve"),
+    (["ssn", "--N", "16"], "ssn_solve"),
+    (["repro", "table1"], "_measure_cell"),
+])
+def test_bad_out_exits_1_before_any_solve(tmp_path, monkeypatch, capsys, argv, solver):
+    # ssn used to find out only after the solve, inside its failure handler
+    monkeypatch.setattr(cli, solver, _refuse(solver))
+    taken = tmp_path / "file"
+    taken.write_text("")
+    bad = tmp_path if argv[0] == "mg" else taken  # mg writes a file, the others a directory
+    assert run_cli(argv + ["--out", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("ocmg: ")
+
+
+def test_solver_failure_with_a_good_out_still_exits_2(tmp_path, monkeypatch, capsys):
+    def fail(data, cp, q, smoother, spec, tol):
+        zero = np.zeros((15, 15))
+        raise SolverError("no convergence", SsnResult(zero, zero, zero, 1, [], 0, [], False))
+
+    monkeypatch.setattr(cli, "ssn_solve", fail)
+    out = tmp_path / "fields"
+    assert run_cli(["ssn", "--N", "16", "--out", str(out)]) == 2
+    assert sorted(os.listdir(out)) == ["p.txt", "u.txt", "y.txt"]
+    assert capsys.readouterr().err == "ocmg: no convergence\n"
 
 
 def test_repro_full_grids_have_expected_shapes():

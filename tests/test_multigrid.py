@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocmg import grid as grid_module
-from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
+from ocmg.grid import GridSpec, apply_mass, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
-from ocmg import multigrid
+from ocmg import multigrid, smoothers
 from ocmg.multigrid import (
     COARSEST_N,
     DIRECT_N,
@@ -22,7 +22,7 @@ from ocmg.multigrid import (
     solve,
 )
 from ocmg.problems import example1_fields
-from ocmg.smoothers import SmootherSpec, schur_apply, schur_diag
+from ocmg.smoothers import SmootherSpec, bsr_apply, cjr_apply, schur_apply
 
 import oracle
 
@@ -102,7 +102,8 @@ def test_build_hierarchy_rejects_nan_alpha_before_the_coarse_lu(monkeypatch):
 
 
 @pytest.mark.parametrize("kw", [dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
-                                dict(max_iters=0), dict(nu_pre=0), dict(cycle="X")])
+                                dict(tol=float("inf")), dict(max_iters=0),
+                                dict(nu_pre=0), dict(cycle="X")])
 def test_cycle_spec_rejects_bad_values(kw):
     # max_iters=0 used to give rho = 0.0 for a solve that never ran
     with pytest.raises(ValueError):
@@ -134,26 +135,27 @@ def test_hierarchy_levels_are_rediscretizations():
 
 
 def test_cjr_omega_recomputed_per_level():
-    # alpha small enough that the coarsest level crosses the gamma switch
-    alpha = 1e-7
-    hier = build_hierarchy(32, 2, alpha, SmootherSpec("cjr"))
-    for lev in hier.levels:
+    # alpha small enough that the coarser smoothing level crosses the gamma switch
+    alpha = 1e-10
+    hier = build_hierarchy(128, 2, alpha, SmootherSpec("cjr"))
+    smoothing = hier.levels[:-1]  # the coarsest level is solved, not relaxed
+    for lev in smoothing:
         expect = cjr_optimal(LfaParams(q=2, alpha=alpha, h=lev.op.grid.h)).omega
         assert lev.smoother.omega == expect
     # gamma grows on coarse grids, so the damping must actually vary
-    omegas = [lev.smoother.omega for lev in hier.levels]
+    omegas = [lev.smoother.omega for lev in smoothing]
     assert len(set(omegas)) > 1
 
 
 def test_bsr_omega_fixed_per_level():
-    hier = build_hierarchy(32, 2, 1e-4, SmootherSpec("bsr"))
+    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec("bsr"))
     w, _ = bsr_damping(2)
-    assert all(lev.smoother.omega == w for lev in hier.levels)
+    assert all(lev.smoother.omega == w for lev in hier.levels[:-1])
 
 
 def test_explicit_omega_respected_everywhere():
-    hier = build_hierarchy(32, 2, 1e-4, SmootherSpec("cjr", omega=0.7))
-    assert all(lev.smoother.omega == 0.7 for lev in hier.levels)
+    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec("cjr", omega=0.7))
+    assert all(lev.smoother.omega == 0.7 for lev in hier.levels[:-1])
 
 
 def test_mask_carried_down_by_averaging():
@@ -489,15 +491,69 @@ def test_cycle_visits_the_coarsest_level_once_per_coarse_correction(
     assert len(count) == calls
 
 
-def test_ibsr_levels_cache_the_schur_diagonal():
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} rebuilt after the hierarchy")
+    return refuse
+
+
+def test_ibsr_levels_cache_the_schur_diagonal(monkeypatch):
     rng = _rng(9)
-    mask = (rng.uniform(size=(31, 31)) < 0.7).astype(float)
-    hier = build_hierarchy(32, 2, 1e-3, SmootherSpec("ibsr"), mask=mask)
-    for lev in hier.levels:
-        np.testing.assert_array_equal(lev.diag, schur_diag(lev.op))
-    for kind in ("cjr", "bsr"):
-        hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind), mask=mask)
-        assert all(lev.diag is None for lev in hier.levels)
+    mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float)
+    hier = build_hierarchy(128, 2, 1e-3, SmootherSpec("ibsr"), mask=mask)
+    rs = [rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m)) for lev in hier.levels[:-1]]
+    want = [bsr_apply(r, lev.op, lev.smoother) for r, lev in zip(rs, hier.levels)]
+    monkeypatch.setattr(smoothers, "schur_diag", _refuse("schur_diag"))
+    for r, w, lev in zip(rs, want, hier.levels):
+        np.testing.assert_array_equal(lev.relax(r), w)
+
+
+def test_masked_bsr_levels_cache_an_exact_schur_inverse(monkeypatch):
+    rng = _rng(10)
+    mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float)
+    hier = build_hierarchy(128, 2, 1e-6, SmootherSpec("bsr", omega=1.0), mask=mask)
+    monkeypatch.setattr(smoothers, "schur_inverse", _refuse("schur_inverse"))
+    for lev in hier.levels[:-1]:
+        assert lev.op.mask is not None
+        r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m))
+        w_p = lev.relax(r)[1]
+        b = r[1] - apply_mass(r[0], lev.op.grid)  # the Schur right-hand side
+        assert np.linalg.norm(schur_apply(w_p, lev.op) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
+def test_level_relax_is_bitwise_the_direct_smoother(kind, masked):
+    rng = _rng(11)
+    mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float) if masked else None
+    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec(kind), mask=mask)
+    for lev in hier.levels[:-1]:
+        r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m))
+        if kind == "cjr":
+            want = cjr_apply(r, lev.op, lev.smoother.omega)
+        else:
+            want = bsr_apply(r, lev.op, lev.smoother)
+        np.testing.assert_array_equal(lev.relax(r), want)
+        buf = r.copy()
+        assert lev.relax(buf, out=buf) is buf
+        np.testing.assert_array_equal(buf, want)
+
+
+@pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
+def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
+    # the coarse LU solves the coarsest level, so it is never relaxed
+    built = []
+    for name in ("schur_inverse", "schur_diag"):
+        def record(op, _f=getattr(smoothers, name)):
+            built.append(op.grid.N)
+            return _f(op)
+        monkeypatch.setattr(smoothers, name, record)
+    mask = (_rng(12).uniform(size=(127, 127)) < 0.7).astype(float)
+    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec(kind), mask=mask)
+    assert [lev.op.grid.N for lev in hier.levels] == [128, 64, 32]
+    assert built == ([] if kind == "cjr" else [128, 64])
+    assert hier.levels[-1].relax is None
+    assert all(callable(lev.relax) for lev in hier.levels[:-1])
 
 
 # Residual histories and iterate checksums of six W(1,0) cycles on the
@@ -695,12 +751,3 @@ def test_eta_ratio_rejects_out_of_range(bad):
         eta_ratio(*bad)
 
 
-def test_masked_bsr_levels_cache_an_exact_schur_inverse():
-    rng = _rng(10)
-    mask = (rng.uniform(size=(31, 31)) < 0.7).astype(float)
-    hier = build_hierarchy(32, 2, 1e-6, SmootherSpec("bsr"), mask=mask)
-    for lev in hier.levels:
-        assert lev.op.mask is not None
-        b = rng.standard_normal((lev.op.grid.m, lev.op.grid.m))
-        x = lev.schur_inv.solve(b)
-        assert np.linalg.norm(schur_apply(x, lev.op) - b) <= 1e-12 * np.linalg.norm(b)

@@ -93,8 +93,7 @@ def test_field_roundtrip(tmp_path):
     field = rng.standard_normal((grid.m, grid.m))
     path = tmp_path / "field.txt"
     dump_field(path, field, grid)
-    grid2, back = load_field(path)
-    assert grid2.N == 6
+    back = load_field(path, grid)
     np.testing.assert_array_equal(back, field)  # 17 sig digits round-trip
 
 
@@ -115,11 +114,27 @@ def test_load_field_rejects_bad_files(tmp_path):
     p1 = tmp_path / "bad_header.txt"
     p1.write_text("M 3\n")
     with pytest.raises(ValueError):
-        load_field(p1)
+        load_field(p1, GridSpec(3))
     p2 = tmp_path / "incomplete.txt"
     p2.write_text("N 3\n1 1 1.0\n")
     with pytest.raises(ValueError):
-        load_field(p2)
+        load_field(p2, GridSpec(3))
+
+
+@pytest.mark.parametrize("header", ["N 17", "N 1000000000"])
+def test_load_field_rejects_a_header_off_the_grid_before_allocating(tmp_path, monkeypatch,
+                                                                     header):
+    # the header used to size the array; N was compared only by the caller
+    path, lines = _dump_lines(tmp_path, N=16)
+    lines[0] = header
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the header was checked")
+
+    monkeypatch.setattr(np, "full", no_alloc)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: expected the header 'N 16'"):
+        load_field(path, GridSpec(16))
 
 
 def _dump_lines(tmp_path, N=4):
@@ -138,7 +153,7 @@ def test_load_field_rejects_points_off_the_interior(tmp_path, i, j):
     lines[3] = f"{i} {j} 3"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="interior node"):
-        load_field(path)
+        load_field(path, GridSpec(4))
 
 
 def test_load_field_rejects_duplicate_points(tmp_path):
@@ -147,7 +162,7 @@ def test_load_field_rejects_duplicate_points(tmp_path):
     lines[3] = lines[2]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="duplicate"):
-        load_field(path)
+        load_field(path, GridSpec(4))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -156,7 +171,7 @@ def test_load_field_rejects_non_finite_values(tmp_path, value):
     lines[5] = lines[5].rsplit(" ", 1)[0] + " " + value
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="non-finite"):
-        load_field(path)
+        load_field(path, GridSpec(4))
 
 
 @pytest.mark.parametrize("lineno, text", [
@@ -167,4 +182,4 @@ def test_load_field_names_file_and_line_of_malformed_input(tmp_path, lineno, tex
     lines[lineno - 1] = text
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "):
-        load_field(path)
+        load_field(path, GridSpec(4))

@@ -25,6 +25,7 @@ from ocmg.smoothers import (
     bsr_apply,
     cjr_apply,
     pcg,
+    relaxation,
     schur_apply,
     schur_diag,
 )
@@ -295,8 +296,7 @@ def test_ibsr_with_the_cached_diagonal_is_bitwise_the_same(masked):
                         mask=rng.random((g.m, g.m)) if masked else None)
     r = _rand_block(g, rng)
     spec = SmootherSpec("ibsr", omega=0.75)
-    np.testing.assert_array_equal(bsr_apply(r, op, spec, diag=schur_diag(op)),
-                                  bsr_apply(r, op, spec))
+    np.testing.assert_array_equal(relaxation(op, spec)(r), bsr_apply(r, op, spec))
 
 
 def test_unmasked_schur_diagonal_is_the_constant_of_the_masked_formula():
@@ -376,7 +376,7 @@ def test_one_sweep_mode_damping_bsr():
     for k, l in _high_freq_modes(N, 2):
         mode = _sine_mode(g, k, l)
         v = np.stack([mode, mode])
-        v1 = v + bsr_apply(residual(op, b, v), op, spec, schur_inv=sp)
+        v1 = v + bsr_apply(residual(op, b, v), op, spec, schur_solve=sp.solve)
         worst_plain = max(worst_plain, block_norm2(v1) / block_norm2(v))
         worst_scaled = max(worst_scaled, _scaled_norm(v1, alpha) / _scaled_norm(v, alpha))
     assert worst_plain <= bound + 0.05
@@ -399,3 +399,9 @@ def test_spec_validation():
 def test_spec_rejects_nan_omega():
     with pytest.raises(ValueError, match="omega"):
         SmootherSpec("cjr", omega=float("nan"))
+
+
+def test_spec_rejects_infinite_omega():
+    # it used to be accepted; a correction damped by it is not finite
+    with pytest.raises(ValueError, match="omega must be positive and finite, got inf"):
+        SmootherSpec("cjr", omega=float("inf"))
