@@ -31,7 +31,7 @@ from .lfa import SCHEMES as LFA_SCHEMES, LfaParams, closed_form, sampled_optimal
 from .multigrid import CYCLES, CycleSpec, Hierarchy, build_hierarchy, level_sizes, solve
 from .problems import ProblemData, dump_field, example1_fields, example2_fields, load_field
 from .smoothers import SCHEMES, PcgBreakdownError, SmootherSpec
-from .ssn import ControlParams, SolverError, sparsity_fractions, ssn_solve
+from .ssn import ControlParams, SolverError, SsnResult, sparsity_fractions, ssn_solve
 
 # benchmark mesh per coarsening ratio: powers of q with h ~ 1/256
 TABLE_SIZES = {2: 256, 3: 243, 4: 256}
@@ -239,8 +239,8 @@ def cmd_ssn(opts: dict) -> int:
     return 0
 
 
-def _dump_state(outdir: str, state, grid: GridSpec) -> None:
-    for name, field in (("y", state.y), ("p", state.p), ("u", state.u)):
+def _dump_state(outdir: str, state: SsnResult, grid: GridSpec) -> None:
+    for name, field in (("y", state.v[0]), ("p", state.v[1]), ("u", state.u)):
         dump_field(os.path.join(outdir, f"{name}.txt"), field, grid)
     print(f"wrote y.txt p.txt u.txt -> {outdir}")
 

@@ -210,7 +210,8 @@ def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
               out: np.ndarray | None = None) -> np.ndarray:
     """One Braess-Sarazin correction omega * B_m^{-1} r, written into out if given
     (which may be r); schur_solve is schur_solver(op, spec), built here if not given."""
-    assert spec.omega is not None, "omega must be resolved before applying"
+    if spec.omega is None:
+        raise ValueError("omega must be resolved before relaxing, got None")
     rhs = r[1] - apply_mass(r[0], op.grid)
     m = 1.0 if op.mask is None else op.mask
     w_p = (schur_solve or schur_solver(op, spec))(rhs)
@@ -222,6 +223,8 @@ def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
 def relaxation(op: SaddleOperator, spec: SmootherSpec) -> Callable[..., np.ndarray]:
     """r, out=None -> omega B^{-1} r for spec on op, with what spec reuses built
     once; its kernels are looked up by name at each call, so rebinding one reaches it."""
+    if spec.omega is None:
+        raise ValueError("omega must be resolved before relaxing, got None")
     if spec.kind == "cjr":
         return lambda r, out=None: cjr_apply(r, op, spec.omega, out)
     solve = schur_solver(op, spec)

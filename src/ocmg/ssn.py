@@ -25,16 +25,17 @@ that constrained Jacobian solves are compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, apply_laplacian, block_norm2, check_alpha
+from .grid import apply_laplacian, block_norm2, check_alpha
 from .multigrid import CycleSpec, build_hierarchy, solve
 from .problems import ProblemData
 from .smoothers import SmootherSpec
 
 MAX_BACKTRACKS = 20  # step halvings per Newton step before the line search fails
+MAX_NEWTON_STEPS = 50  # Newton steps before the solve fails
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,19 @@ class ControlParams:
                 f"bounds must straddle zero, got u0={self.u0}, u1={self.u1}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SsnResult:
-    y: np.ndarray
-    p: np.ndarray
-    u: np.ndarray
-    iters: int
+    v: np.ndarray              # (2, m, m) block field (y, p)
+    u: np.ndarray              # phi(p), the control
     mg_iters: list[int]        # per-Newton-step multigrid counts
     baseline_iters: int        # unconstrained seed solve count
     residuals: list[float]     # ||F|| history, entry 0 at the seed
-    converged: bool = True
-    steps: list[float] = field(default_factory=list)
+    steps: list[float]         # accepted line-search step per Newton step
+    converged: bool
+
+    @property
+    def iters(self) -> int:
+        return len(self.steps)
 
 
 class SolverError(RuntimeError):
@@ -100,76 +103,68 @@ def residual_F(v: np.ndarray, data: ProblemData,
     return F
 
 
-def _mg_solve(data_grid: GridSpec, q: int, cp: ControlParams,
-              smoother: SmootherSpec, spec: CycleSpec, b: np.ndarray,
-              mask: np.ndarray | None, what: str, state: SsnResult | None,
-              v0: np.ndarray | None = None):
-    hier = build_hierarchy(data_grid.N, q, cp.alpha, smoother, mask=mask)
-    res = solve(hier, b, spec, v0=v0)
-    if not res.converged:
-        raise SolverError(f"multigrid diverged on the {what} system "
-                          f"(rho={res.rho:.3f})", state)
-    return res
-
-
 def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
               smoother: SmootherSpec, spec: CycleSpec = CycleSpec(),
-              max_iters: int = 50, tol: float = 1e-10) -> SsnResult:
+              tol: float = 1e-10) -> SsnResult:
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     grid = data.grid
     b = np.stack([data.f, data.g])
-    seed_res = _mg_solve(grid, q, cp, smoother, spec, b, None, "seed", None)
-    v = seed_res.v
+    seed = solve(build_hierarchy(grid.N, q, cp.alpha, smoother), b, spec)
+    if not seed.converged:
+        raise SolverError("multigrid diverged on the seed system "
+                          f"(rho={seed.rho:.3f})")
+    v = seed.v
     Fv = residual_F(v, data, cp)
-    norm_F = block_norm2(Fv)
-    norm_F0 = norm_F
+    residuals = [block_norm2(Fv)]
     # the seed can already solve (affine case), making a purely
     # seed-relative test self-referential; anchor the target to the
     # zero-state residual ||(f,g)|| as well
-    norm_data = block_norm2(b)
     floor = 1e-14 * np.sqrt(2.0 * grid.m ** 2)
-    target = max(tol * norm_F0, tol * norm_data, floor)
-    out = SsnResult(v[0], v[1], phi(v[1], cp), 0, [], seed_res.iters,
-                    [norm_F], converged=False)
-    prev_mask = None
-    prev_step_negligible = False
+    target = max(tol * residuals[0], tol * block_norm2(b), floor)
+    mg_iters, steps = [], []
+    stalled_mask = None  # the last step's mask when that step was negligible
 
-    while norm_F > target:
+    def result(converged: bool = False) -> SsnResult:
+        return SsnResult(v, phi(v[1], cp), mg_iters, seed.iters, residuals,
+                         steps, converged)
+
+    while residuals[-1] > target:
         mask = dphi_mask(v[1], cp)
-        if (prev_mask is not None and np.array_equal(mask, prev_mask)
-                and prev_step_negligible):
+        if stalled_mask is not None and np.array_equal(mask, stalled_mask):
             # active set stationary and the last update was noise-sized
             break
-        if out.iters >= max_iters:
-            raise SolverError(f"no convergence in {max_iters} iterations "
-                              f"(||F||/||F0||={norm_F / norm_F0:.3e})", out)
+        if len(steps) >= MAX_NEWTON_STEPS:
+            raise SolverError(
+                f"no convergence in {MAX_NEWTON_STEPS} iterations "
+                f"(||F||/||F0||={residuals[-1] / residuals[0]:.3e})", result())
         # correction system: start from zero so the 1e-10 relative stop
         # scales with the current Newton residual
-        jac = _mg_solve(grid, q, cp, smoother, spec, -1.0 * Fv, mask,
-                        "Jacobian", out, v0=np.zeros_like(v))
-        w = jac.v
+        jac = solve(build_hierarchy(grid.N, q, cp.alpha, smoother, mask=mask),
+                    -1.0 * Fv, spec, v0=np.zeros_like(v))
+        if not jac.converged:
+            raise SolverError("multigrid diverged on the Jacobian system "
+                              f"(rho={jac.rho:.3f})", result())
         step = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
-            trial = v + step * w
+            trial = v + step * jac.v
             F_trial = residual_F(trial, data, cp)
             norm_trial = block_norm2(F_trial)
-            if norm_trial < norm_F:
+            if norm_trial < residuals[-1]:
                 break
             step *= 0.5
         else:
             raise SolverError(
-                f"line search failed after {MAX_BACKTRACKS} halvings "
-                f"at iteration {out.iters + 1} (||F||={norm_F:.3e})", out)
-        prev_step_negligible = step * block_norm2(w) <= 1e-13 * max(
-            1.0, block_norm2(v))
-        prev_mask = mask
-        v, Fv, norm_F = trial, F_trial, norm_trial
-        out.y, out.p, out.u = v[0], v[1], phi(v[1], cp)
-        out.iters += 1
-        out.mg_iters.append(jac.iters)
-        out.residuals.append(norm_F)
-        out.steps.append(step)
-    out.converged = True
-    return out
+                f"line search failed after {MAX_BACKTRACKS} halvings at "
+                f"iteration {len(steps) + 1} (||F||={residuals[-1]:.3e})",
+                result())
+        negligible = step * block_norm2(jac.v) <= 1e-13 * max(1.0, block_norm2(v))
+        stalled_mask = mask if negligible else None
+        v, Fv = trial, F_trial
+        mg_iters.append(jac.iters)
+        residuals.append(norm_trial)
+        steps.append(step)
+    return result(converged=True)
 
 
 def sparsity_fractions(u: np.ndarray, cp: ControlParams) -> tuple[float, float]:

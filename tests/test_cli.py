@@ -383,8 +383,10 @@ def test_bad_out_exits_1_before_any_solve(tmp_path, monkeypatch, capsys, argv, s
 
 def test_solver_failure_with_a_good_out_still_exits_2(tmp_path, monkeypatch, capsys):
     def fail(data, cp, q, smoother, spec, tol):
-        zero = np.zeros((15, 15))
-        raise SolverError("no convergence", SsnResult(zero, zero, zero, 1, [], 0, [], False))
+        state = SsnResult(v=np.zeros((2, 15, 15)), u=np.zeros((15, 15)), mg_iters=[9],
+                          baseline_iters=9, residuals=[1.0, 0.5], steps=[1.0],
+                          converged=False)
+        raise SolverError("no convergence", state)
 
     monkeypatch.setattr(cli, "ssn_solve", fail)
     out = tmp_path / "fields"

@@ -17,6 +17,8 @@ from ocmg.grid import (
     residual,
 )
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
+from ocmg import smoothers
+from ocmg.multigrid import build_hierarchy
 from ocmg.smoothers import (
     SCHEMES,
     PcgBreakdownError,
@@ -383,6 +385,24 @@ def test_one_sweep_mode_damping_bsr():
     assert worst_scaled <= bound + 0.05
 
 
+@pytest.mark.parametrize("kind, owner, name", [
+    ("cjr", smoothers, "cjr_apply"), ("bsr", smoothers, "bsr_apply"),
+    ("bsr", SchurSpectral, "solve"), ("ibsr", smoothers, "bsr_apply"),
+    ("ibsr", smoothers, "pcg"), ("ibsr", smoothers, "schur_apply"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_relax_looks_its_kernels_up_at_each_call(monkeypatch, kind, owner, name):
+    # the benchmark times each kernel by rebinding it after the hierarchy is built
+    lev = build_hierarchy(16, 2, 1e-2, SmootherSpec(kind)).levels[0]
+    inner, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    lev.relax(_rand_block(lev.op.grid, _rng(14)))
+    assert calls
+
+
 # ---------------------------------------------------------------- spec validation
 
 def test_spec_validation():
@@ -405,3 +425,14 @@ def test_spec_rejects_infinite_omega():
     # it used to be accepted; a correction damped by it is not finite
     with pytest.raises(ValueError, match="omega must be positive and finite, got inf"):
         SmootherSpec("cjr", omega=float("inf"))
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_unresolved_omega_is_rejected_before_relaxing(kind):
+    # cjr used to fail inside numpy and bsr/ibsr on an assert that -O strips
+    op = SaddleOperator(GridSpec(8), alpha=1e-2)
+    with pytest.raises(ValueError, match="omega must be resolved"):
+        relaxation(op, SmootherSpec(kind))
+    if kind != "cjr":
+        with pytest.raises(ValueError, match="omega must be resolved"):
+            bsr_apply(_rand_block(op.grid, _rng()), op, SmootherSpec(kind))

@@ -1,5 +1,7 @@
 """Shrinkage map, active-set mask, nonlinear residual, and the Newton outer loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
 from ocmg.multigrid import CycleSpec
 from ocmg.problems import ProblemData, example2_fields
+from ocmg import ssn
 from ocmg.smoothers import SmootherSpec
 from ocmg.ssn import (
     ControlParams,
@@ -229,7 +232,7 @@ def test_control_respects_bounds_and_residual_drops():
     assert res.converged
     assert res.u.min() >= cp.u0 - 1e-12 and res.u.max() <= cp.u1 + 1e-12
     assert res.residuals[-1] <= 1e-10 * res.residuals[0]
-    F = residual_F(np.stack([res.y, res.p]), data, cp)
+    F = residual_F(res.v, data, cp)
     assert block_norm2(F) == pytest.approx(res.residuals[-1], rel=1e-12)
 
 
@@ -248,9 +251,68 @@ def test_mg_counts_tracked_per_iteration():
     assert all(abs(c - res.baseline_iters) <= 3 for c in res.mg_iters)
 
 
-def test_iteration_cap_raises_with_state():
-    with pytest.raises(SolverError) as exc:
-        _solve_example2(1e-4, 1e-3, max_iters=1)
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # nan and inf made the target nan or inf, and the solve claimed
+    # convergence after no Newton step
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        _solve_example2(1e-4, 1e-3, tol=tol)
+
+
+def _rebind_solve(monkeypatch, at=None, edit=None):
+    """Rebind ssn.solve to record each multigrid solve's iteration count;
+    the result of the solve numbered at (0 is the seed) goes through edit."""
+    inner, counts = ssn.solve, []
+
+    def counted(*args, **kwargs):
+        res = inner(*args, **kwargs)
+        if len(counts) == at:
+            res = edit(res)
+        counts.append(res.iters)
+        return res
+    monkeypatch.setattr(ssn, "solve", counted)
+    return counts
+
+
+def test_every_multigrid_solve_goes_through_the_module_binding(monkeypatch):
+    # the benchmark counts the Newton loop's cycles at this binding
+    counts = _rebind_solve(monkeypatch)
+    res, _, _ = _solve_example2(1e-4, 1e-3)
+    assert len(counts) == 1 + res.iters
+    assert counts == [res.baseline_iters] + res.mg_iters
+
+
+def test_diverged_seed_solve_carries_no_state(monkeypatch):
+    _rebind_solve(monkeypatch, at=0, edit=lambda res: replace(res, converged=False))
+    with pytest.raises(SolverError, match="diverged on the seed system") as exc:
+        _solve_example2(1e-4, 1e-3)
+    assert exc.value.state is None
+
+
+def _check_failed_state(match, steps):
+    """The N=32 example raises a SolverError matching match whose state is
+    the iterate after steps accepted Newton steps."""
+    with pytest.raises(SolverError, match=match) as exc:
+        _solve_example2(1e-4, 1e-3)
     state = exc.value.state
-    assert state is not None
-    assert state.iters == 1 and not state.converged
+    data = example2_fields(GridSpec(32))
+    cp = ControlParams(alpha=1e-4, beta=1e-3, u0=-30.0, u1=30.0)
+    assert not state.converged
+    assert state.iters == steps == len(state.mg_iters) == len(state.residuals) - 1
+    np.testing.assert_array_equal(state.u, phi(state.v[1], cp))
+    assert block_norm2(residual_F(state.v, data, cp)) == state.residuals[-1]
+
+
+def test_diverged_jacobian_solve_carries_the_last_accepted_iterate(monkeypatch):
+    _rebind_solve(monkeypatch, at=2, edit=lambda res: replace(res, converged=False))
+    _check_failed_state("diverged on the Jacobian system", 1)
+
+
+def test_uphill_correction_fails_the_line_search_with_state(monkeypatch):
+    _rebind_solve(monkeypatch, at=1, edit=lambda res: replace(res, v=-1e6 * res.v))
+    _check_failed_state("line search failed after 20 halvings at iteration 1", 0)
+
+
+def test_iteration_cap_raises_with_state(monkeypatch):
+    monkeypatch.setattr(ssn, "MAX_NEWTON_STEPS", 1)
+    _check_failed_state("no convergence in 1 iterations", 1)
