@@ -5,15 +5,15 @@ Four subcommands:
     lfa    two-grid smoothing-factor report (closed form vs sampled)
     mg     one multigrid solve with a residual-history CSV
     ssn    constrained sparse-control solve with field dumps
-    repro  benchmark tables / damping sweep as CSV
+    repro  benchmark tables / alpha sweep as CSV
 
 Exit status is 0 on success, 1 on validation errors (bad flags, bad
 config, incompatible N and q, NaN, an alpha whose 1/alpha overflows),
 2 on solver failures (divergence, stalled Newton iteration, PCG
-breakdown).  A config file holds "key = value" lines; explicit flags win
-over config values, config values over the defaults here, and these over
-the library's.  Each value is checked by the library type it enters;
-those are built before the problem data.
+breakdown).  A config file holds "key = value" lines for the command's
+flags, plus f_file and g_file for mg and ssn; flags win over config,
+config over the defaults here, and these over the library's.  Each value
+is checked by the library type it enters, built before the problem data.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_config(path: str) -> dict:
-    """Parse "key = value" lines; '#' starts a comment."""
+def read_config(path: str, command: str) -> dict:
+    """Parse "key = value" lines of command's keys; '#' starts a comment."""
+    keys = _COMMANDS[command][1] + (("f_file", "g_file") if command != "lfa" else ())
     table = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -103,8 +104,8 @@ def read_config(path: str) -> dict:
             key = key.strip()
             if not sep or not key or not value.strip():
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _OPTIONS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r} for ocmg {command}")
             try:
                 table[key] = _OPTIONS[key](value.strip())
             except ValueError:
@@ -117,7 +118,7 @@ def read_config(path: str) -> dict:
 def _merge(args: argparse.Namespace) -> dict:
     opts = vars(args).copy()
     if opts.get("config"):
-        for key, value in read_config(opts["config"]).items():
+        for key, value in read_config(opts["config"], opts["command"]).items():
             if opts.get(key) is None:
                 opts[key] = value
     for key, value in _DEFAULTS[opts["command"]].items():

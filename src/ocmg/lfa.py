@@ -43,10 +43,10 @@ from .grid import check_alpha, check_q
 
 SCHEMES = ("cjr", "bsr")
 
-# per-q constants: tau-interval left endpoints and the gamma^2 value where
-# the gamma-dependent optimum takes over from the fixed two-point balance
+# per-q left ends of the high-frequency ranges a/a1 in [tau_q, 2] and
+# a/b in [m_q, 16/9]; every closed-form constant is derived from them
 _TAU_MIN = {2: 0.5, 3: 0.25, 4: (2.0 - sqrt(2.0)) / 4.0}
-_GAMMA2_SWITCH = {2: 6.0, 3: 14.0, 4: (12.0 + 2.0 * sqrt(2.0)) / (2.0 - sqrt(2.0))}
+_MASS_MIN = {2: 8.0 / 9.0, 3: 5.0 / 6.0, 4: (3.0 - sqrt(2.0)) / 3.0}
 SAMPLES_PER_AXIS = 256  # uniform angles per axis of the sampled high-frequency set
 
 
@@ -214,16 +214,16 @@ def cjr_optimal(params: LfaParams) -> LfaReport:
       * gamma^2 >  switch(q): the rotation part dominates; omega0 =
         (2+g^2)/(4+g^2) and mu = sqrt(g^2 / ((4+g^2)(1+g^2))).
 
-    The switch values 6, 14, (12+2sqrt2)/(2-sqrt2) are where the two
-    branches coincide.  The maximizing frequency is (pi, pi) (tau = 2) in
-    both regimes.
+    The branches coincide at switch(q) = 4/tau_min - 2 (6, 14, 25.31...),
+    where omega0 = 2/(tau_min + 2).  The maximizing frequency is (pi, pi)
+    (tau = 2) in both regimes.
     """
-    g2 = params.gamma ** 2
-    if g2 > _GAMMA2_SWITCH[params.q]:
+    g2, tau_min = params.gamma ** 2, _TAU_MIN[params.q]
+    if g2 > 4.0 / tau_min - 2.0:
         omega = (2.0 + g2) / (4.0 + g2)
         mu = sqrt(g2 / ((4.0 + g2) * (1.0 + g2)))
     else:
-        omega = 2.0 / (_TAU_MIN[params.q] + 2.0)
+        omega = 2.0 / (tau_min + 2.0)
         mu = sqrt(psi(omega, params.gamma))
     return LfaReport(mu=mu, omega=omega, theta=(np.pi, np.pi))
 
@@ -231,15 +231,12 @@ def cjr_optimal(params: LfaParams) -> LfaReport:
 def bsr_damping(q: int) -> tuple[float, float]:
     """Fixed damping and smoothing-factor bound for mass-based Braess-Sarazin.
 
-    omega = 2/(m + M) for the a/b-interval [m, M] of the given q; the
-    bound (M - m)/(M + m) holds for every alpha and h.
+    omega = 2/(m + M) on the a/b-interval [m, M] of q (cjr_optimal's rule);
+    the bound (M - m)/(M + m) holds for every alpha and h.
     """
     check_q(q)
-    if q == 2:
-        return 3.0 / 4.0, 1.0 / 3.0
-    if q == 3:
-        return 36.0 / 47.0, 17.0 / 47.0
-    return 18.0 / (25.0 - 3.0 * sqrt(2.0)), (7.0 + 3.0 * sqrt(2.0)) / (25.0 - 3.0 * sqrt(2.0))
+    lo, hi = _MASS_MIN[q], 16.0 / 9.0
+    return 2.0 / (lo + hi), (hi - lo) / (hi + lo)
 
 
 def closed_form(scheme: str, params: LfaParams) -> LfaReport:

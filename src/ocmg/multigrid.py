@@ -17,23 +17,20 @@ Hierarchy invariants:
     50 -> 25, 75 -> 25, 100 -> 25 and 16 -> 8;
   * active-set masks are carried down by full-weighting averaging, so a
     coarse Jacobian couples through the local free-set fraction in [0,1]
-    rather than through a subsampled {0,1} pattern;
-  * the collective Jacobi damping is recomputed per level from that
-    level's h (gamma = h^2/(4 sqrt(alpha)) grows on coarse levels);
-    the Braess-Sarazin damping is the fixed per-q constant.
+    rather than through a subsampled {0,1} pattern.
 
 Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once; the coarsest level is a
 sparse LU direct solve, factored once per hierarchy, of its saddle
 matrix assembled here, and builds no smoother; every other level holds
-the relaxation smoothers.relaxation built for it.  Fields are stacked
-(2, m, m) block fields (see grid); the transfers act on one (m, m)
-component at a time.  No residual is evaluated twice: solve hands the
-residual of its convergence check to the next cycle, and a coarse visit
-from the zero iterate smooths its right-hand side directly.  No coarse
-solve is repeated either: the coarsest level ignores the iterate it is
-handed, so the W-cycle visits it once where it would visit it twice with
-the same right-hand side.
+the relaxation, damping included, that smoothers.relaxation built for
+it.  Fields are stacked (2, m, m) block fields (see grid); the transfers
+act on one (m, m) component at a time.  No residual is evaluated twice:
+solve hands the residual of its convergence check to the next cycle, and
+a coarse visit from the zero iterate smooths its right-hand side
+directly.  No coarse solve is repeated either: the coarsest level
+ignores the iterate it is handed, so the W-cycle visits it once where it
+would visit it twice with the same right-hand side.
 
 Buffers: a cycle owns the iterate and the residual it is handed (see
 cycle).  The residual is its work buffer: the smoother writes its
@@ -57,7 +54,7 @@ random initial guess, matching the benchmark protocol reproduced here.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, log
 
@@ -65,7 +62,6 @@ import numpy as np
 
 from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2, check_q,
                    residual, sparse_laplacian)
-from .lfa import LfaParams, closed_form
 from .smoothers import SmootherSpec, relaxation
 
 CYCLES = ("V", "W")
@@ -97,8 +93,7 @@ class CycleSpec:
 @dataclass
 class Level:
     op: SaddleOperator
-    smoother: SmootherSpec  # omega resolved, except on the coarsest level
-    relax: Callable[..., np.ndarray] | None  # relaxation(op, smoother); None on the coarsest
+    relax: Callable[..., np.ndarray] | None  # smoothers.relaxation; None on the coarsest
 
 
 @dataclass
@@ -138,7 +133,7 @@ def level_sizes(N: int, q: int) -> list[int]:
 
 def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
                     mask: np.ndarray | None = None) -> Hierarchy:
-    """Re-discretized level chain with per-level smoother parameters."""
+    """Re-discretized level chain, each level but the coarsest relaxed by smoother."""
     ops = []
     for n in level_sizes(N, q):
         if ops and mask is not None:
@@ -148,12 +143,8 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
             # then amplifies instead of contracting
             mask = restrict(mask, q)
         ops.append(SaddleOperator(GridSpec(n), alpha, mask))
-    levels = []
-    for op in ops[:-1]:
-        spec = replace(smoother, omega=smoother.omega or closed_form(
-            smoother.kind, LfaParams(q=q, alpha=alpha, h=op.grid.h)).omega)
-        levels.append(Level(op, spec, relaxation(op, spec)))
-    levels.append(Level(ops[-1], smoother, None))  # solved by coarse_lu, never relaxed
+    levels = [Level(op, relaxation(op, smoother, q)) for op in ops[:-1]]
+    levels.append(Level(ops[-1], None))  # solved by coarse_lu, never relaxed
     return Hierarchy(levels=levels, q=q, coarse_lu=SparseLU(_saddle_matrix(ops[-1])))
 
 

@@ -29,8 +29,11 @@ The Schur solve is where the two Braess-Sarazin variants differ:
     A mask makes the Schur operator nonsymmetric; CG is run unchanged, as
     a smoother needs only a rough solve, and reports loss of positivity.
 
-relaxation(op, spec) decides once what a scheme reuses (nothing for cjr,
-schur_solver for bsr and ibsr) and returns the damped correction.
+relaxation(op, spec, q) decides once what a scheme reuses (nothing for
+cjr, schur_solver for bsr and ibsr) and returns the damped correction.  An
+unset omega is lfa.closed_form's for q and op's h: the collective Jacobi
+damping is recomputed per level (gamma = h^2/(4 sqrt(alpha)) grows on
+coarse levels), the Braess-Sarazin one is the fixed per-q constant.
 
 cjr_apply and bsr_apply write into an optional out array, which may be r
 itself: both read all of r they need before writing the part of out that
@@ -40,13 +43,14 @@ overlaps it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import grid as _grid
 from .grid import (GridSpec, SaddleOperator, SparseLU, apply_laplacian,
                    apply_mass, sparse_laplacian, sparse_mass)
+from .lfa import LfaParams, closed_form
 
 SCHEMES = ("cjr", "bsr", "ibsr")
 
@@ -55,9 +59,8 @@ SCHEMES = ("cjr", "bsr", "ibsr")
 class SmootherSpec:
     """Scheme kind plus damping and inner-solve policy.
 
-    omega None means "resolved later": the multigrid hierarchy fills in
-    each smoothing level's lfa.closed_form damping (gamma-dependent for
-    cjr, fixed per q for the Braess-Sarazin variants).
+    omega None means the closed-form damping, which relaxation fills in
+    from lfa.closed_form for the operator it relaxes and the ratio q.
     """
 
     kind: str  # one of SCHEMES
@@ -220,11 +223,13 @@ def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
     return w
 
 
-def relaxation(op: SaddleOperator, spec: SmootherSpec) -> Callable[..., np.ndarray]:
-    """r, out=None -> omega B^{-1} r for spec on op, with what spec reuses built
-    once; its kernels are looked up by name at each call, so rebinding one reaches it."""
+def relaxation(op: SaddleOperator, spec: SmootherSpec, q: int) -> Callable[..., np.ndarray]:
+    """r, out=None -> omega B^{-1} r for spec on op (a None omega is closed_form's),
+    with what spec reuses built once; its kernels are looked up by name at each
+    call, so rebinding one reaches it."""
     if spec.omega is None:
-        raise ValueError("omega must be resolved before relaxing, got None")
+        spec = replace(spec, omega=closed_form(
+            spec.kind, LfaParams(q, op.alpha, op.grid.h)).omega)
     if spec.kind == "cjr":
         return lambda r, out=None: cjr_apply(r, op, spec.omega, out)
     solve = schur_solver(op, spec)

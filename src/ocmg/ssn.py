@@ -106,6 +106,14 @@ def residual_F(v: np.ndarray, data: ProblemData,
 def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
               smoother: SmootherSpec, spec: CycleSpec = CycleSpec(),
               tol: float = 1e-10) -> SsnResult:
+    """Semi-smooth Newton from the unconstrained (beta=0) seed solve.
+
+    Returns converged=True once ||F|| <= max(tol ||F0||, tol ||(f,g)||, floor)
+    (the seed may already solve the system; floor is round-off), or once a
+    negligible step leaves the active set unchanged (a round-off stall).
+    SolverError on a diverged multigrid solve, a failed line search or
+    MAX_NEWTON_STEPS steps.
+    """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     grid = data.grid
@@ -117,9 +125,6 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
     v = seed.v
     Fv = residual_F(v, data, cp)
     residuals = [block_norm2(Fv)]
-    # the seed can already solve (affine case), making a purely
-    # seed-relative test self-referential; anchor the target to the
-    # zero-state residual ||(f,g)|| as well
     floor = 1e-14 * np.sqrt(2.0 * grid.m ** 2)
     target = max(tol * residuals[0], tol * block_norm2(b), floor)
     mg_iters, steps = [], []

@@ -199,10 +199,20 @@ def test_mg_flag_overrides_config(tmp_path, capsys):
     assert "scheme=bsr" in capsys.readouterr().out
 
 
-def test_config_rejects_unknown_key(tmp_path):
+def test_config_rejects_unknown_key(tmp_path, capsys):
+    # a key the command does not take is an error, not silently ignored
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert run_cli(["mg", "--config", str(cfg)]) == 1
+    for argv, key, value in [(["mg"], "bogus", "1"),
+                             (["lfa"], "N", "16"),
+                             (["lfa"], "cycle", "X"),
+                             (["lfa"], "f_file", "/nonexistent"),
+                             (["mg", "--N", "16"], "beta", "-5"),
+                             (["mg", "--N", "16"], "u0", "7"),
+                             (["ssn", "--N", "16"], "h", "0.1")]:
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_cli(argv + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad.cfg:1: unknown key {key!r} for ocmg {argv[0]}" in err
 
 
 def test_config_rejects_malformed_line(tmp_path):

@@ -163,13 +163,26 @@ def test_cjr_optimal_gamma_10():
     assert samp.mu == pytest.approx(rep.mu, abs=1e-3)
 
 
-def test_cjr_optimal_branch_continuity_at_sqrt6():
-    rep = cjr_optimal(params_for_gamma(2, sqrt(6.0)))
-    assert rep.omega == pytest.approx(4.0 / 5.0)
-    assert rep.mu == pytest.approx(sqrt(3.0 / 35.0))
-    just_above = cjr_optimal(params_for_gamma(2, sqrt(6.0) + 1e-9))
-    assert just_above.omega == pytest.approx(4.0 / 5.0, abs=1e-8)
-    assert just_above.mu == pytest.approx(rep.mu, abs=1e-8)
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_cjr_optimal_branch_continuity_at_sqrt6(q):
+    # the branches meet at gamma^2 = 4/tau_min - 2: sqrt(6) for q=2, sqrt(14) for q=3
+    tau_min = RANGES[("jacobi", q)][0]
+    g2 = 4.0 / tau_min - 2.0
+    omega = 2.0 / (tau_min + 2.0)  # 4/5 for q=2
+    mu = sqrt(g2 / ((4.0 + g2) * (1.0 + g2)))  # sqrt(3/35) for q=2
+    rep = cjr_optimal(params_for_gamma(q, sqrt(g2)))
+    assert rep.omega == pytest.approx(omega)
+    assert rep.mu == pytest.approx(mu)
+    for side in (1.0 - 1e-9, 1.0 + 1e-9):  # the fixed branch, then the gamma branch
+        near = cjr_optimal(params_for_gamma(q, sqrt(g2) * side))
+        assert near.omega == pytest.approx(omega, abs=1e-8)
+        assert near.mu == pytest.approx(mu, abs=1e-8)
+    # 3% away, the branch taken is the one whose omega gives the smaller sampled mu
+    for side in (0.97, 1.03):
+        p = params_for_gamma(q, sqrt(g2 * side))
+        omega0 = (2.0 + g2 * side) / (4.0 + g2 * side)
+        best = min(smoothing_factor_sampled("cjr", p, w).mu for w in (omega, omega0))
+        assert cjr_optimal(p).mu == pytest.approx(best, rel=1e-9)
 
 
 def test_psi_at_omega0_identity():
@@ -287,3 +300,6 @@ def test_scalar_ranges(kind, q):
     want_lo, want_hi = RANGES[(kind, q)]
     assert lo == pytest.approx(want_lo, abs=1e-3)
     assert hi == pytest.approx(want_hi, abs=1e-3)
+    if kind == "mass":  # bsr_damping is the two-endpoint rule on the sampled range
+        assert bsr_damping(q) == pytest.approx((2.0 / (lo + hi), (hi - lo) / (hi + lo)),
+                                               abs=1e-3)

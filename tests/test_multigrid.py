@@ -1,5 +1,7 @@
 """Hierarchy construction, transfer operators, cycling, and factor measurement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from ocmg import grid as grid_module
 from ocmg.grid import GridSpec, apply_mass, apply_saddle, block_norm2, residual
-from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal
+from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal, closed_form
 from ocmg import multigrid, smoothers
 from ocmg.multigrid import (
     COARSEST_N,
@@ -134,28 +136,39 @@ def test_hierarchy_levels_are_rediscretizations():
         assert lev.op.grid.h == 1.0 / lev.op.grid.N
 
 
+def _assert_relaxes_as(lev, direct, rng):
+    """lev.relax(r) is bitwise direct(r) for a random r on lev's grid."""
+    r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m))
+    np.testing.assert_array_equal(lev.relax(r), direct(r))
+
+
 def test_cjr_omega_recomputed_per_level():
     # alpha small enough that the coarser smoothing level crosses the gamma switch
     alpha = 1e-10
     hier = build_hierarchy(128, 2, alpha, SmootherSpec("cjr"))
-    smoothing = hier.levels[:-1]  # the coarsest level is solved, not relaxed
-    for lev in smoothing:
+    rng, omegas = _rng(20), []
+    for lev in hier.levels[:-1]:  # the coarsest level is solved, not relaxed
         expect = cjr_optimal(LfaParams(q=2, alpha=alpha, h=lev.op.grid.h)).omega
-        assert lev.smoother.omega == expect
+        _assert_relaxes_as(lev, lambda r: cjr_apply(r, lev.op, expect), rng)
+        omegas.append(expect)
     # gamma grows on coarse grids, so the damping must actually vary
-    omegas = [lev.smoother.omega for lev in smoothing]
     assert len(set(omegas)) > 1
 
 
 def test_bsr_omega_fixed_per_level():
-    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec("bsr"))
-    w, _ = bsr_damping(2)
-    assert all(lev.smoother.omega == w for lev in hier.levels[:-1])
+    spec = SmootherSpec("bsr")
+    hier = build_hierarchy(128, 2, 1e-4, spec)
+    fixed = replace(spec, omega=bsr_damping(2)[0])
+    rng = _rng(21)
+    for lev in hier.levels[:-1]:
+        _assert_relaxes_as(lev, lambda r: bsr_apply(r, lev.op, fixed), rng)
 
 
 def test_explicit_omega_respected_everywhere():
     hier = build_hierarchy(128, 2, 1e-4, SmootherSpec("cjr", omega=0.7))
-    assert all(lev.smoother.omega == 0.7 for lev in hier.levels[:-1])
+    rng = _rng(22)
+    for lev in hier.levels[:-1]:
+        _assert_relaxes_as(lev, lambda r: cjr_apply(r, lev.op, 0.7), rng)
 
 
 def test_mask_carried_down_by_averaging():
@@ -500,9 +513,11 @@ def _refuse(name):
 def test_ibsr_levels_cache_the_schur_diagonal(monkeypatch):
     rng = _rng(9)
     mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float)
-    hier = build_hierarchy(128, 2, 1e-3, SmootherSpec("ibsr"), mask=mask)
+    spec = SmootherSpec("ibsr")
+    hier = build_hierarchy(128, 2, 1e-3, spec, mask=mask)
+    fixed = replace(spec, omega=bsr_damping(2)[0])
     rs = [rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m)) for lev in hier.levels[:-1]]
-    want = [bsr_apply(r, lev.op, lev.smoother) for r, lev in zip(rs, hier.levels)]
+    want = [bsr_apply(r, lev.op, fixed) for r, lev in zip(rs, hier.levels)]
     monkeypatch.setattr(smoothers, "schur_diag", _refuse("schur_diag"))
     for r, w, lev in zip(rs, want, hier.levels):
         np.testing.assert_array_equal(lev.relax(r), w)
@@ -526,13 +541,15 @@ def test_masked_bsr_levels_cache_an_exact_schur_inverse(monkeypatch):
 def test_level_relax_is_bitwise_the_direct_smoother(kind, masked):
     rng = _rng(11)
     mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float) if masked else None
-    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec(kind), mask=mask)
+    spec = SmootherSpec(kind)
+    hier = build_hierarchy(128, 2, 1e-4, spec, mask=mask)
     for lev in hier.levels[:-1]:
         r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m))
+        expect = closed_form(kind, LfaParams(q=2, alpha=1e-4, h=lev.op.grid.h)).omega
         if kind == "cjr":
-            want = cjr_apply(r, lev.op, lev.smoother.omega)
+            want = cjr_apply(r, lev.op, expect)
         else:
-            want = bsr_apply(r, lev.op, lev.smoother)
+            want = bsr_apply(r, lev.op, replace(spec, omega=expect))
         np.testing.assert_array_equal(lev.relax(r), want)
         buf = r.copy()
         assert lev.relax(buf, out=buf) is buf
