@@ -23,6 +23,7 @@ import contextlib
 import csv
 import os
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -106,6 +107,8 @@ def read_config(path: str, command: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r} for ocmg {command}")
+            if key in table:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 table[key] = _OPTIONS[key](value.strip())
             except ValueError:
@@ -250,27 +253,26 @@ def _dump_state(outdir: str, state: SsnResult, grid: GridSpec) -> None:
 # repro: benchmark cell grids
 
 
+def _cells(scheme: str, nus=(1,), cycles=("V", "W"), pcg_iters=(2,),
+           alphas=(TABLE_ALPHA,)) -> list[dict]:
+    """One scheme's cells in output order: by q, nu, cycle, pcg_iters, then
+    alpha descending."""
+    return [dict(scheme=scheme, q=q, N=TABLE_SIZES[q], alpha=a, nu=nu, cycle=c,
+                 pcg_iters=k)
+            for q, nu, c, k, a in product((2, 3, 4), nus, cycles, pcg_iters, alphas)]
+
+
 def table1_cells() -> list[dict]:
-    return [dict(scheme="cjr", q=q, N=TABLE_SIZES[q], alpha=TABLE_ALPHA,
-                 nu=nu, cycle=c, pcg_iters=2)
-            for q in (2, 3, 4) for nu in (1, 2, 3) for c in ("W", "V")]
+    return _cells("cjr", nus=(1, 2, 3))
 
 
 def table2_cells() -> list[dict]:
-    cells = [dict(scheme="bsr", q=q, N=TABLE_SIZES[q], alpha=TABLE_ALPHA,
-                  nu=nu, cycle=c, pcg_iters=2)
-             for q in (2, 3, 4) for nu in (1, 2, 3) for c in ("W", "V")]
-    cells += [dict(scheme="ibsr", q=q, N=TABLE_SIZES[q], alpha=TABLE_ALPHA,
-                   nu=1, cycle=c, pcg_iters=k)
-              for q in (2, 3, 4) for k in (1, 2, 3, 4) for c in ("W", "V")]
-    return cells
+    return _cells("bsr", nus=(1, 2, 3)) + _cells("ibsr", pcg_iters=(1, 2, 3, 4))
 
 
 def sweep_cells() -> list[dict]:
     alphas = [10.0 ** (-e) for e in range(2, 13, 2)]
-    return [dict(scheme=s, q=q, N=TABLE_SIZES[q], alpha=a,
-                 nu=1, cycle="W", pcg_iters=2)
-            for s in ("cjr", "ibsr") for q in (2, 3, 4) for a in alphas]
+    return [cell for s in ("cjr", "ibsr") for cell in _cells(s, cycles=("W",), alphas=alphas)]
 
 
 def _mu_pred(cell: dict) -> float:
@@ -288,13 +290,9 @@ def _measure_cell(cell: dict) -> float:
 
 
 def run_cells(cells: list[dict]) -> list[dict]:
-    """Measure every cell, attach predictions, return sorted rows."""
-    rhos = [_measure_cell(c) for c in cells]
-    rows = [dict(cell, mu_pred=_mu_pred(cell), rho_measured=rho)
-            for cell, rho in zip(cells, rhos)]
-    rows.sort(key=lambda r: (r["scheme"], r["q"], r["nu"], r["cycle"],
-                             r["pcg_iters"], -r["alpha"]))
-    return rows
+    """Measure every cell and attach its prediction; the rows keep the cell order."""
+    return [dict(cell, mu_pred=_mu_pred(cell), rho_measured=_measure_cell(cell))
+            for cell in cells]
 
 
 def write_rows(path: str, rows: list[dict], with_alpha: bool = False) -> None:

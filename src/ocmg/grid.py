@@ -58,6 +58,7 @@ extra calls cost up to about 8 us per kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,6 +72,7 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
+        check_integer("N", self.N)
         if self.N < 2:
             raise ValueError(f"need N >= 2, got N={self.N}")
 
@@ -104,9 +106,15 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be positive with a finite 1/alpha, got {alpha}")
 
 
+def check_integer(name: str, value: int) -> None:
+    """The one integer check: an Integral, so a float such as 2.0 is refused."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_q(q: int) -> None:
-    """The one coarsening-factor check: q is 2, 3 or 4."""
-    if q not in (2, 3, 4):
+    """The one coarsening-factor check: q is 2, 3 or 4 (an integer)."""
+    if not isinstance(q, numbers.Integral) or q not in (2, 3, 4):
         raise ValueError(f"coarsening factor must be 2, 3 or 4, got {q}")
 
 

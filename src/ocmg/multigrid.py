@@ -60,8 +60,8 @@ from math import inf, log
 
 import numpy as np
 
-from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2, check_q,
-                   residual, sparse_laplacian)
+from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2,
+                   check_integer, check_q, residual, sparse_laplacian)
 from .smoothers import SmootherSpec, relaxation
 
 CYCLES = ("V", "W")
@@ -80,6 +80,9 @@ class CycleSpec:
     def __post_init__(self):
         if self.cycle not in CYCLES:
             raise ValueError(f"cycle must be 'V' or 'W', got {self.cycle!r}")
+        check_integer("nu", self.nu_pre)
+        check_integer("max_iters", self.max_iters)
+        check_integer("seed", self.seed)
         if self.nu_pre < 1:
             raise ValueError(f"nu must be at least 1, got {self.nu_pre}")
         if not 0 < self.tol < inf:
@@ -120,6 +123,7 @@ def level_sizes(N: int, q: int) -> list[int]:
     A q outside {2, 3, 4}, or an N that gives no coarse level, is an error.
     """
     check_q(q)
+    check_integer("N", N)
     sizes = [N]
     while (sizes[-1] % q == 0 and sizes[-1] // q >= COARSEST_N
            and (len(sizes) == 1 or sizes[-1] > DIRECT_N)):

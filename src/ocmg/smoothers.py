@@ -15,13 +15,13 @@ r = (r_y, r_p), M for the optional {0,1} mask and D = diag(L) = 4/h^2:
 
 The Schur solve is where the two Braess-Sarazin variants differ:
 
-  * BSR_EXACT solves it directly (schur_inverse).  Without a mask the
-    type-I discrete sine basis diagonalizes both L (eigenvalues (2 -
-    2cos(k pi/N))/h^2 summed over the two axes) and Q (eigenvalues
-    (h^2/36) prod(4 + 2cos(k pi/N))), so one solve is two DSTs and a
-    pointwise division (SchurSpectral).  With a mask (Q M is not M Q) it
-    is a sparse LU of schur_matrix, which would be far slower without
-    one (N=256, one Xeon core: factor 0.8 s, solve 22 ms against 2.8 ms).
+  * BSR_EXACT solves it directly.  Without a mask the type-I discrete
+    sine basis diagonalizes both L (eigenvalues (2 - 2cos(k pi/N))/h^2
+    summed over the two axes) and Q (eigenvalues (h^2/36) prod(4 +
+    2cos(k pi/N))), so one solve is two DSTs and a pointwise division
+    (SchurSpectral).  With a mask (Q M is not M Q) it is a sparse LU of
+    schur_matrix, which would be far slower without one (N=256, one Xeon
+    core: factor 0.8 s, solve 22 ms against 2.8 ms).
   * IBSR runs a FIXED number of CG iterations (default 2) with the plain
     diagonal preconditioner diag(S) = 4/h^2 + (16 h^2/36) m / alpha.
     The iteration count is part of the method definition, not a
@@ -29,27 +29,27 @@ The Schur solve is where the two Braess-Sarazin variants differ:
     A mask makes the Schur operator nonsymmetric; CG is run unchanged, as
     a smoother needs only a rough solve, and reports loss of positivity.
 
-relaxation(op, spec, q) decides once what a scheme reuses (nothing for
-cjr, schur_solver for bsr and ibsr) and returns the damped correction.  An
-unset omega is lfa.closed_form's for q and op's h: the collective Jacobi
-damping is recomputed per level (gamma = h^2/(4 sqrt(alpha)) grows on
-coarse levels), the Braess-Sarazin one is the fixed per-q constant.
-
-cjr_apply and bsr_apply write into an optional out array, which may be r
-itself: both read all of r they need before writing the part of out that
-overlaps it.
+relaxation(op, spec, q) is the one place a SmootherSpec becomes a
+smoother: it resolves omega, builds the Schur solve of bsr or ibsr once,
+and returns the damped correction.  An unset omega is lfa.closed_form's
+for q and op's h: the collective Jacobi damping is recomputed per level
+(gamma = h^2/(4 sqrt(alpha)) grows on coarse levels), the Braess-Sarazin
+one is the fixed per-q constant.  The kernels cjr_apply and bsr_apply
+take those resolved values and write into an optional out array, which
+may be r itself: both read all of r they need before writing the part of
+out that overlaps it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as _grid
 from .grid import (GridSpec, SaddleOperator, SparseLU, apply_laplacian,
-                   apply_mass, sparse_laplacian, sparse_mass)
+                   apply_mass, check_integer, sparse_laplacian, sparse_mass)
 from .lfa import LfaParams, closed_form
 
 SCHEMES = ("cjr", "bsr", "ibsr")
@@ -72,6 +72,7 @@ class SmootherSpec:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.kind!r}")
         if self.omega is not None and not 0 < self.omega < np.inf:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        check_integer("pcg_iters", self.pcg_iters)
         if self.pcg_iters < 1:
             raise ValueError(f"pcg_iters must be at least 1, got {self.pcg_iters}")
 
@@ -186,51 +187,37 @@ class SchurSpectral:
         return self._dstn(bh / self.eig, type=1, norm="ortho")
 
 
-def schur_inverse(op: SaddleOperator) -> SchurSpectral | SparseLU:
-    """The exact Schur inverse: DSTs without a mask, a sparse LU with one."""
-    return (SchurSpectral(op.grid, op.alpha) if op.mask is None
-            else SparseLU(schur_matrix(op)))
-
-
-def schur_solver(op: SaddleOperator, spec: SmootherSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The exact (bsr) or truncated (ibsr) Schur solve, with what it reuses built
-    here; ibsr starts from rhs / diag and runs its fixed-count CG on the residual."""
-    if spec.kind == "bsr":
-        inv = schur_inverse(op)
-        return lambda rhs: inv.solve(rhs)
-    assert spec.kind == "ibsr"
-    diag = schur_diag(op)
-    matvec = lambda w: schur_apply(w, op)
-
-    def truncated(rhs: np.ndarray) -> np.ndarray:
-        w0 = rhs / diag
-        return w0 + pcg(matvec, rhs - matvec(w0), spec.pcg_iters, lambda v: v / diag)
-    return truncated
-
-
-def bsr_apply(r: np.ndarray, op: SaddleOperator, spec: SmootherSpec,
-              schur_solve: Callable[[np.ndarray], np.ndarray] | None = None,
+def bsr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
+              schur_solve: Callable[[np.ndarray], np.ndarray],
               out: np.ndarray | None = None) -> np.ndarray:
-    """One Braess-Sarazin correction omega * B_m^{-1} r, written into out if given
-    (which may be r); schur_solve is schur_solver(op, spec), built here if not given."""
-    if spec.omega is None:
-        raise ValueError("omega must be resolved before relaxing, got None")
+    """One Braess-Sarazin correction omega * B_m^{-1} r with the Schur solve
+    schur_solve, written into out if given (which may be r)."""
     rhs = r[1] - apply_mass(r[0], op.grid)
     m = 1.0 if op.mask is None else op.mask
-    w_p = (schur_solve or schur_solver(op, spec))(rhs)
+    w_p = schur_solve(rhs)
     w = np.stack([apply_mass(r[0] + m * w_p / op.alpha, op.grid), w_p], out=out)
-    w *= spec.omega
+    w *= omega
     return w
 
 
 def relaxation(op: SaddleOperator, spec: SmootherSpec, q: int) -> Callable[..., np.ndarray]:
     """r, out=None -> omega B^{-1} r for spec on op (a None omega is closed_form's),
-    with what spec reuses built once; its kernels are looked up by name at each
-    call, so rebinding one reaches it."""
-    if spec.omega is None:
-        spec = replace(spec, omega=closed_form(
-            spec.kind, LfaParams(q, op.alpha, op.grid.h)).omega)
+    with the Schur solve built once (ibsr: fixed-count CG from rhs / diag); its
+    kernels are looked up by name at each call, so rebinding one reaches it."""
+    omega = spec.omega
+    if omega is None:
+        omega = closed_form(spec.kind, LfaParams(q, op.alpha, op.grid.h)).omega
     if spec.kind == "cjr":
-        return lambda r, out=None: cjr_apply(r, op, spec.omega, out)
-    solve = schur_solver(op, spec)
-    return lambda r, out=None: bsr_apply(r, op, spec, solve, out)
+        return lambda r, out=None: cjr_apply(r, op, omega, out)
+    if spec.kind == "bsr":
+        inv = (SchurSpectral(op.grid, op.alpha) if op.mask is None
+               else SparseLU(schur_matrix(op)))
+        solve = lambda rhs: inv.solve(rhs)
+    else:
+        diag = schur_diag(op)
+        matvec = lambda w: schur_apply(w, op)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            w0 = rhs / diag
+            return w0 + pcg(matvec, rhs - matvec(w0), spec.pcg_iters, lambda v: v / diag)
+    return lambda r, out=None: bsr_apply(r, op, omega, solve, out)

@@ -215,6 +215,16 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
         assert f"bad.cfg:1: unknown key {key!r} for ocmg {argv[0]}" in err
 
 
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    # the later value used to win without a word
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("N = 16\nnu = 1\n# nu = 2\nnu = 3\n")
+    assert run_cli(["mg", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ocmg: {cfg}:4: duplicate key 'nu'\n"
+
+
 def test_config_rejects_malformed_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme ibsr\n")
@@ -323,8 +333,8 @@ def test_ssn_rejects_bad_bounds():
 
 def _tiny_cells():
     return [
-        dict(scheme="ibsr", q=2, N=16, alpha=1e-4, nu=1, cycle="W", pcg_iters=2),
         dict(scheme="cjr", q=2, N=16, alpha=1e-4, nu=1, cycle="V", pcg_iters=2),
+        dict(scheme="ibsr", q=2, N=16, alpha=1e-4, nu=1, cycle="W", pcg_iters=2),
     ]
 
 
@@ -411,6 +421,21 @@ def test_repro_full_grids_have_expected_shapes():
     assert len(cli.sweep_cells()) == 36
     for cell in cli.table1_cells() + cli.table2_cells() + cli.sweep_cells():
         assert cell["N"] % cell["q"] == 0
+
+
+@pytest.mark.parametrize("target", ["table1", "table2", "sweep"])
+def test_repro_rows_come_out_sorted_as_the_cells_are_built(tmp_path, monkeypatch,
+                                                           target):
+    # run_cells keeps the cell order, so the builders must give the table order
+    monkeypatch.setattr(cli, "_measure_cell", lambda cell: 0.5)
+    assert run_cli(["repro", target, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{target}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    key = lambda c: (c["scheme"], c["q"], c["nu"], c["cycle"], c["pcg_iters"], -c["alpha"])
+    want = sorted(getattr(cli, f"{target}_cells")(), key=key)
+    got = [(r["scheme"], int(r["q"]), int(r["nu"]), r["cycle"], int(r["pcg_iters"]),
+            -float(r.get("alpha", cli.TABLE_ALPHA))) for r in rows]
+    assert got == [key(c) for c in want]
 
 
 def test_mu_pred_uses_the_damping_bound_for_mass_schemes():

@@ -24,7 +24,7 @@ from ocmg.multigrid import (
     solve,
 )
 from ocmg.problems import example1_fields
-from ocmg.smoothers import SmootherSpec, bsr_apply, cjr_apply, schur_apply
+from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation, schur_apply
 
 import oracle
 
@@ -118,6 +118,24 @@ def test_cycle_spec_rejects_a_negative_seed_by_name():
         CycleSpec(seed=-1)
 
 
+@pytest.mark.parametrize("name, build", [
+    pytest.param("N", lambda: GridSpec(16.0), id="GridSpec(16.0)"),
+    pytest.param("N", lambda: level_sizes(16.0, 2), id="level_sizes(16.0,2)"),
+    pytest.param("coarsening factor", lambda: level_sizes(16, 2.0), id="level_sizes(16,2.0)"),
+    pytest.param("nu", lambda: CycleSpec(nu_pre=1.5), id="nu_pre=1.5"),
+    pytest.param("nu", lambda: CycleSpec(nu_pre=2.0), id="nu_pre=2.0"),
+    pytest.param("max_iters", lambda: CycleSpec(max_iters=2.5), id="max_iters=2.5"),
+    pytest.param("seed", lambda: CycleSpec(seed=0.5), id="seed=0.5"),
+    pytest.param("pcg_iters", lambda: SmootherSpec("ibsr", pcg_iters=1.5), id="pcg_iters=1.5"),
+    pytest.param("pcg_iters", lambda: SmootherSpec("ibsr", pcg_iters=2.0), id="pcg_iters=2.0"),
+])
+def test_integer_inputs_reject_non_integers_by_name(name, build):
+    # each used to be accepted: GridSpec(16.0).m was 15.0, level_sizes(16, 2.0)
+    # gave [16, 8.0], and the specs raised TypeError in the middle of a solve
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
+
+
 @pytest.mark.parametrize("N, q, kind", [(50, 2, "cjr"), (75, 3, "cjr"), (100, 4, "bsr")])
 def test_chains_stopping_above_n24_build_and_converge(N, q, kind):
     # each chain stops at N=25; the sparse coarse LU takes any coarsest grid
@@ -161,7 +179,7 @@ def test_bsr_omega_fixed_per_level():
     fixed = replace(spec, omega=bsr_damping(2)[0])
     rng = _rng(21)
     for lev in hier.levels[:-1]:
-        _assert_relaxes_as(lev, lambda r: bsr_apply(r, lev.op, fixed), rng)
+        _assert_relaxes_as(lev, relaxation(lev.op, fixed, 2), rng)
 
 
 def test_explicit_omega_respected_everywhere():
@@ -517,7 +535,7 @@ def test_ibsr_levels_cache_the_schur_diagonal(monkeypatch):
     hier = build_hierarchy(128, 2, 1e-3, spec, mask=mask)
     fixed = replace(spec, omega=bsr_damping(2)[0])
     rs = [rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m)) for lev in hier.levels[:-1]]
-    want = [bsr_apply(r, lev.op, fixed) for r, lev in zip(rs, hier.levels)]
+    want = [relaxation(lev.op, fixed, 2)(r) for r, lev in zip(rs, hier.levels)]
     monkeypatch.setattr(smoothers, "schur_diag", _refuse("schur_diag"))
     for r, w, lev in zip(rs, want, hier.levels):
         np.testing.assert_array_equal(lev.relax(r), w)
@@ -527,7 +545,8 @@ def test_masked_bsr_levels_cache_an_exact_schur_inverse(monkeypatch):
     rng = _rng(10)
     mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float)
     hier = build_hierarchy(128, 2, 1e-6, SmootherSpec("bsr", omega=1.0), mask=mask)
-    monkeypatch.setattr(smoothers, "schur_inverse", _refuse("schur_inverse"))
+    for name in ("SparseLU", "SchurSpectral", "schur_diag"):
+        monkeypatch.setattr(smoothers, name, _refuse(name))
     for lev in hier.levels[:-1]:
         assert lev.op.mask is not None
         r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m))
@@ -549,7 +568,7 @@ def test_level_relax_is_bitwise_the_direct_smoother(kind, masked):
         if kind == "cjr":
             want = cjr_apply(r, lev.op, expect)
         else:
-            want = bsr_apply(r, lev.op, replace(spec, omega=expect))
+            want = relaxation(lev.op, replace(spec, omega=expect), 2)(r)
         np.testing.assert_array_equal(lev.relax(r), want)
         buf = r.copy()
         assert lev.relax(buf, out=buf) is buf
@@ -560,15 +579,17 @@ def test_level_relax_is_bitwise_the_direct_smoother(kind, masked):
 def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
     # the coarse LU solves the coarsest level, so it is never relaxed
     built = []
-    for name in ("schur_inverse", "schur_diag"):
-        def record(op, _f=getattr(smoothers, name)):
-            built.append(op.grid.N)
-            return _f(op)
+    for name in ("SparseLU", "SchurSpectral", "schur_diag"):
+        def record(*args, _name=name, _f=getattr(smoothers, name)):
+            built.append(_name)
+            return _f(*args)
         monkeypatch.setattr(smoothers, name, record)
     mask = (_rng(12).uniform(size=(127, 127)) < 0.7).astype(float)
     hier = build_hierarchy(128, 2, 1e-4, SmootherSpec(kind), mask=mask)
     assert [lev.op.grid.N for lev in hier.levels] == [128, 64, 32]
-    assert built == ([] if kind == "cjr" else [128, 64])
+    # one Schur solve per relaxed level: a sparse LU for masked bsr, the
+    # diagonal for ibsr
+    assert built == {"cjr": [], "bsr": ["SparseLU"] * 2, "ibsr": ["schur_diag"] * 2}[kind]
     assert hier.levels[-1].relax is None
     assert all(callable(lev.relax) for lev in hier.levels[:-1])
 

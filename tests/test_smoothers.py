@@ -43,6 +43,11 @@ def _rand_block(grid, rng):
     return rng.standard_normal((2, grid.m, grid.m))
 
 
+def _bsr(op, omega, kind="bsr"):
+    """The bsr or ibsr correction r, out=None -> omega B_m^{-1} r on op."""
+    return relaxation(op, SmootherSpec(kind, omega=omega), 2)
+
+
 def _sine_mode(grid, k, l):
     """Discrete sine mode sin(k pi x2) sin(l pi x1) on the interior.
 
@@ -214,15 +219,14 @@ def test_bsr_hand_value_n2():
     g = GridSpec(2)
     op = SaddleOperator(g, alpha=1.0)
     r = np.array([[[1.0]], [[0.0]]])
-    w = bsr_apply(r, op, SmootherSpec("bsr", omega=1.0))
+    w = _bsr(op, 1.0)(r)
     assert w[0, 0, 0] == pytest.approx(16.0 / 145.0, rel=1e-12)
     assert w[1, 0, 0] == pytest.approx(-1.0 / 145.0, rel=1e-12)
 
 
 def test_bsr_zero_residual():
     g = GridSpec(8)
-    w = bsr_apply(np.zeros((2, g.m, g.m)), SaddleOperator(g, alpha=1e-3),
-                  SmootherSpec("bsr", omega=0.75))
+    w = _bsr(SaddleOperator(g, alpha=1e-3), 0.75)(np.zeros((2, g.m, g.m)))
     assert block_norm2(w) == 0.0
 
 
@@ -235,7 +239,7 @@ def test_bsr_exact_matches_dense(masked):
     r = _rand_block(g, rng)
     B = oracle.assemble("B_m", g, alpha=1e-2, mask=mask)
     want = 0.75 * np.linalg.solve(B, r.ravel())
-    got = bsr_apply(r, op, SmootherSpec("bsr", omega=0.75)).ravel()
+    got = _bsr(op, 0.75)(r).ravel()
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -247,7 +251,7 @@ def test_smoothers_linear_in_residual():
     combo = 2.0 * r1 + (-0.5) * r2
     for apply_fn in (
         lambda r: cjr_apply(r, op, 0.8),
-        lambda r: bsr_apply(r, op, SmootherSpec("bsr", omega=0.75)),
+        _bsr(op, 0.75),
     ):
         lhs = apply_fn(combo)
         rhs = 2.0 * apply_fn(r1) + (-0.5) * apply_fn(r2)
@@ -260,13 +264,13 @@ def test_ibsr_homogeneous_but_not_additive():
     g = GridSpec(8)
     rng = _rng(10)
     op = SaddleOperator(g, alpha=1e-3)
-    spec = SmootherSpec("ibsr", omega=0.75, pcg_iters=2)
+    ibsr = _bsr(op, 0.75, "ibsr")  # two CG iterations
     r1, r2 = _rand_block(g, rng), _rand_block(g, rng)
-    scaled = bsr_apply(-3.0 * r1, op, spec)
-    want = -3.0 * bsr_apply(r1, op, spec)
+    scaled = ibsr(-3.0 * r1)
+    want = -3.0 * ibsr(r1)
     assert block_norm2(scaled - want) <= 1e-12 * block_norm2(want)
-    lhs = bsr_apply(r1 + r2, op, spec)
-    rhs = bsr_apply(r1, op, spec) + bsr_apply(r2, op, spec)
+    lhs = ibsr(r1 + r2)
+    rhs = ibsr(r1) + ibsr(r2)
     assert block_norm2(lhs - rhs) > 1e-6 * block_norm2(rhs)
 
 
@@ -278,11 +282,10 @@ def test_smoothers_write_their_correction_into_the_residual(kind, masked):
     mask = (rng.random((g.m, g.m)) < 0.5).astype(float) if masked else None
     op = SaddleOperator(g, alpha=1e-2, mask=mask)
     r = _rand_block(g, rng)
-    spec = SmootherSpec(kind, omega=0.75)
     if kind == "cjr":
         apply_fn = lambda r, out=None: cjr_apply(r, op, 0.75, out)
     else:
-        apply_fn = lambda r, out=None: bsr_apply(r, op, spec, out=out)
+        apply_fn = _bsr(op, 0.75, kind)
     want = apply_fn(r)
     buf = r.copy()
     got = apply_fn(buf, out=buf)
@@ -297,8 +300,13 @@ def test_ibsr_with_the_cached_diagonal_is_bitwise_the_same(masked):
     op = SaddleOperator(g, alpha=1e-3,
                         mask=rng.random((g.m, g.m)) if masked else None)
     r = _rand_block(g, rng)
-    spec = SmootherSpec("ibsr", omega=0.75)
-    np.testing.assert_array_equal(relaxation(op, spec, 2)(r), bsr_apply(r, op, spec))
+    matvec = lambda w: schur_apply(w, op)
+
+    def fresh_diag_solve(rhs):
+        w0 = rhs / schur_diag(op)
+        return w0 + pcg(matvec, rhs - matvec(w0), 2, lambda v: v / schur_diag(op))
+    np.testing.assert_array_equal(_bsr(op, 0.75, "ibsr")(r),
+                                  bsr_apply(r, op, 0.75, fresh_diag_solve))
 
 
 def test_unmasked_schur_diagonal_is_the_constant_of_the_masked_formula():
@@ -371,14 +379,13 @@ def test_one_sweep_mode_damping_bsr():
     g = GridSpec(N)
     op = SaddleOperator(g, alpha=alpha)
     omega, bound = bsr_damping(2)
-    spec = SmootherSpec("bsr", omega=omega)
     sp = SchurSpectral(g, alpha)
     b = np.zeros((2, g.m, g.m))
     worst_plain = worst_scaled = 0.0
     for k, l in _high_freq_modes(N, 2):
         mode = _sine_mode(g, k, l)
         v = np.stack([mode, mode])
-        v1 = v + bsr_apply(residual(op, b, v), op, spec, schur_solve=sp.solve)
+        v1 = v + bsr_apply(residual(op, b, v), op, omega, sp.solve)
         worst_plain = max(worst_plain, block_norm2(v1) / block_norm2(v))
         worst_scaled = max(worst_scaled, _scaled_norm(v1, alpha) / _scaled_norm(v, alpha))
     assert worst_plain <= bound + 0.05
@@ -428,17 +435,10 @@ def test_spec_rejects_infinite_omega():
 
 
 @pytest.mark.parametrize("kind", SCHEMES)
-def test_unresolved_omega_is_rejected_before_relaxing(kind):
-    # relaxation resolves a None omega to closed_form's for q and op's h;
-    # bsr_apply, called directly, rejects it (it used to fail on an assert
-    # that -O strips)
+def test_unset_omega_is_resolved_before_relaxing(kind):
+    # relaxation resolves a None omega to closed_form's for q and op's h
     op = SaddleOperator(GridSpec(9), alpha=1e-2)
     r = _rand_block(op.grid, _rng())
     omega = closed_form(kind, LfaParams(q=3, alpha=op.alpha, h=op.grid.h)).omega
-    if kind == "cjr":
-        want = cjr_apply(r, op, omega)
-    else:
-        want = bsr_apply(r, op, SmootherSpec(kind, omega=omega))
-        with pytest.raises(ValueError, match="omega must be resolved"):
-            bsr_apply(r, op, SmootherSpec(kind))
+    want = relaxation(op, SmootherSpec(kind, omega=omega), 3)(r)
     np.testing.assert_array_equal(relaxation(op, SmootherSpec(kind), 3)(r), want)
