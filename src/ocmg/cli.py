@@ -153,21 +153,20 @@ def _load_problem(opts: dict, grid: GridSpec, fallback) -> ProblemData:
 
 def cmd_lfa(opts: dict) -> int:
     params = LfaParams(q=opts["q"], alpha=opts["alpha"], h=opts["h"])
-    sampled = sampled_optimal(opts["scheme"], params)  # rejects a scheme LFA lacks
     closed = closed_form(opts["scheme"], params)
-
-    print(f"scheme={opts['scheme']} q={opts['q']} "
-          f"alpha={opts['alpha']:g} h={opts['h']:.17g}")
-    theta_txt = "" if closed.theta is None else \
-        f" theta=({closed.theta[0]:.6f}, {closed.theta[1]:.6f})"
-    print(f"closed-form: omega={closed.omega:.8f} mu={closed.mu:.8f}{theta_txt}")
-    print(f"sampled:     omega={sampled.omega:.8f} mu={sampled.mu:.8f}"
-          f" theta=({sampled.theta[0]:.6f}, {sampled.theta[1]:.6f})")
-    print(f"difference:  |domega|={abs(sampled.omega - closed.omega):.3e}"
-          f" |dmu|={abs(sampled.mu - closed.mu):.3e}")
-
-    if opts.get("out"):
-        with open(opts["out"], "w", newline="", encoding="utf-8") as fh:
+    with (open(opts["out"], "w", newline="", encoding="utf-8") if opts.get("out")
+          else contextlib.nullcontext()) as fh:
+        sampled = sampled_optimal(opts["scheme"], params)  # rejects a scheme LFA lacks
+        print(f"scheme={opts['scheme']} q={opts['q']} "
+              f"alpha={opts['alpha']:g} h={opts['h']:.17g}")
+        theta_txt = "" if closed.theta is None else \
+            f" theta=({closed.theta[0]:.6f}, {closed.theta[1]:.6f})"
+        print(f"closed-form: omega={closed.omega:.8f} mu={closed.mu:.8f}{theta_txt}")
+        print(f"sampled:     omega={sampled.omega:.8f} mu={sampled.mu:.8f}"
+              f" theta=({sampled.theta[0]:.6f}, {sampled.theta[1]:.6f})")
+        print(f"difference:  |domega|={abs(sampled.omega - closed.omega):.3e}"
+              f" |dmu|={abs(sampled.mu - closed.mu):.3e}")
+        if fh is not None:
             w = csv.writer(fh)
             w.writerow(["scheme", "q", "alpha", "h", "omega_closed",
                         "mu_closed", "omega_sampled", "mu_sampled",

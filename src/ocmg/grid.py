@@ -26,10 +26,12 @@ assembled sparse, only by sparse_laplacian and sparse_mass):
 
         A (y, p) = ( L y - (M.p)/alpha ,  y + L p )
 
-    where M is an optional {0,1} mask acting entrywise on p (identity
-    when absent).  With the mask absent this is the optimality system of
-    the quadratic control problem; with a mask it is the generalized
-    Jacobian arising from the active-set outer iteration.
+    where M is an optional mask with entries in [0, 1] acting entrywise
+    on p (identity when absent): {0,1} on the finest level, fractional
+    where multigrid averages it onto coarse levels.  With the mask absent
+    this is the optimality system of the quadratic control problem; with
+    a mask it is the generalized Jacobian arising from the active-set
+    outer iteration.
 
 Strip policy: every Laplacian, saddle and residual evaluation runs one
 row kernel (_laplacian_rows, _saddle_rows) over row ranges [a, b).
@@ -120,7 +122,11 @@ def check_q(q: int) -> None:
 
 @dataclass(frozen=True)
 class SaddleOperator:
-    """Matrix-free A = [[L, -M/alpha], [I, L]]; mask None means M = I."""
+    """Matrix-free A = [[L, -M/alpha], [I, L]]; mask None means M = I.
+
+    A mask is one finite (m, m) field with entries in [0, 1]: {0,1} on the
+    finest level, fractional on the coarse levels it is averaged onto.
+    """
 
     grid: GridSpec
     alpha: float
@@ -128,8 +134,13 @@ class SaddleOperator:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.mask is not None:
-            self.grid.check_field(self.mask)
+        if self.mask is None:
+            return
+        if np.shape(self.mask) != (self.grid.m, self.grid.m):
+            raise ValueError(f"mask shape {np.shape(self.mask)} is not "
+                             f"({self.grid.m}, {self.grid.m}) for grid N={self.grid.N}")
+        if not np.isfinite(self.mask).all():
+            raise ValueError("mask has a non-finite entry")
 
 
 STRIP_BYTES = 1 << 19
@@ -261,5 +272,7 @@ def residual(op: SaddleOperator, b: np.ndarray, v: np.ndarray,
 
 
 def block_norm2(v: np.ndarray) -> float:
-    """Euclidean norm over all 2(N-1)^2 entries."""
-    return float(np.linalg.norm(v))
+    """Euclidean norm over all 2(N-1)^2 entries; inf, without a warning, if
+    it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))

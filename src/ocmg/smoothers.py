@@ -1,17 +1,14 @@
 """Relaxation updates v <- v + omega * B^{-1} r for the saddle system.
 
-Both smoothers solve their 2(N-1)^2 block system B w = r by eliminating
-the first block row, which leaves one scalar problem in the adjoint
-correction w_p followed by a cheap back-substitution for w_y.  Writing
-r = (r_y, r_p), M for the optional {0,1} mask and D = diag(L) = 4/h^2:
+Both smoothers are one block elimination, _eliminate, with different
+blocks.  Writing r = (r_y, r_p), M for the optional mask (entries in
+[0, 1]) and B = [[F^{-1}, -M/alpha], [I, K]], it solves the Schur
+system S w_p = r_p - F r_y with S = K + F (M.)/alpha, then sets
+w_y = F (r_y + (M.w_p)/alpha):
 
-  collective Jacobi, B = [[D, -M/alpha], [I, D]]:
-      w_p = (D + D^{-1} M/alpha)^{-1} (r_p - D^{-1} r_y)     pointwise
-      w_y = D^{-1} (r_y + (M.w_p)/alpha)
-
-  mass Braess-Sarazin, B = [[Q^{-1}, -M/alpha], [I, L]]:
-      (L + Q (M.))/alpha ... the Schur operator S w_p = r_p - Q r_y
-      w_y = Q (r_y + (M.w_p)/alpha)
+  scheme   first F             K      Schur solve
+  cjr      D^{-1}, D = 4/h^2   D      pointwise, S = D + D^{-1} M/alpha
+  bsr      Q (mass)            L      direct (bsr) or truncated CG (ibsr)
 
 The Schur solve is where the two Braess-Sarazin variants differ:
 
@@ -36,8 +33,7 @@ for q and op's h: the collective Jacobi damping is recomputed per level
 (gamma = h^2/(4 sqrt(alpha)) grows on coarse levels), the Braess-Sarazin
 one is the fixed per-q constant.  The kernels cjr_apply and bsr_apply
 take those resolved values and write into an optional out array, which
-may be r itself: both read all of r they need before writing the part of
-out that overlaps it.
+may be r itself: _eliminate reads r_y and r_p before it writes w_y.
 """
 
 from __future__ import annotations
@@ -109,9 +105,20 @@ def pcg(matvec, b: np.ndarray, iters: int, precond) -> np.ndarray:
     return x
 
 
+def _eliminate(r: np.ndarray, m: np.ndarray | float, alpha: float, omega: float,
+               first: Callable, schur: Callable, w: np.ndarray) -> None:
+    """omega B^{-1} r into w, which may be r, by eliminating the first block
+    row: w_p = schur(r_p - first(r_y)), w_y = first(r_y + (m w_p)/alpha)."""
+    w_p = schur(r[1] - first(r[0]))
+    w[0] = first(r[0] + m * w_p / alpha)  # reads r_y before it is overwritten
+    w[1] = w_p
+    w *= omega
+
+
 def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
               out: np.ndarray | None = None) -> np.ndarray:
-    """One collective Jacobi correction omega * B_J^{-1} r (pointwise 2x2 solves).
+    """One collective Jacobi correction omega * B_J^{-1} r: _eliminate with
+    first = D^{-1} and the pointwise Schur solve, per row strip.
 
     Written into out if given, which may be r.  The field is processed in
     the row strips of grid.row_strips, as grid.residual is; a field of at
@@ -120,27 +127,10 @@ def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
     d = 4.0 * op.grid.N ** 2
     w = np.empty_like(r) if out is None else out
     for a, b in _grid.row_strips(r):
-        mask = None if op.mask is None else op.mask[a:b]
-        _cjr_rows(r[:, a:b], mask, d, op.alpha, omega, w[:, a:b])
+        m = 1.0 if op.mask is None else op.mask[a:b]
+        _eliminate(r[:, a:b], m, op.alpha, omega, lambda u: u / d,
+                   lambda x: x / (d + m / (op.alpha * d)), w[:, a:b])
     return w
-
-
-def _cjr_rows(r: np.ndarray, mask: np.ndarray | None, d: float, alpha: float,
-              omega: float, w: np.ndarray) -> None:
-    """Collective Jacobi from the rows r into the same rows w, which may be r."""
-    m = 1.0 if mask is None else mask
-    # w_p = (r_p - r_y/d) / (d + m/(alpha d)),  w_y = (r_y + m w_p/alpha) / d,
-    # with one temporary; w_p reads r_p and r_y before it overwrites r_p,
-    # and w_y reads r_y before it overwrites r_y
-    w_y, w_p = w
-    t = r[0] / d
-    np.subtract(r[1], t, out=w_p)
-    w_p /= d + m / (alpha * d)
-    np.multiply(m, w_p, out=t)
-    t /= alpha
-    np.add(r[0], t, out=w_y)
-    w_y /= d
-    w *= omega
 
 
 def schur_apply(w: np.ndarray, op: SaddleOperator) -> np.ndarray:
@@ -190,13 +180,12 @@ class SchurSpectral:
 def bsr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
               schur_solve: Callable[[np.ndarray], np.ndarray],
               out: np.ndarray | None = None) -> np.ndarray:
-    """One Braess-Sarazin correction omega * B_m^{-1} r with the Schur solve
-    schur_solve, written into out if given (which may be r)."""
-    rhs = r[1] - apply_mass(r[0], op.grid)
+    """One Braess-Sarazin correction omega * B_m^{-1} r: _eliminate with
+    first = Q and schur_solve, written into out if given (which may be r)."""
+    w = np.empty_like(r) if out is None else out
     m = 1.0 if op.mask is None else op.mask
-    w_p = schur_solve(rhs)
-    w = np.stack([apply_mass(r[0] + m * w_p / op.alpha, op.grid), w_p], out=out)
-    w *= omega
+    _eliminate(r, m, op.alpha, omega, lambda u: apply_mass(u, op.grid),
+               schur_solve, w)
     return w
 
 

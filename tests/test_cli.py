@@ -150,7 +150,6 @@ def test_mg_data_whose_norm_overflows_is_a_validation_error(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_mg_overflowing_residual_exits_2_without_cycling(tmp_path, capsys):
     # data of a finite norm whose residual norm overflows (A v holds
     # p/alpha ~ 1e300): the solve must stop before cycling, instead of
@@ -329,6 +328,14 @@ def test_ssn_rejects_bad_bounds():
     assert run_cli(["ssn", "--N", "16", "--u0", "1", "--u1", "30"]) == 1
 
 
+def test_ssn_overflowing_residual_is_reported_without_a_numpy_warning(capsys):
+    # the residual norm overflows to inf: numpy's "overflow encountered in
+    # dot" warning used to reach stderr before the report
+    assert run_cli(["ssn", "--N", "16", "--alpha", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("ocmg: ")
+
+
 # --------------------------------------------------------------- repro
 
 def _tiny_cells():
@@ -390,13 +397,15 @@ def _refuse(name):
     (["mg", "--N", "16"], "solve"),
     (["ssn", "--N", "16"], "ssn_solve"),
     (["repro", "table1"], "_measure_cell"),
+    (["lfa"], "sampled_optimal"),
 ])
 def test_bad_out_exits_1_before_any_solve(tmp_path, monkeypatch, capsys, argv, solver):
     # ssn used to find out only after the solve, inside its failure handler
     monkeypatch.setattr(cli, solver, _refuse(solver))
     taken = tmp_path / "file"
     taken.write_text("")
-    bad = tmp_path if argv[0] == "mg" else taken  # mg writes a file, the others a directory
+    # mg and lfa write a file, the others a directory
+    bad = tmp_path if argv[0] in ("mg", "lfa") else taken
     assert run_cli(argv + ["--out", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("ocmg: ")
 

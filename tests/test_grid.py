@@ -17,6 +17,7 @@ from ocmg.grid import (
     sparse_laplacian,
 )
 from ocmg import lfa, multigrid
+from ocmg.smoothers import SmootherSpec
 
 import oracle
 
@@ -255,6 +256,25 @@ def test_saddle_operator_rejects_alpha_without_a_finite_reciprocal(alpha):
 def test_alpha_check_accepts_every_alpha_with_a_finite_reciprocal():
     for alpha in (1e-12, 1e-300, 2.2250738585072014e-308, 1e300):
         check_alpha(alpha)
+
+
+# ------------------------------------------------------------------- mask
+
+@pytest.mark.parametrize("build, match", [
+    # a stack of masks passed the trailing-axes field check, and the
+    # hierarchy then refused it as "N=3 cannot be coarsened by q=2"
+    (lambda: SaddleOperator(GridSpec(16), 1e-6, np.ones((2, 15, 15))), "mask shape"),
+    (lambda: multigrid.build_hierarchy(16, 2, 1e-6, SmootherSpec("cjr"),
+                                       mask=np.ones((2, 15, 15))), "mask shape"),
+    # a non-finite mask reached splu as "Factor is exactly singular"
+    (lambda: SaddleOperator(GridSpec(16), 1e-6, np.full((15, 15), np.nan)), "mask has a non-finite"),
+    (lambda: multigrid.build_hierarchy(16, 2, 1e-6, SmootherSpec("bsr"),
+                                       mask=np.where(np.eye(15) > 0, np.inf, 1.0)),
+     "mask has a non-finite"),
+], ids=["stack", "stack-hierarchy", "nan", "inf-hierarchy"])
+def test_saddle_operator_refuses_a_mask_that_is_not_one_finite_field(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 # ---------------------------------------------------------------------- q
