@@ -12,8 +12,9 @@ config, incompatible N and q, NaN, an alpha whose 1/alpha overflows),
 2 on solver failures (divergence, stalled Newton iteration, PCG
 breakdown).  A config file holds "key = value" lines for the command's
 flags, plus f_file and g_file for mg and ssn; flags win over config,
-config over the defaults here, and these over the library's.  Each value
-is checked by the library type it enters, built before the problem data.
+config over the defaults here, and these over the library's.  Flags and
+config share one table of choices, checked as a value is read; each value
+is then checked by the library type it enters, built before the data.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ _OPTIONS = {
     "u0": float, "u1": float, "h": float, "out": str,
     "f_file": str, "g_file": str,  # config only
 }
-# each command's help, flags and the choices argparse offers for them; a
-# config value is checked by the library type it enters instead
+# each command's help, flags and the choices of those flags, which
+# argparse checks for a flag and read_config for a config value
 _MG_FLAGS = ("scheme", "q", "N", "alpha", "cycle", "nu", "tol", "seed",
              "pcg_iters", "out")
 _MG_CHOICES = {"scheme": SCHEMES, "cycle": CYCLES}
@@ -94,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def read_config(path: str, command: str) -> dict:
     """Parse "key = value" lines of command's keys; '#' starts a comment."""
-    keys = _COMMANDS[command][1] + (("f_file", "g_file") if command != "lfa" else ())
+    _, flags, choices = _COMMANDS[command]
+    keys = flags + (("f_file", "g_file") if command != "lfa" else ())
     table = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -102,19 +104,19 @@ def read_config(path: str, command: str) -> dict:
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or not key or not value.strip():
+            key, value = key.strip(), value.strip()
+            if not sep or not key or not value:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r} for ocmg {command}")
             if key in table:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                table[key] = _OPTIONS[key](value.strip())
+                table[key] = _OPTIONS[key](value)
+                if key in choices and table[key] not in choices[key]:
+                    raise ValueError
             except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r}"
-                ) from None
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     return table
 
 
@@ -156,7 +158,7 @@ def cmd_lfa(opts: dict) -> int:
     closed = closed_form(opts["scheme"], params)
     with (open(opts["out"], "w", newline="", encoding="utf-8") if opts.get("out")
           else contextlib.nullcontext()) as fh:
-        sampled = sampled_optimal(opts["scheme"], params)  # rejects a scheme LFA lacks
+        sampled = sampled_optimal(opts["scheme"], params)
         print(f"scheme={opts['scheme']} q={opts['q']} "
               f"alpha={opts['alpha']:g} h={opts['h']:.17g}")
         theta_txt = "" if closed.theta is None else \
@@ -203,10 +205,8 @@ def cmd_mg(opts: dict) -> int:
               f"alpha={opts['alpha']:g} cycle={spec.cycle} nu={spec.nu_pre}")
         print(f"converged={res.converged} iters={res.iters} rho={res.rho:.3f}")
         _write_history(fh, res.history)
-    if not res.converged:
-        why = ("did not reach tolerance" if np.isfinite(res.history[-1])
-               else "residual norm is not finite")
-        print(f"ocmg: multigrid {why}", file=sys.stderr)
+    if res.failure:
+        print(f"ocmg: multigrid {res.failure}", file=sys.stderr)
         return 2
     return 0
 

@@ -20,17 +20,16 @@ Hierarchy invariants:
     rather than through a subsampled {0,1} pattern.
 
 Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
-recurses twice where a V-cycle recurses once; the coarsest level is a
-sparse LU direct solve, factored once per hierarchy, of its saddle
-matrix assembled here, and builds no smoother; every other level holds
-the relaxation, damping included, that smoothers.relaxation built for
-it.  Fields are stacked (2, m, m) block fields (see grid); the transfers
-act on one (m, m) component at a time.  No residual is evaluated twice:
-solve hands the residual of its convergence check to the next cycle, and
-a coarse visit from the zero iterate smooths its right-hand side
-directly.  No coarse solve is repeated either: the coarsest level
-ignores the iterate it is handed, so the W-cycle visits it once where it
-would visit it twice with the same right-hand side.
+recurses twice where a V-cycle recurses once.  Each level holds one
+solve, its relax: smoothers.relaxation's damped relaxation on every
+level but the coarsest, and there the sparse LU solve (B = A, omega = 1)
+of its saddle matrix, assembled here and factored once per hierarchy.
+Fields are stacked (2, m, m) block fields (see grid); the transfers act
+on one (m, m) component at a time.  No residual or coarse solve is
+computed twice: solve hands its convergence-check residual to the next
+cycle, a coarse visit from the zero iterate smooths its right-hand side
+directly, and as the LU solve ignores the iterate, the W-cycle visits
+the coarsest level once, not twice with the same right-hand side.
 
 Buffers: a cycle owns the iterate and the residual it is handed (see
 cycle).  The residual is its work buffer: the smoother writes its
@@ -96,14 +95,13 @@ class CycleSpec:
 @dataclass
 class Level:
     op: SaddleOperator
-    relax: Callable[..., np.ndarray] | None  # smoothers.relaxation; None on the coarsest
+    relax: Callable[..., np.ndarray]  # smoothers.relaxation; the coarsest: its LU solve
 
 
 @dataclass
 class Hierarchy:
     levels: list[Level]
     q: int
-    coarse_lu: SparseLU  # of the coarsest saddle matrix
 
 
 @dataclass
@@ -113,6 +111,13 @@ class MgResult:
     rho: float
     history: list[float]
     converged: bool
+
+    @property
+    def failure(self) -> str | None:
+        """Why an unconverged solve stopped; None for a converged one."""
+        return None if self.converged else (
+            "did not reach tolerance" if np.isfinite(self.history[-1])
+            else "residual norm is not finite")
 
 
 def level_sizes(N: int, q: int) -> list[int]:
@@ -137,7 +142,7 @@ def level_sizes(N: int, q: int) -> list[int]:
 
 def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
                     mask: np.ndarray | None = None) -> Hierarchy:
-    """Re-discretized level chain, each level but the coarsest relaxed by smoother."""
+    """Re-discretized level chain; smoother relaxes all levels but the coarsest, solved by LU."""
     ops = []
     for n in level_sizes(N, q):
         if ops and mask is not None:
@@ -148,12 +153,12 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
             mask = restrict(mask, q)
         ops.append(SaddleOperator(GridSpec(n), alpha, mask))
     levels = [Level(op, relaxation(op, smoother, q)) for op in ops[:-1]]
-    levels.append(Level(ops[-1], None))  # solved by coarse_lu, never relaxed
-    return Hierarchy(levels=levels, q=q, coarse_lu=SparseLU(_saddle_matrix(ops[-1])))
+    levels.append(Level(ops[-1], SparseLU(_saddle_matrix(ops[-1])).solve))
+    return Hierarchy(levels=levels, q=q)
 
 
 def _saddle_matrix(op: SaddleOperator):
-    """Sparse CSC [[L, -diag(mask)/alpha], [I, L]] in the [y; p] ravel order."""
+    """Sparse CSC [[L, -diag(mask)/alpha], [I, L]]; [y; p] is a block field's C-order ravel."""
     from scipy import sparse
     L, n = sparse_laplacian(op.grid), op.grid.npoints
     mask = np.ones(n) if op.mask is None else op.mask.ravel()
@@ -191,11 +196,6 @@ def prolong(coarse: np.ndarray, q: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- cycling
 
-def _coarse_solve(hier: Hierarchy, b: np.ndarray) -> np.ndarray:
-    # the C-order ravel of a block field is the saddle matrix's [y; p]
-    return hier.coarse_lu.solve(b)
-
-
 def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
           spec: CycleSpec, r: np.ndarray | None = None) -> np.ndarray:
     """One recursive cycle from the given level; returns the updated iterate.
@@ -203,12 +203,13 @@ def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
     The cycle owns what it is handed: v is updated in place and returned,
     and r, if given, must be the residual b - A v and is overwritten as
     the cycle's work buffer.  v None is the zero iterate; the coarsest
-    level ignores v and returns a new array.  b is never modified.
+    level's relax, its LU solve, ignores v and returns a new array.  b is
+    never modified.
     """
     last = len(hier.levels) - 1
-    if level == last:
-        return _coarse_solve(hier, b)
     lev, q = hier.levels[level], hier.q
+    if level == last:
+        return lev.relax(b)
     if v is None:  # the residual of the zero iterate is b itself
         v, r = lev.relax(b), None
     else:

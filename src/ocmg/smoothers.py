@@ -79,14 +79,14 @@ class PcgBreakdownError(RuntimeError):
 
 def pcg(matvec, b: np.ndarray, iters: int, precond) -> np.ndarray:
     """Preconditioned CG from zero: iters iterations, fewer only if r vanishes."""
-    if np.linalg.norm(b) == 0.0:
-        return np.zeros_like(b)
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
     d = z.copy()
     rz = np.vdot(r, z)
     for k in range(1, iters + 1):
+        if rz == 0.0:  # exactly when r = 0, as precond is positive definite
+            break
         ad = matvec(d)
         dad = np.vdot(d, ad)
         if dad <= 0.0:
@@ -96,8 +96,6 @@ def pcg(matvec, b: np.ndarray, iters: int, precond) -> np.ndarray:
         if k == iters:  # what follows only prepares another iteration
             break
         r -= step * ad
-        if np.linalg.norm(r) == 0.0:  # exact solve mid-run; continuing would divide by zero
-            break
         z = precond(r)
         rz_new = np.vdot(r, z)
         d = z + (rz_new / rz) * d

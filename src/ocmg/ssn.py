@@ -111,8 +111,8 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
     Returns converged=True once ||F|| <= max(tol ||F0||, tol ||(f,g)||, floor)
     (the seed may already solve the system; floor is round-off), or once a
     negligible step leaves the active set unchanged (a round-off stall).
-    SolverError on a diverged multigrid solve, a failed line search or
-    MAX_NEWTON_STEPS steps.
+    SolverError on an unconverged multigrid solve (its MgResult.failure),
+    a failed line search or MAX_NEWTON_STEPS steps.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -120,7 +120,7 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
     b = np.stack([data.f, data.g])
     seed = solve(build_hierarchy(grid.N, q, cp.alpha, smoother), b, spec)
     if not seed.converged:
-        raise SolverError("multigrid diverged on the seed system "
+        raise SolverError(f"multigrid {seed.failure} on the seed system "
                           f"(rho={seed.rho:.3f})")
     v = seed.v
     Fv = residual_F(v, data, cp)
@@ -148,7 +148,7 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
         jac = solve(build_hierarchy(grid.N, q, cp.alpha, smoother, mask=mask),
                     -1.0 * Fv, spec, v0=np.zeros_like(v))
         if not jac.converged:
-            raise SolverError("multigrid diverged on the Jacobian system "
+            raise SolverError(f"multigrid {jac.failure} on the Jacobian system "
                               f"(rho={jac.rho:.3f})", result())
         step = 1.0
         for _ in range(MAX_BACKTRACKS + 1):

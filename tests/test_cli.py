@@ -276,6 +276,21 @@ def test_bad_config_values_are_rejected_by_the_library_types(tmp_path, capsys,
     assert captured.err.startswith("ocmg: ") and captured.err.count("\n") == 1
 
 
+def test_config_value_outside_a_flags_choices_is_refused_as_it_is_read(tmp_path,
+                                                                        capsys):
+    # a config scheme LFA lacks used to pass the reader and fail in the
+    # analysis, after --out was opened, leaving an empty CSV behind
+    out = tmp_path / "x.csv"
+    for command, key, value in (("lfa", "scheme", "ibsr"), ("mg", "cycle", "X")):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ocmg: {cfg}:1: bad value for {key!r}: {value!r}\n"
+
+
 def test_negative_seed_is_rejected_by_name(capsys):
     # it used to exit 1 with numpy's bare "expected non-negative integer"
     assert run_cli(["mg", "--N", "16", "--seed", "-1"]) == 1
@@ -334,6 +349,8 @@ def test_ssn_overflowing_residual_is_reported_without_a_numpy_warning(capsys):
     assert run_cli(["ssn", "--N", "16", "--alpha", "1e-300"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("ocmg: ")
+    # no cycle ran, so nothing diverged: the first residual norm overflowed
+    assert "not finite" in err
 
 
 # --------------------------------------------------------------- repro

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ocmg import grid as grid_module
 from ocmg.grid import GridSpec, apply_mass, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal, closed_form
-from ocmg import multigrid, smoothers
+from ocmg import smoothers
 from ocmg.multigrid import (
     COARSEST_N,
     DIRECT_N,
@@ -393,12 +393,17 @@ def test_coarse_solve_is_backward_stable_above_the_oracle_size(N, q, mask_kind,
     hier = build_hierarchy(N, q, alpha, SmootherSpec("cjr"), mask=mask)
     coarse = hier.levels[-1]
     assert coarse.op.grid.N == N // q
+    _assert_lu_solves_the_saddle_system(coarse, rng)
+
+
+def _assert_lu_solves_the_saddle_system(coarse, rng):
+    """coarse.relax solves coarse.op's saddle system backward stably."""
     b = rng.standard_normal((2, coarse.op.grid.m, coarse.op.grid.m))
-    x = multigrid._coarse_solve(hier, b)
+    x = coarse.relax(b)
     # at least the infinity norm of [[L, -diag(mask)/alpha], [I, L]],
     # whose L rows have absolute sums of at most 8/h^2
     mask_max = 1.0 if coarse.op.mask is None else coarse.op.mask.max()
-    norm_a = 8.0 / coarse.op.grid.h**2 + max(1.0, mask_max / alpha)
+    norm_a = 8.0 / coarse.op.grid.h**2 + max(1.0, mask_max / coarse.op.alpha)
     err = np.abs(apply_saddle(coarse.op, x) - b).max()
     assert err <= 1e-14 * (norm_a * np.abs(x).max() + np.abs(b).max())
 
@@ -502,19 +507,18 @@ def test_cycle_with_a_handed_over_residual_matches_one_without(kind, nu,
 @pytest.mark.parametrize("N, q, kind, calls", [
     (256, 2, "W", 4), (64, 2, "V", 1), (243, 3, "W", 2), (64, 4, "W", 1)])
 def test_cycle_visits_the_coarsest_level_once_per_coarse_correction(
-        N, q, kind, calls, monkeypatch):
+        N, q, kind, calls):
     # the coarsest level ignores its iterate, so the W-cycle's second visit
     # from the level above would repeat the first: 2^(L-2) LU solves, not 2^(L-1)
     hier = build_hierarchy(N, q, 1e-3, SmootherSpec("cjr"))
     grid = hier.levels[0].op.grid
-    coarse_solve = multigrid._coarse_solve
-    count = []
+    lu_solve, count = hier.levels[-1].relax, []
 
     def counted(*args, **kwargs):
         count.append(1)
-        return coarse_solve(*args, **kwargs)
+        return lu_solve(*args, **kwargs)
 
-    monkeypatch.setattr(multigrid, "_coarse_solve", counted)
+    hier.levels[-1].relax = counted
     rng = _rng(8)
     v = rng.uniform(size=(2, grid.m, grid.m))
     b = rng.standard_normal((2, grid.m, grid.m))
@@ -577,7 +581,8 @@ def test_level_relax_is_bitwise_the_direct_smoother(kind, masked):
 
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
 def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
-    # the coarse LU solves the coarsest level, so it is never relaxed
+    # the coarsest level's relax is the LU solve of its saddle system, so
+    # it builds no smoother state
     built = []
     for name in ("SparseLU", "SchurSpectral", "schur_diag"):
         def record(*args, _name=name, _f=getattr(smoothers, name)):
@@ -590,7 +595,7 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
     # one Schur solve per relaxed level: a sparse LU for masked bsr, the
     # diagonal for ibsr
     assert built == {"cjr": [], "bsr": ["SparseLU"] * 2, "ibsr": ["schur_diag"] * 2}[kind]
-    assert hier.levels[-1].relax is None
+    _assert_lu_solves_the_saddle_system(hier.levels[-1], _rng(13))
     assert all(callable(lev.relax) for lev in hier.levels[:-1])
 
 

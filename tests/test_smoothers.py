@@ -147,9 +147,11 @@ def _identity(v):
 
 
 def test_pcg_identity_one_iteration():
+    # one iteration solves it exactly; given 3, the vanishing residual ends the run
     b = _rng(6).standard_normal(10)
-    x = pcg(_identity, b, 1, _identity)
-    assert np.allclose(x, b, rtol=1e-14)
+    for iters in (1, 3):
+        x = pcg(_identity, b, iters, _identity)
+        assert np.allclose(x, b, rtol=1e-14)
 
 
 def test_pcg_diagonal_with_diagonal_preconditioner():

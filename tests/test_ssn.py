@@ -284,7 +284,7 @@ def test_every_multigrid_solve_goes_through_the_module_binding(monkeypatch):
 
 def test_diverged_seed_solve_carries_no_state(monkeypatch):
     _rebind_solve(monkeypatch, at=0, edit=lambda res: replace(res, converged=False))
-    with pytest.raises(SolverError, match="diverged on the seed system") as exc:
+    with pytest.raises(SolverError, match="multigrid did not reach tolerance on the seed system") as exc:
         _solve_example2(1e-4, 1e-3)
     assert exc.value.state is None
 
@@ -305,7 +305,7 @@ def _check_failed_state(match, steps):
 
 def test_diverged_jacobian_solve_carries_the_last_accepted_iterate(monkeypatch):
     _rebind_solve(monkeypatch, at=2, edit=lambda res: replace(res, converged=False))
-    _check_failed_state("diverged on the Jacobian system", 1)
+    _check_failed_state("multigrid did not reach tolerance on the Jacobian system", 1)
 
 
 def test_uphill_correction_fails_the_line_search_with_state(monkeypatch):
