@@ -237,8 +237,8 @@ class SparseLU:
         from scipy.sparse.linalg import splu  # here, not at start-up of every ocmg command
         self._lu = splu(A)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:  # A^{-1} b, shaped as b
-        return self._lu.solve(b.ravel()).reshape(b.shape)
+    def solve(self, b: np.ndarray) -> np.ndarray:  # A^{-1} b, shaped as b and of its dtype
+        return self._lu.solve(b.ravel()).astype(b.dtype, copy=False).reshape(b.shape)
 
 
 def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,

@@ -25,22 +25,21 @@ solve, its relax: smoothers.relaxation's damped relaxation on every
 level but the coarsest, and there the sparse LU solve (B = A, omega = 1)
 of its saddle matrix, assembled here and factored once per hierarchy.
 Fields are stacked (2, m, m) block fields (see grid); the transfers act
-on one (m, m) component at a time.  No residual or coarse solve is
-computed twice: solve hands its convergence-check residual to the next
-cycle, a coarse visit from the zero iterate smooths its right-hand side
-directly, and as the LU solve ignores the iterate, the W-cycle visits
-the coarsest level once, not twice with the same right-hand side.
+on one (m, m) component at a time.  As the LU solve is exact, a W-cycle
+visits the coarsest level once, not twice.
 
-Buffers: a cycle owns the iterate and the residual it is handed (see
-cycle).  The residual is its work buffer: the smoother writes its
-correction into it, each later residual (after every smoothing step) is
-written back into it, and the cycle drops it once it is restricted,
-before descending.  solve hands over the residual of its convergence
-check and keeps no reference to it, so a level-0 cycle holds two fine
-block fields (the iterate and the buffer) where it would hold three.
+Precision: solve keeps the iterate v and its residual r = b - A v in
+float64 and adds to v the correction a cycle from zero computes for r
+in the hierarchy's dtype (iterative refinement: it need only be
+accurate next to rho): float32, also for the masks, unless alpha,
+1/alpha or 4N^2 reach sqrt(float32 max), beyond which a product of two
+of them overflows.  The cycle reads 2^-s r, 2^s the binary exponent of
+||r||, and its correction is scaled back by 2^s in float64; powers of
+two are exact, so scaling b by one scales v exactly.  Kernels follow
+their input's dtype; the sparse LU solves run in float64.
 
 Transfers are tensor products of sparse 1D operators built once per
-(N, q): full weighting R1, weights (q - |k|)/q^2 for k = -(q-1)..(q-1),
+(N, q, dtype): full weighting R1, weights (q - |k|)/q^2 for k = -(q-1)..(q-1),
 and linear interpolation P1 = q R1^T, boundary values zero.  Then
 restrict(f) = R1 f R1^T and prolong(c) = P1 c P1^T are adjoint up to the
 fixed factor q^2 by construction: <prolong(c), f> = q^2 <c, restrict(f)>.
@@ -55,12 +54,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, log
+from math import frexp, inf, log
 
 import numpy as np
 
-from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2,
-                   check_integer, check_q, residual, sparse_laplacian)
+from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2, check_alpha,
+                   check_integer, check_q, residual, row_strips, sparse_laplacian)
 from .smoothers import SmootherSpec, relaxation
 
 CYCLES = ("V", "W")
@@ -102,6 +101,7 @@ class Level:
 class Hierarchy:
     levels: list[Level]
     q: int
+    dtype: type  # of the cycle's fields: np.float32 in range, np.float64 outside
 
 
 @dataclass
@@ -143,25 +143,30 @@ def level_sizes(N: int, q: int) -> list[int]:
 def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
                     mask: np.ndarray | None = None) -> Hierarchy:
     """Re-discretized level chain; smoother relaxes all levels but the coarsest, solved by LU."""
+    sizes = level_sizes(N, q)
+    check_alpha(alpha)
+    big = float(np.finfo(np.float32).max) ** 0.5  # a product of two numbers below big is finite
+    dtype = np.float32 if max(alpha, 1.0 / alpha, 4.0 * N * N) < big else np.float64
     ops = []
-    for n in level_sizes(N, q):
+    for n in sizes:
         if ops and mask is not None:
             # homogenized coarse coupling: full-weighting average of the
             # mask field; a subsampled {0,1} mask misrepresents thin
             # active-set boundaries and the 1/alpha-weighted correction
             # then amplifies instead of contracting
             mask = restrict(mask, q)
-        ops.append(SaddleOperator(GridSpec(n), alpha, mask))
+        ops.append(SaddleOperator(GridSpec(n), alpha,
+                                  None if mask is None else np.asarray(mask, dtype)))
     levels = [Level(op, relaxation(op, smoother, q)) for op in ops[:-1]]
     levels.append(Level(ops[-1], SparseLU(_saddle_matrix(ops[-1])).solve))
-    return Hierarchy(levels=levels, q=q)
+    return Hierarchy(levels=levels, q=q, dtype=dtype)
 
 
 def _saddle_matrix(op: SaddleOperator):
     """Sparse CSC [[L, -diag(mask)/alpha], [I, L]]; [y; p] is a block field's C-order ravel."""
     from scipy import sparse
     L, n = sparse_laplacian(op.grid), op.grid.npoints
-    mask = np.ones(n) if op.mask is None else op.mask.ravel()
+    mask = np.ones(n) if op.mask is None else op.mask.ravel().astype(np.float64)
     return sparse.bmat([[L, sparse.diags_array(-mask / op.alpha)],
                         [sparse.identity(n), L]], format="csc")
 
@@ -169,7 +174,7 @@ def _saddle_matrix(op: SaddleOperator):
 # ---------------------------------------------------------------- transfers
 
 @lru_cache(maxsize=None)
-def _transfers_1d(N: int, q: int) -> tuple:
+def _transfers_1d(N: int, q: int, dtype: np.dtype) -> tuple:
     """Full weighting R1, (N/q - 1) x (N - 1), and interpolation P1 = q R1^T."""
     from scipy import sparse  # here, not at start-up of every ocmg command
     if N % q != 0 or N < 2 * q:
@@ -178,59 +183,45 @@ def _transfers_1d(N: int, q: int) -> tuple:
     band = sparse.diags_array((q - np.abs(k)) / q**2, offsets=k,
                               shape=(N - 1, N - 1))
     R = band.tocsr()[q - 1::q]  # rows at the coarse nodes q, 2q, ...
-    return R, (q * R.T).tocsr()
+    return R.astype(dtype), (q * R.T).tocsr().astype(dtype)
 
 
 # Only sparse @ dense products; the transposes copy the smaller arrays.
 def restrict(fine: np.ndarray, q: int) -> np.ndarray:
     """Tensor-product full weighting R1 f R1^T onto the q-times-coarser grid."""
-    R, _ = _transfers_1d(fine.shape[0] + 1, q)
+    R, _ = _transfers_1d(fine.shape[0] + 1, q, fine.dtype)
     return np.ascontiguousarray((R @ (R @ fine).T).T)
 
 
 def prolong(coarse: np.ndarray, q: int) -> np.ndarray:
     """Tensor-product linear interpolation P1 c P1^T onto the q-times-finer grid."""
-    _, P = _transfers_1d(q * (coarse.shape[0] + 1), q)
+    _, P = _transfers_1d(q * (coarse.shape[0] + 1), q, coarse.dtype)
     return P @ (P @ coarse.T).T
 
 
 # ---------------------------------------------------------------- cycling
 
-def cycle(hier: Hierarchy, level: int, v: np.ndarray | None, b: np.ndarray,
-          spec: CycleSpec, r: np.ndarray | None = None) -> np.ndarray:
-    """One recursive cycle from the given level; returns the updated iterate.
-
-    The cycle owns what it is handed: v is updated in place and returned,
-    and r, if given, must be the residual b - A v and is overwritten as
-    the cycle's work buffer.  v None is the zero iterate; the coarsest
-    level's relax, its LU solve, ignores v and returns a new array.  b is
-    never modified.
-    """
+def cycle(hier: Hierarchy, level: int, b: np.ndarray, spec: CycleSpec) -> np.ndarray:
+    """One recursive cycle for A e = b from e = 0 on the given level: a new
+    e of b's dtype (solve hands over the hierarchy's); b is never modified."""
     last = len(hier.levels) - 1
     lev, q = hier.levels[level], hier.q
+    e = lev.relax(b)  # from zero: the residual of the zero iterate is b itself
     if level == last:
-        return lev.relax(b)
-    if v is None:  # the residual of the zero iterate is b itself
-        v, r = lev.relax(b), None
-    else:
-        if r is None:
-            r = residual(lev.op, b, v)
-        v += lev.relax(r, out=r)
-    # r, if not None, is now an array the cycle owns: the next residuals go there
+        return e
+    r = residual(lev.op, b, e)
     for _ in range(spec.nu_pre - 1):
-        r = residual(lev.op, b, v, out=r)
-        v += lev.relax(r, out=r)
-    r = residual(lev.op, b, v, out=r)
+        e += lev.relax(r, out=r)
+        r = residual(lev.op, b, e, out=r)
     rc = np.stack([restrict(rk, q) for rk in r])
     del r  # unused below; freeing it lowers the peak memory of the cycle
-    ec = None
-    # the coarsest level ignores the iterate, so a second visit would repeat the first
-    visits = 1 if spec.cycle == "V" or level + 1 == last else 2
-    for _ in range(visits):
-        ec = cycle(hier, level + 1, ec, rc, spec)
-    for vk, eck in zip(v, ec):
-        vk += prolong(eck, q)
-    return v
+    ec = cycle(hier, level + 1, rc, spec)
+    # the coarsest level's LU solve is exact: a second visit would correct nothing
+    if spec.cycle == "W" and level + 1 < last:
+        ec += cycle(hier, level + 1, residual(hier.levels[level + 1].op, rc, ec), spec)
+    for ek, eck in zip(e, ec):
+        ek += prolong(eck, q)
+    return e
 
 
 def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
@@ -239,34 +230,36 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
 
     An explicit v0 overrides the random guess; correction equations are
     best started from zero so the relative tolerance is measured against
-    the right-hand side rather than against random-iterate noise.  A
-    non-finite b raises ValueError; a non-finite residual norm ends the
-    solve unconverged before it can reach the coarse LU solve.
+    the right-hand side rather than against random-iterate noise.  v is
+    float64 whatever b and v0 are; each step adds 2^s cycle(2^-s r) (see
+    Precision).  A non-finite b raises ValueError; a non-finite residual
+    norm ends the solve unconverged before it can reach the coarse LU solve.
     """
     op = hier.levels[0].op
     g = op.grid
     g.check_block(b)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side contains non-finite values")
-    if v0 is not None:
-        v = v0.copy()
-    else:
-        v = np.random.default_rng(spec.seed).uniform(0.0, 1.0, (2, g.m, g.m))
-    # each residual goes to the next cycle as its work buffer; it is kept
-    # in a one-element list that the call pops, so solve holds no
-    # reference to it while the cycle runs (CPython moves a call's
-    # arguments into the callee's frame)
-    pending = [residual(op, b, v)]
-    r0 = block_norm2(pending[0])
+    v = (np.random.default_rng(spec.seed).uniform(0.0, 1.0, (2, g.m, g.m)) if v0 is None
+         else v0.astype(np.float64))
+    r = residual(op, b, v)
+    r0 = block_norm2(r)
     history = [r0]
     if r0 == 0.0:
         return MgResult(v, 0, 0.0, history, True)
     if not np.isfinite(r0):
         return MgResult(v, 0, float("nan"), history, False)
+    r_low = np.empty(r.shape, hier.dtype)
     for k in range(1, spec.max_iters + 1):  # CycleSpec: max_iters >= 1
-        v = cycle(hier, 0, v, b, spec, pending.pop())
-        pending.append(residual(op, b, v))
-        history.append(block_norm2(pending[0]))
+        s = frexp(history[-1])[1]  # ||2^-s r|| lies in [1/2, 1)
+        np.multiply(r, 2.0 ** -s, out=r_low, casting="same_kind")
+        del r  # freed while the cycle runs: the peak memory stays the float64 solver's
+        c = cycle(hier, 0, r_low, spec)
+        for lo, hi in row_strips(v):  # a float64 product per strip, not per field
+            v[:, lo:hi] += c[:, lo:hi] * np.float64(2.0 ** s)
+        del c
+        r = residual(op, b, v)
+        history.append(block_norm2(r))
         rel = history[-1] / r0
         if rel <= spec.tol or not rel <= 1e8:  # converged, diverging or NaN
             break

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,9 +171,14 @@ class SchurSpectral:
         self.eig = (lap_1d[:, None] + lap_1d[None, :]
                     + np.outer(mass_1d, mass_1d) / alpha)
 
+    @cached_property
+    def _eig32(self) -> np.ndarray:  # cast on the first float32 input, which stays float32
+        return self.eig.astype(np.float32)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         bh = self._dstn(b, type=1, norm="ortho")
-        return self._dstn(bh / self.eig, type=1, norm="ortho")
+        eig = self._eig32 if bh.dtype == np.float32 else self.eig
+        return self._dstn(bh / eig, type=1, norm="ortho")
 
 
 def bsr_apply(r: np.ndarray, op: SaddleOperator, omega: float,

@@ -1,20 +1,23 @@
 """Hierarchy construction, transfer operators, cycling, and factor measurement."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from ocmg import grid as grid_module
 from ocmg.grid import GridSpec, apply_mass, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal, closed_form
-from ocmg import smoothers
+from ocmg import multigrid, smoothers
 from ocmg.multigrid import (
     COARSEST_N,
     DIRECT_N,
     CycleSpec,
+    _saddle_matrix,
     build_hierarchy,
     cycle,
     eta_ratio,
@@ -370,8 +373,7 @@ def test_cycle_coarsest_level_is_direct_solve():
     coarse = hier.levels[-1]
     rng = _rng(1)
     b = rng.standard_normal((2, coarse.op.grid.m, coarse.op.grid.m))
-    v = cycle(hier, len(hier.levels) - 1, _zeros(coarse.op.grid.N), b,
-              CycleSpec())
+    v = cycle(hier, len(hier.levels) - 1, b, CycleSpec())
     A = oracle.assemble("saddle", coarse.op.grid, alpha=1e-2)
     expect = oracle.dense_solve(A, b.ravel())
     np.testing.assert_allclose(v.ravel(), expect, rtol=1e-12, atol=1e-12)
@@ -421,7 +423,7 @@ def test_cycle_error_decreases_monotonically():
     spec = CycleSpec(cycle="V", nu_pre=1)
     errs = [block_norm2(v - vstar)]
     for _ in range(8):
-        v = cycle(hier, 0, v, b, spec)
+        v += cycle(hier, 0, residual(hier.levels[0].op, b, v), spec)
         errs.append(block_norm2(v - vstar))
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -431,10 +433,9 @@ def test_w_equals_v_on_two_level_hierarchy(kind):
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec(kind))
     grid = hier.levels[0].op.grid
     rng = _rng(4)
-    b = rng.standard_normal((2, grid.m, grid.m))
-    v0 = rng.uniform(size=(2, grid.m, grid.m))
-    vv = cycle(hier, 0, v0.copy(), b, CycleSpec(cycle="V", nu_pre=2))
-    vw = cycle(hier, 0, v0.copy(), b, CycleSpec(cycle="W", nu_pre=2))
+    b = rng.standard_normal((2, grid.m, grid.m)).astype(hier.dtype)
+    vv = cycle(hier, 0, b, CycleSpec(cycle="V", nu_pre=2))
+    vw = cycle(hier, 0, b, CycleSpec(cycle="W", nu_pre=2))
     np.testing.assert_array_equal(vv, vw)
 
 
@@ -458,58 +459,42 @@ def test_two_level_solve_reaches_dense_solution():
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
 @pytest.mark.parametrize("nu", [1, 2])
 def test_cycle_leaves_caller_fields_unmodified(kind, nu):
-    # the caller's b is never modified; the iterate it hands over is
-    # updated in place and returned
+    # the caller's b is never modified; the correction is a new array of b's dtype
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
     grid = hier.levels[0].op.grid
-    rng = _rng(6)
-    v = rng.uniform(size=(2, grid.m, grid.m))
-    b = rng.standard_normal((2, grid.m, grid.m))
-    v_in, b_in = v.copy(), b.copy()
-    spec = CycleSpec(cycle="W", nu_pre=nu)
-    out = cycle(hier, 0, v, b, spec)
-    assert out is v
+    b = _rng(6).standard_normal((2, grid.m, grid.m)).astype(hier.dtype)
+    b_in = b.copy()
+    out = cycle(hier, 0, b, CycleSpec(cycle="W", nu_pre=nu))
+    assert out.dtype == b.dtype and not np.shares_memory(out, b)
     np.testing.assert_array_equal(b, b_in)
-    assert not np.array_equal(v, v_in)
-    # handing over the known residual changes nothing but the work done
-    v_r = v_in.copy()
-    out_r = cycle(hier, 0, v_r, b, spec, residual(hier.levels[0].op, b, v_r))
-    assert out_r is v_r
-    np.testing.assert_array_equal(out_r, out)
-    np.testing.assert_array_equal(b, b_in)
+    assert np.any(out)
 
 
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
-@pytest.mark.parametrize("nu", [1, 2])
-@pytest.mark.parametrize("strip_rows", [None, 3])
-def test_cycle_with_a_handed_over_residual_matches_one_without(kind, nu,
-                                                               strip_rows):
-    # a handed-over residual is the cycle's work buffer; the iterate is
-    # bitwise the one of a cycle that evaluates its own residual, also
-    # when every level is processed in strips of a few rows
+def test_one_solve_step_adds_the_scaled_correction_of_the_scaled_residual(kind):
+    # v1 = v0 + 2^k cycle(2^-k r0), 2^k the binary exponent of ||r0||:
+    # the cycle reads the residual cast to the hierarchy's dtype, and the
+    # correction is scaled back in float64
     hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
-    grid = hier.levels[0].op.grid
+    op = hier.levels[0].op
     rng = _rng(7)
-    v = rng.uniform(size=(2, grid.m, grid.m))
-    b = rng.standard_normal((2, grid.m, grid.m))
-    spec = CycleSpec(cycle="W", nu_pre=nu)
-    want = cycle(hier, 0, v.copy(), b, spec)
-    with pytest.MonkeyPatch.context() as mp:
-        if strip_rows is not None:
-            mp.setattr(grid_module, "STRIP_BYTES", strip_rows * 16 * grid.m)
-        own = cycle(hier, 0, v.copy(), b, spec)
-        r = residual(hier.levels[0].op, b, v)
-        handed = cycle(hier, 0, v.copy(), b, spec, r)
-    np.testing.assert_array_equal(own, want)
-    np.testing.assert_array_equal(handed, want)
+    v0 = rng.uniform(size=(2, op.grid.m, op.grid.m))
+    b = rng.standard_normal((2, op.grid.m, op.grid.m))
+    spec = CycleSpec(cycle="W", nu_pre=2, max_iters=1)
+    r0 = residual(op, b, v0)
+    k = math.frexp(block_norm2(r0))[1]
+    c = cycle(hier, 0, (r0 * 2.0**-k).astype(np.float32), spec)
+    res = solve(hier, b, spec, v0=v0)
+    np.testing.assert_array_equal(res.v, v0 + c.astype(np.float64) * 2.0**k)
+    assert res.history == [block_norm2(r0), block_norm2(residual(op, b, res.v))]
 
 
 @pytest.mark.parametrize("N, q, kind, calls", [
     (256, 2, "W", 4), (64, 2, "V", 1), (243, 3, "W", 2), (64, 4, "W", 1)])
 def test_cycle_visits_the_coarsest_level_once_per_coarse_correction(
         N, q, kind, calls):
-    # the coarsest level ignores its iterate, so the W-cycle's second visit
-    # from the level above would repeat the first: 2^(L-2) LU solves, not 2^(L-1)
+    # the coarsest level's LU solve is exact, so a W-cycle's second visit
+    # from the level above would correct nothing: 2^(L-2) LU solves, not 2^(L-1)
     hier = build_hierarchy(N, q, 1e-3, SmootherSpec("cjr"))
     grid = hier.levels[0].op.grid
     lu_solve, count = hier.levels[-1].relax, []
@@ -519,11 +504,104 @@ def test_cycle_visits_the_coarsest_level_once_per_coarse_correction(
         return lu_solve(*args, **kwargs)
 
     hier.levels[-1].relax = counted
-    rng = _rng(8)
-    v = rng.uniform(size=(2, grid.m, grid.m))
-    b = rng.standard_normal((2, grid.m, grid.m))
-    cycle(hier, 0, v, b, CycleSpec(cycle=kind))
+    b = _rng(8).standard_normal((2, grid.m, grid.m)).astype(hier.dtype)
+    cycle(hier, 0, b, CycleSpec(cycle=kind))
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
+def test_cycle_fields_stay_in_the_hierarchy_dtype(monkeypatch, kind, masked):
+    # every field the residual, the transfers and the smoother kernels
+    # return inside a float32 cycle is float32: a kernel that promotes to
+    # float64 would silently give the mixed-precision gain back
+    seen = []
+
+    def record(f):
+        def recorded(*args, **kwargs):
+            out = f(*args, **kwargs)
+            seen.append((f.__qualname__, out.dtype))
+            return out
+        return recorded
+
+    # the coarsest level binds SparseLU.solve when the hierarchy is built
+    monkeypatch.setattr(grid_module.SparseLU, "solve", record(grid_module.SparseLU.solve))
+    monkeypatch.setattr(smoothers.SchurSpectral, "solve",
+                        record(smoothers.SchurSpectral.solve))
+    for name in ("cjr_apply", "bsr_apply", "pcg", "schur_apply", "apply_mass",
+                 "apply_laplacian"):
+        monkeypatch.setattr(smoothers, name, record(getattr(smoothers, name)))
+    for name in ("residual", "restrict", "prolong"):
+        monkeypatch.setattr(multigrid, name, record(getattr(multigrid, name)))
+    mask = (_rng(14).uniform(size=(127, 127)) < 0.7).astype(float) if masked else None
+    hier = build_hierarchy(128, 2, 1e-6, SmootherSpec(kind), mask=mask)
+    assert hier.dtype == np.float32
+    seen.clear()  # the masks were restricted in float64 while building
+    b = _rng(15).standard_normal((2, 127, 127)).astype(np.float32)
+    assert cycle(hier, 0, b, CycleSpec(cycle="W", nu_pre=2)).dtype == np.float32
+    names = {name for name, _ in seen}
+    assert {"residual", "restrict", "prolong", "SparseLU.solve"} <= names
+    assert {"cjr": "cjr_apply", "bsr": "bsr_apply", "ibsr": "pcg"}[kind] in names
+    assert [s for s in seen if s[1] != np.float32] == []
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("alpha", [1e-2, 1e-6, 1e-12])
+@pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
+def test_mixed_precision_solve_keeps_float64_accuracy(kind, alpha, masked):
+    # float32 cycles inside a float64 residual reach the sparse direct
+    # solution to float64 accuracy; float32 iterates would stall near 1e-7
+    N = 32
+    rng = _rng(16)
+    mask = (rng.random((N - 1, N - 1)) < 0.5).astype(float) if masked else None
+    hier = build_hierarchy(N, 2, alpha, SmootherSpec(kind), mask=mask)
+    assert hier.dtype == np.float32
+    b = rng.standard_normal((2, N - 1, N - 1))
+    # from zero, so the tolerance is relative to b; masked cjr at
+    # alpha=1e-12 contracts by about 0.89 per cycle
+    res = solve(hier, b, CycleSpec(tol=1e-12, max_iters=300), v0=np.zeros_like(b))
+    assert res.converged
+    x = spsolve(_saddle_matrix(hier.levels[0].op), b.ravel()).reshape(b.shape)
+    assert block_norm2(res.v - x) <= 1e-10 * block_norm2(x)
+
+
+@pytest.mark.parametrize("N, alpha, dtype, iters", [
+    (64, 1e-40, np.float64, (1, 22, 16)), (64, 1e-100, np.float64, (1, 22, 16)),
+    (256, 1e-19, np.float32, (3, 23, 16))])
+def test_precision_follows_the_float32_range(N, alpha, dtype, iters):
+    # alpha or 1/alpha beyond sqrt(float32 max) would overflow float32
+    # products, so such a hierarchy cycles in float64; the counts are the
+    # all-float64 solver's
+    grid = GridSpec(N)
+    data, _ = example1_fields(grid, alpha)
+    for kind, want in zip(("cjr", "ibsr", "bsr"), iters):
+        hier = build_hierarchy(N, 2, alpha, SmootherSpec(kind))
+        assert hier.dtype == dtype
+        res = solve(hier, np.stack([data.f, data.g]), CycleSpec())
+        assert res.converged and res.iters == want
+
+
+@pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
+def test_solve_is_exactly_homogeneous_under_powers_of_two(kind):
+    # the residual is scaled by powers of two only, so 2^200 b gives
+    # exactly 2^200 times the iterate and the history
+    hier = build_hierarchy(32, 2, 1e-6, SmootherSpec(kind))
+    b = _rng(17).standard_normal((2, 31, 31))
+    spec = CycleSpec(max_iters=8)
+    one = solve(hier, b, spec, v0=_zeros(32))
+    big = solve(hier, 2.0**200 * b, spec, v0=_zeros(32))
+    np.testing.assert_array_equal(big.v, 2.0**200 * one.v)
+    assert big.history == [2.0**200 * h for h in one.history]
+
+
+def test_solve_returns_a_float64_iterate_for_float32_input():
+    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
+    b = _rng(18).standard_normal((2, 15, 15))
+    for b_in, v0 in ((b.astype(np.float32), None),
+                     (b, _zeros(16).astype(np.float32)),
+                     (b.astype(np.float32), _zeros(16).astype(np.float32))):
+        res = solve(hier, b_in, CycleSpec(), v0=v0)
+        assert res.converged and res.v.dtype == np.float64
 
 
 def _refuse(name):
@@ -600,67 +678,67 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
 
 
 # Residual histories and iterate checksums of six W(1,0) cycles on the
-# manufactured problem at alpha=1e-6.  The q=4 entries (64 -> 16) were
-# recorded with the per-k loop transfers and a cycle that recomputed every
-# residual, the q=2 and q=3 ones (64 -> 32, 81 -> 27) with the sparse
-# transfers and the lean cycle.  Checksum: <w0, y>, <w1, p>, ||y||, ||p||
-# with w = default_rng(1).standard_normal((2, m, m)).
+# manufactured problem at alpha=1e-6, recorded with float32 cycles inside
+# the float64 residual (64 -> 32, 81 -> 27 and 64 -> 16); the all-float64
+# solver's histories differ from these by at most 1.2e-6 relative.
+# Checksum: <w0, y>, <w1, p>, ||y||, ||p|| with
+# w = default_rng(1).standard_normal((2, m, m)).
 REFERENCE_SIZES = {2: 64, 3: 81, 4: 64}
 REFERENCE = {
     ("cjr", 2): (
-        [52852947.741985254, 7477277.381816066, 6422481.17033471,
-         5079027.240542814, 3626059.138652624, 2450112.1269617714,
-         1601548.9437502192],
-        (-91.34442794327455, 11.985946065293284, 122.96071553387247,
-         36.67811885076876)),
+        [52852947.741985254, 7477277.1810417725, 6422481.512342965,
+         5079027.827963427, 3626059.7356472774, 2450112.63932613,
+         1601549.3423107325],
+        (-91.34450645243814, 11.985946163509327, 122.96071347916548,
+         36.678118857518776)),
     ("cjr", 3): (
-        [66824210.69292641, 9885748.732490608, 11076755.614133226,
-         11408724.14305192, 10630489.586547423, 9402727.59728119,
-         8066163.305884353],
-        (251.91030882958086, -27.978807941045183, 345.84698020745446,
-         46.43962379676813)),
+        [66824210.69292641, 9885748.297032658, 11076756.470682865,
+         11408725.541026676, 10630491.323504806, 9402729.46260484,
+         8066165.192289721],
+        (251.9101408231482, -27.978807928478307, 345.84698635409126,
+         46.439623806014424)),
     ("cjr", 4): (
-        [52852947.741985254, 9008204.49750828, 11157710.154884301,
-         12892876.45637964, 13447204.76126176, 13254415.012684653,
-         12620445.223699693],
-        (-1014.9083109546493, 13.3899300454726, 1042.2990753304455,
-         36.75762669482839)),
+        [52852947.741985254, 9008204.477629177, 11157710.038597124,
+         12892876.081670756, 13447204.101131838, 13254414.257821932,
+         12620444.335054845],
+        (-1014.9086765774375, 13.389930081786126, 1042.2990498596675,
+         36.757626671278146)),
     ("bsr", 2): (
-        [52852947.741985254, 4607001.871229786, 981912.9691322662,
-         242196.3563322256, 59585.43411612411, 15002.719374576442,
-         3727.661038316151],
-        (-152.19938424513194, 11.803495344409484, 101.5283469302342,
-         36.677570541039756)),
+        [52852947.741985254, 4607001.645008941, 981913.20878746,
+         242196.46492988543, 59585.474956652346, 15002.732607545217,
+         3727.6655119585107],
+        (-152.1993853114918, 11.803495343668537, 101.52834672932225,
+         36.67757054102314)),
     ("bsr", 3): (
-        [66824210.69292641, 5966098.119541858, 1264421.8995503772,
-         311624.680077284, 82438.63715768205, 22511.755189677107,
-         6245.401682477991],
-        (48.10117284171275, -31.26018519697777, 127.62239534862017,
-         46.41996642798942)),
+        [66824210.69292641, 5966097.124840681, 1264422.1039880584,
+         311624.6920887203, 82438.65120623828, 22511.755417467775,
+         6245.402089459735],
+        (48.10117356159387, -31.26018519166465, 127.62239531000449,
+         46.41996642811727)),
     ("bsr", 4): (
-        [52852947.741985254, 2692014.702251726, 369297.0585137715,
-         70004.97211046364, 28809.81805403646, 10904.01861864582,
-         4834.264523700996],
-        (-153.41352335965618, 11.804710652956114, 101.53333459759115,
-         36.67757140977303)),
+        [52852947.741985254, 2692014.067957769, 369297.3931224078,
+         70004.93559401661, 28809.828136846536, 10904.018041943413,
+         4834.264228933247],
+        (-153.41351000077597, 11.804710653757006, 101.53333462790175,
+         36.67757140975517)),
     ("ibsr", 2): (
-        [52852947.741985254, 4732503.102008385, 1201555.4168297325,
-         301784.8384904457, 89121.93659664947, 24415.685888542517,
-         6854.476577232898],
-        (-152.45587184254592, 11.799756486512937, 101.52635495148901,
-         36.677569134063155)),
+        [52852947.741985254, 4732502.963038806, 1201555.3780459517,
+         301784.85273856425, 89121.93838629716, 24415.68521309546,
+         6854.476038153177],
+        (-152.45587603331165, 11.7997564892574, 101.52635514769733,
+         36.677569134102)),
     ("ibsr", 3): (
-        [66824210.69292641, 7035792.975785156, 1720050.6160390144,
-         485441.6124308983, 160210.49183503352, 51697.7346210509,
-         19884.949171173856],
-        (49.76386792236548, -31.22583849824423, 127.737750896472,
-         46.41997048341051)),
+        [66824210.69292641, 7035791.572409639, 1720050.3917376737,
+         485441.60032533563, 160210.44276722553, 51697.72446978712,
+         19884.940840595118],
+        (49.76388405954544, -31.225838512863938, 127.73774970743068,
+         46.41997048336394)),
     ("ibsr", 4): (
-        [52852947.741985254, 4870829.487771727, 1166560.0285660373,
-         535184.0199113725, 333719.6530508636, 209669.30024524606,
-         118409.0846850892],
-        (-168.3903111888114, 11.811634115232039, 114.46778105022527,
-         36.67756070730962)),
+        [52852947.741985254, 4870829.399035043, 1166560.032025883,
+         535184.1097962852, 333719.65413572796, 209669.23899585108,
+         118409.04893208484],
+        (-168.39030724376877, 11.81163413434866, 114.46777203104095,
+         36.677560706927636)),
 }
 
 
