@@ -8,9 +8,9 @@ Four subcommands:
     repro  benchmark tables / alpha sweep as CSV
 
 Exit status is 0 on success, 1 on validation errors (bad flags, bad
-config, incompatible N and q, NaN, an alpha whose 1/alpha overflows),
-2 on solver failures (divergence, stalled Newton iteration, PCG
-breakdown).  A config file holds "key = value" lines for the command's
+config, incompatible N and q, NaN, an alpha whose 1/alpha overflows, an
+LFA h whose symbols overflow), 2 on solver failures (divergence, stalled
+Newton iteration, PCG breakdown).  A config file holds "key = value" lines for the command's
 flags, plus f_file and g_file for mg and ssn; flags win over config,
 config over the defaults here, and these over the library's.  Flags and
 config share one table of choices, checked as a value is read; each value

@@ -17,8 +17,8 @@ Its C-order ravel is the vector [y; p], the unknown ordering of the dense
 oracle's 2(N-1)^2 matrices.  The scalar stencils act on the trailing two
 axes, so one call applies them to both components of a block field.
 
-Operators provided, matrix-free (for the direct solves, L and Q are also
-assembled sparse, only by sparse_laplacian and sparse_mass):
+Operators provided, matrix-free (all sparse assembly, for the direct
+solves, is sparse_laplacian, sparse_mass, saddle_matrix, schur_matrix):
 
   * five-point Laplacian       L u = (4u_c - u_W - u_E - u_S - u_N) / h^2
   * nine-point mass operator   Q u = (h^2/36) [1 4 1; 4 16 4; 1 4 1] * u
@@ -157,9 +157,7 @@ def _east_west(op, out: np.ndarray, u: np.ndarray) -> None:
     """out[..., 1:] op= u[..., :-1], then out[..., :-1] op= u[..., 1:], as flat
     passes that put back the row ends they couple (see Flat east-west policy)."""
     flat = out.shape[:-2] + (-1,)
-    o, f = out.reshape(flat), u.reshape(flat)  # f may be a copy, o must not be
-    if not np.may_share_memory(o, out):  # a copy would take the writes and drop them
-        raise ValueError("out must have C-contiguous rows")
+    o, f = out.reshape(flat), u.reshape(flat)  # out has C-ordered rows: o is a view
     keep = out[..., 1:, 0].copy()
     op(o[..., 1:], f[..., :-1], out=o[..., 1:])
     out[..., 1:, 0] = keep
@@ -168,12 +166,11 @@ def _east_west(op, out: np.ndarray, u: np.ndarray) -> None:
     out[..., :-1, -1] = keep
 
 
-def _laplacian_rows(u: np.ndarray, a: int, b: int, out: np.ndarray,
-                    scale: int) -> None:
+def _laplacian_rows(u: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
     """Rows [a, b) of L u into out, with rows a-1 and b as the halo.
 
     Per element: 4u, minus the neighbours above, below, left and right in
-    that order, times scale = 1/h^2.
+    that order, times 1/h^2 = N^2, N - 1 the trailing size of u.
     """
     np.multiply(u[..., a:b, :], 4.0, out=out)
     if a > 0:
@@ -185,14 +182,14 @@ def _laplacian_rows(u: np.ndarray, a: int, b: int, out: np.ndarray,
     else:
         out[..., :-1, :] -= u[..., a + 1:, :]
     _east_west(np.subtract, out, u[..., a:b, :])
-    out *= scale
+    out *= (u.shape[-1] + 1) ** 2
 
 
 def apply_laplacian(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Five-point Laplacian with zero Dirichlet boundary."""
     grid.check_field(u)
     out = np.empty(u.shape, np.result_type(u, 4.0))  # C order: _east_west views it flat
-    _laplacian_rows(u, 0, grid.m, out, grid.N * grid.N)
+    _laplacian_rows(u, 0, grid.m, out)
     return out
 
 
@@ -230,6 +227,25 @@ def sparse_mass(grid: GridSpec):
     return sparse.kron(T4, T4) * grid.h**2 / 36.0
 
 
+def _mask_diagonal(op: SaddleOperator) -> np.ndarray:  # float64; ones without a mask
+    return np.ones(op.grid.npoints) if op.mask is None else op.mask.astype(np.float64).ravel()
+
+
+def saddle_matrix(op: SaddleOperator):
+    """apply_saddle as a sparse CSC [[L, -diag(mask)/alpha], [I, L]] on v.ravel() = [y; p]."""
+    from scipy import sparse  # here, not at start-up of every ocmg command
+    L = sparse_laplacian(op.grid)
+    return sparse.bmat([[L, sparse.diags_array(-_mask_diagonal(op) / op.alpha)],
+                        [sparse.identity(op.grid.npoints), L]], format="csc")
+
+
+def schur_matrix(op: SaddleOperator):
+    """Sparse CSC L + Q diag(mask)/alpha, the masked Braess-Sarazin Schur matrix."""
+    from scipy import sparse  # here, not at start-up of every ocmg command
+    qm = sparse_mass(op.grid) @ sparse.diags_array(_mask_diagonal(op)) / op.alpha
+    return (sparse_laplacian(op.grid) + qm).tocsc()
+
+
 class SparseLU:
     """Sparse LU of a CSC matrix acting on C-order ravelled fields."""
 
@@ -244,7 +260,7 @@ class SparseLU:
 def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,
                  out: np.ndarray) -> None:
     """Rows [a, b) of A v (see apply_saddle) into out, of shape (2, b - a, m)."""
-    _laplacian_rows(v, a, b, out, op.grid.N * op.grid.N)
+    _laplacian_rows(v, a, b, out)
     p = v[1, a:b]
     out[0] -= (p if op.mask is None else op.mask[a:b] * p) / op.alpha
     out[1] += v[0, a:b]
@@ -258,12 +274,10 @@ def apply_saddle(op: SaddleOperator, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def residual(op: SaddleOperator, b: np.ndarray, v: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """b - A v, written into out if given (C-contiguous, not overlapping v)."""
+def residual(op: SaddleOperator, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """b - A v."""
     op.grid.check_block(v)
-    if out is None:
-        out = np.empty(v.shape, np.result_type(v, 4.0))
+    out = np.empty(v.shape, np.result_type(v, 4.0))
     for lo, hi in row_strips(v):
         strip = out[:, lo:hi]
         _saddle_rows(op, v, lo, hi, strip)

@@ -59,8 +59,10 @@ class LfaParams:
     def __post_init__(self):
         check_q(self.q)
         check_alpha(self.alpha)
-        if not (self.h > 0 and isfinite(self.gamma * self.gamma)):
-            raise ValueError(f"h must be positive with a finite gamma^2, got h={self.h}")
+        h = self.h  # the largest symbol term is a b <= 72/h^4, plus 1/alpha
+        if not (h > 0 and isfinite(self.gamma * self.gamma)
+                and isfinite(72.0 / h / h / h / h + 1.0 / self.alpha)):
+            raise ValueError(f"h must be positive with finite gamma^2 and symbols, got h={h}")
 
     @property
     def gamma(self) -> float:

@@ -23,7 +23,8 @@ Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once.  Each level holds one
 solve, its relax: smoothers.relaxation's damped relaxation on every
 level but the coarsest, and there the sparse LU solve (B = A, omega = 1)
-of its saddle matrix, assembled here and factored once per hierarchy.
+of grid.saddle_matrix, factored once per hierarchy.  Each relax returns
+a new array and leaves r as it was (the W-cycle reads rc again).
 Fields are stacked (2, m, m) block fields (see grid); the transfers act
 on one (m, m) component at a time.  As the LU solve is exact, a W-cycle
 visits the coarsest level once, not twice.
@@ -36,7 +37,9 @@ accurate next to rho): float32, also for the masks, unless alpha,
 of them overflows.  The cycle reads 2^-s r, 2^s the binary exponent of
 ||r||, and its correction is scaled back by 2^s in float64; powers of
 two are exact, so scaling b by one scales v exactly.  Kernels follow
-their input's dtype; the sparse LU solves run in float64.
+their input's dtype; the sparse LU solves run in float64.  Near the
+bound float32 cycles can need more: at alpha = 1e-19, N = 16 or 64, cjr
+takes 3 cycles (the second barely contracts) where float64 ones take 1.
 
 Transfers are tensor products of sparse 1D operators built once per
 (N, q, dtype): full weighting R1, weights (q - |k|)/q^2 for k = -(q-1)..(q-1),
@@ -59,7 +62,7 @@ from math import frexp, inf, log
 import numpy as np
 
 from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2, check_alpha,
-                   check_integer, check_q, residual, row_strips, sparse_laplacian)
+                   check_integer, check_q, residual, row_strips, saddle_matrix)
 from .smoothers import SmootherSpec, relaxation
 
 CYCLES = ("V", "W")
@@ -94,7 +97,7 @@ class CycleSpec:
 @dataclass
 class Level:
     op: SaddleOperator
-    relax: Callable[..., np.ndarray]  # smoothers.relaxation; the coarsest: its LU solve
+    relax: Callable[[np.ndarray], np.ndarray]  # a relaxation; the coarsest: its LU solve
 
 
 @dataclass
@@ -158,17 +161,8 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
         ops.append(SaddleOperator(GridSpec(n), alpha,
                                   None if mask is None else np.asarray(mask, dtype)))
     levels = [Level(op, relaxation(op, smoother, q)) for op in ops[:-1]]
-    levels.append(Level(ops[-1], SparseLU(_saddle_matrix(ops[-1])).solve))
+    levels.append(Level(ops[-1], SparseLU(saddle_matrix(ops[-1])).solve))
     return Hierarchy(levels=levels, q=q, dtype=dtype)
-
-
-def _saddle_matrix(op: SaddleOperator):
-    """Sparse CSC [[L, -diag(mask)/alpha], [I, L]]; [y; p] is a block field's C-order ravel."""
-    from scipy import sparse
-    L, n = sparse_laplacian(op.grid), op.grid.npoints
-    mask = np.ones(n) if op.mask is None else op.mask.ravel().astype(np.float64)
-    return sparse.bmat([[L, sparse.diags_array(-mask / op.alpha)],
-                        [sparse.identity(n), L]], format="csc")
 
 
 # ---------------------------------------------------------------- transfers
@@ -211,8 +205,8 @@ def cycle(hier: Hierarchy, level: int, b: np.ndarray, spec: CycleSpec) -> np.nda
         return e
     r = residual(lev.op, b, e)
     for _ in range(spec.nu_pre - 1):
-        e += lev.relax(r, out=r)
-        r = residual(lev.op, b, e, out=r)
+        e += lev.relax(r)
+        r = residual(lev.op, b, e)
     rc = np.stack([restrict(rk, q) for rk in r])
     del r  # unused below; freeing it lowers the peak memory of the cycle
     ec = cycle(hier, level + 1, rc, spec)

@@ -17,8 +17,8 @@ The Schur solve is where the two Braess-Sarazin variants differ:
     summed over the two axes) and Q (eigenvalues (h^2/36) prod(4 +
     2cos(k pi/N))), so one solve is two DSTs and a pointwise division
     (SchurSpectral).  With a mask (Q M is not M Q) it is a sparse LU of
-    schur_matrix, which would be far slower without one (N=256, one Xeon
-    core: factor 0.8 s, solve 22 ms against 2.8 ms).
+    grid.schur_matrix, which would be far slower without one (N=256, one
+    Xeon core: factor 0.8 s, solve 22 ms against 2.8 ms).
   * IBSR runs a FIXED number of CG iterations (default 2) with the plain
     diagonal preconditioner diag(S) = 4/h^2 + (16 h^2/36) m / alpha.
     The iteration count is part of the method definition, not a
@@ -32,8 +32,7 @@ and returns the damped correction.  An unset omega is lfa.closed_form's
 for q and op's h: the collective Jacobi damping is recomputed per level
 (gamma = h^2/(4 sqrt(alpha)) grows on coarse levels), the Braess-Sarazin
 one is the fixed per-q constant.  The kernels cjr_apply and bsr_apply
-take those resolved values and write into an optional out array, which
-may be r itself: _eliminate reads r_y and r_p before it writes w_y.
+take those resolved values and return a new array, leaving r as it was.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 
 from . import grid as _grid
 from .grid import (GridSpec, SaddleOperator, SparseLU, apply_laplacian,
-                   apply_mass, check_integer, sparse_laplacian, sparse_mass)
+                   apply_mass, check_integer, schur_matrix)
 from .lfa import LfaParams, closed_form
 
 SCHEMES = ("cjr", "bsr", "ibsr")
@@ -106,25 +105,23 @@ def pcg(matvec, b: np.ndarray, iters: int, precond) -> np.ndarray:
 
 def _eliminate(r: np.ndarray, m: np.ndarray | float, alpha: float, omega: float,
                first: Callable, schur: Callable, w: np.ndarray) -> None:
-    """omega B^{-1} r into w, which may be r, by eliminating the first block
-    row: w_p = schur(r_p - first(r_y)), w_y = first(r_y + (m w_p)/alpha)."""
+    """omega B^{-1} r into w by eliminating the first block row:
+    w_p = schur(r_p - first(r_y)), w_y = first(r_y + (m w_p)/alpha)."""
     w_p = schur(r[1] - first(r[0]))
-    w[0] = first(r[0] + m * w_p / alpha)  # reads r_y before it is overwritten
+    w[0] = first(r[0] + m * w_p / alpha)
     w[1] = w_p
     w *= omega
 
 
-def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
-              out: np.ndarray | None = None) -> np.ndarray:
+def cjr_apply(r: np.ndarray, op: SaddleOperator, omega: float) -> np.ndarray:
     """One collective Jacobi correction omega * B_J^{-1} r: _eliminate with
     first = D^{-1} and the pointwise Schur solve, per row strip.
 
-    Written into out if given, which may be r.  The field is processed in
-    the row strips of grid.row_strips, as grid.residual is; a field of at
-    most grid.STRIP_BYTES is one strip.
+    The field is processed in the row strips of grid.row_strips, as
+    grid.residual is; a field of at most grid.STRIP_BYTES is one strip.
     """
     d = 4.0 * op.grid.N ** 2
-    w = np.empty_like(r) if out is None else out
+    w = np.empty_like(r)
     for a, b in _grid.row_strips(r):
         m = 1.0 if op.mask is None else op.mask[a:b]
         _eliminate(r[:, a:b], m, op.alpha, omega, lambda u: u / d,
@@ -147,14 +144,6 @@ def schur_diag(op: SaddleOperator) -> np.ndarray | float:
     g = op.grid
     m = 1.0 if op.mask is None else op.mask
     return 4.0 * g.N ** 2 + (16.0 * g.h ** 2 / 36.0) * m / op.alpha
-
-
-def schur_matrix(op: SaddleOperator):
-    """Sparse CSC L + Q diag(mask)/alpha, the matrix of schur_apply."""
-    from scipy import sparse  # here, not at start-up of every ocmg command
-    mask = np.ones(op.grid.npoints) if op.mask is None else op.mask.ravel()
-    qm = sparse_mass(op.grid) @ sparse.diags_array(mask) / op.alpha
-    return (sparse_laplacian(op.grid) + qm).tocsc()
 
 
 class SchurSpectral:
@@ -182,26 +171,26 @@ class SchurSpectral:
 
 
 def bsr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
-              schur_solve: Callable[[np.ndarray], np.ndarray],
-              out: np.ndarray | None = None) -> np.ndarray:
+              schur_solve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """One Braess-Sarazin correction omega * B_m^{-1} r: _eliminate with
-    first = Q and schur_solve, written into out if given (which may be r)."""
-    w = np.empty_like(r) if out is None else out
+    first = Q and schur_solve."""
+    w = np.empty_like(r)
     m = 1.0 if op.mask is None else op.mask
     _eliminate(r, m, op.alpha, omega, lambda u: apply_mass(u, op.grid),
                schur_solve, w)
     return w
 
 
-def relaxation(op: SaddleOperator, spec: SmootherSpec, q: int) -> Callable[..., np.ndarray]:
-    """r, out=None -> omega B^{-1} r for spec on op (a None omega is closed_form's),
+def relaxation(op: SaddleOperator, spec: SmootherSpec,
+               q: int) -> Callable[[np.ndarray], np.ndarray]:
+    """r -> omega B^{-1} r for spec on op (a None omega is closed_form's),
     with the Schur solve built once (ibsr: fixed-count CG from rhs / diag); its
     kernels are looked up by name at each call, so rebinding one reaches it."""
     omega = spec.omega
     if omega is None:
         omega = closed_form(spec.kind, LfaParams(q, op.alpha, op.grid.h)).omega
     if spec.kind == "cjr":
-        return lambda r, out=None: cjr_apply(r, op, omega, out)
+        return lambda r: cjr_apply(r, op, omega)
     if spec.kind == "bsr":
         inv = (SchurSpectral(op.grid, op.alpha) if op.mask is None
                else SparseLU(schur_matrix(op)))
@@ -213,4 +202,4 @@ def relaxation(op: SaddleOperator, spec: SmootherSpec, q: int) -> Callable[..., 
         def solve(rhs: np.ndarray) -> np.ndarray:
             w0 = rhs / diag
             return w0 + pcg(matvec, rhs - matvec(w0), spec.pcg_iters, lambda v: v / diag)
-    return lambda r, out=None: bsr_apply(r, op, omega, solve, out)
+    return lambda r: bsr_apply(r, op, omega, solve)

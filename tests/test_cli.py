@@ -252,9 +252,12 @@ def _config(tmp_path, text):
     ["ssn", "--N", "16", "--beta", "nan"],
     ["lfa", "--h", "nan"],
     ["lfa", "--h", "1e5", "--alpha", "1e-300"],
+    ["lfa", "--h", "1e-80"],
+    ["lfa", "--h", "1e-200"],
 ])
 def test_bad_values_exit_1_with_one_message_line(capsys, argv):
-    # NaN passes "x <= 0" checks; 1e-320 is positive but 1/alpha overflows
+    # NaN passes "x <= 0" checks; 1e-320 is positive but 1/alpha overflows;
+    # h = 1e-80 printed mu=nan and exited 0, h = 1e-200 raised a traceback
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ocmg.grid import (
-    STRIP_BYTES,
     GridSpec,
     SaddleOperator,
     apply_laplacian,
@@ -186,17 +185,6 @@ def test_residual_exact_iterate_is_zero():
     b = apply_saddle(op, v)
     r = residual(op, b, v)
     assert block_norm2(r) <= 1e-12 * block_norm2(b)
-
-
-def test_residual_refuses_an_out_that_is_not_c_contiguous():
-    # a field below STRIP_BYTES is one strip of the same row kernel
-    g = GridSpec(8)
-    op = SaddleOperator(g, alpha=0.5)
-    v, b = _rand_block(g, _rng(5)), _rand_block(g, _rng(6))
-    assert v.nbytes <= STRIP_BYTES
-    out = np.zeros_like(v).transpose(0, 2, 1)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        residual(op, b, v, out=out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])

@@ -4,6 +4,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocmg import lfa
 from ocmg.lfa import (
@@ -40,11 +42,24 @@ def params_for_gamma(q, gamma, h=1.0):
 
 @pytest.mark.parametrize("alpha, h", [(float("nan"), 0.1), (1e-320, 0.1),
                                      (1e-6, float("nan")), (1e-6, 0.0),
-                                     (1e-300, 1e5)])
+                                     (1e-300, 1e5), (1e-6, 1e-80), (1e-6, 1e-200)])
 def test_params_reject_nan_and_overflowing_values(alpha, h):
-    # (1e-300, 1e5): a finite gamma whose square overflows
+    # (1e-300, 1e5): a finite gamma whose square overflows; h = 1e-80: the
+    # symbol term a b ~ 72/h^4 overflows (mu was nan); h = 1e-200: h^2
+    # underflows to zero (4/h^2 raised ZeroDivisionError)
     with pytest.raises(ValueError):
         LfaParams(q=2, alpha=alpha, h=h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.floats(-300.0, 300.0), st.floats(-80.0, 80.0))
+def test_every_accepted_params_has_a_finite_sampled_mu(q, log_alpha, log_h):
+    try:
+        params = LfaParams(q=q, alpha=10.0 ** log_alpha, h=10.0 ** log_h)
+    except ValueError:
+        return
+    for scheme in ("cjr", "bsr"):
+        assert np.isfinite(sampled_optimal(scheme, params).mu)
 
 
 # ---------------------------------------------------------------- symbols

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from ocmg import grid as grid_module
-from ocmg.grid import GridSpec, apply_mass, apply_saddle, block_norm2, residual
+from ocmg.grid import (GridSpec, apply_mass, apply_saddle, block_norm2, residual,
+                       saddle_matrix)
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal, closed_form
 from ocmg import multigrid, smoothers
 from ocmg.multigrid import (
     COARSEST_N,
     DIRECT_N,
     CycleSpec,
-    _saddle_matrix,
     build_hierarchy,
     cycle,
     eta_ratio,
@@ -561,7 +561,7 @@ def test_mixed_precision_solve_keeps_float64_accuracy(kind, alpha, masked):
     # alpha=1e-12 contracts by about 0.89 per cycle
     res = solve(hier, b, CycleSpec(tol=1e-12, max_iters=300), v0=np.zeros_like(b))
     assert res.converged
-    x = spsolve(_saddle_matrix(hier.levels[0].op), b.ravel()).reshape(b.shape)
+    x = spsolve(saddle_matrix(hier.levels[0].op), b.ravel()).reshape(b.shape)
     assert block_norm2(res.v - x) <= 1e-10 * block_norm2(x)
 
 
@@ -644,17 +644,22 @@ def test_level_relax_is_bitwise_the_direct_smoother(kind, masked):
     mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float) if masked else None
     spec = SmootherSpec(kind)
     hier = build_hierarchy(128, 2, 1e-4, spec, mask=mask)
-    for lev in hier.levels[:-1]:
-        r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m))
+    for lev in hier.levels:
+        r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m)).astype(hier.dtype)
+        r_in = r.copy()
+        got = lev.relax(r)
+        # every relax, the coarsest level's LU solve included, returns a new
+        # array and leaves r as it was: the W-cycle reads rc again
+        assert not np.shares_memory(got, r)
+        np.testing.assert_array_equal(r, r_in)
+        if lev is hier.levels[-1]:
+            continue
         expect = closed_form(kind, LfaParams(q=2, alpha=1e-4, h=lev.op.grid.h)).omega
         if kind == "cjr":
             want = cjr_apply(r, lev.op, expect)
         else:
             want = relaxation(lev.op, replace(spec, omega=expect), 2)(r)
-        np.testing.assert_array_equal(lev.relax(r), want)
-        buf = r.copy()
-        assert lev.relax(buf, out=buf) is buf
-        np.testing.assert_array_equal(buf, want)
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])

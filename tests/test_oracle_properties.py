@@ -12,9 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocmg import multigrid
-from ocmg.grid import GridSpec, SaddleOperator, apply_saddle
-from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation, schur_matrix
+from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, saddle_matrix, schur_matrix
+from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation
 
 import oracle
 
@@ -52,7 +51,7 @@ def test_saddle_operator_matches_dense(case):
 @given(cases())
 def test_coarse_solve_matrix_equals_dense_entry_by_entry(case):
     grid, alpha, mask, _ = case
-    A = multigrid._saddle_matrix(SaddleOperator(grid, alpha, mask))
+    A = saddle_matrix(SaddleOperator(grid, alpha, mask))
     assert np.array_equal(A.toarray(),
                           oracle.assemble("saddle", grid, alpha=alpha, mask=mask))
 

@@ -49,7 +49,7 @@ def ref_mass(u, g):
     return out
 
 
-def ref_laplacian_rows(u, a, b, out, scale):
+def ref_laplacian_rows(u, a, b, out):
     np.multiply(u[..., a:b, :], 4.0, out=out)
     if a > 0:
         out -= u[..., a - 1:b - 1, :]
@@ -61,7 +61,7 @@ def ref_laplacian_rows(u, a, b, out, scale):
         out[..., :-1, :] -= u[..., a + 1:, :]
     out[..., 1:] -= u[..., a:b, :-1]
     out[..., :-1] -= u[..., a:b, 1:]
-    out *= scale
+    out *= (u.shape[-1] + 1) ** 2
 
 
 REFERENCE = {"apply_laplacian": ref_laplacian, "apply_mass": ref_mass,
@@ -69,16 +69,10 @@ REFERENCE = {"apply_laplacian": ref_laplacian, "apply_mass": ref_mass,
 
 
 def _kernels(op, v, b):
-    """Every strip-mined kernel on one case, each writing a fresh array."""
-    def cjr_into_r():
-        r = v.copy()
-        return cjr_apply(r, op, 0.7, out=r)
-
+    """Every strip-mined kernel on one case, each returning a new array."""
     return {
         "residual": lambda: residual(op, b, v),
-        "residual out": lambda: residual(op, b, v, out=np.full_like(v, np.nan)),
         "cjr": lambda: cjr_apply(v, op, 0.7),
-        "cjr out=r": cjr_into_r,
         "apply_laplacian": lambda: grid.apply_laplacian(v, op.grid),
         "apply_mass": lambda: grid.apply_mass(v, op.grid),
         "apply_saddle": lambda: grid.apply_saddle(op, v),
@@ -151,12 +145,12 @@ def fields(draw):
     return g, rng.standard_normal(lead + (g.m, g.m)), rows
 
 
-def _strips_into_view(rows_kernel, u, rows, scale):
+def _strips_into_view(rows_kernel, u, rows):
     """Every strip of rows_kernel written into a strip view of one NaN array."""
     out = np.full(u.shape, np.nan)
     m = u.shape[-1]
     for a in range(0, m, rows):
-        rows_kernel(u, a, min(a + rows, m), out[..., a:a + rows, :], scale)
+        rows_kernel(u, a, min(a + rows, m), out[..., a:a + rows, :])
     return out
 
 
@@ -170,22 +164,14 @@ def test_flat_passes_equal_the_column_sliced_kernels(case):
         assert np.array_equal(grid.apply_laplacian(x, g), ref_laplacian(u, g))
         assert np.array_equal(grid.apply_mass(x, g), ref_mass(u, g))
         assert np.array_equal(
-            _strips_into_view(grid._laplacian_rows, x, rows, g.N * g.N),
-            _strips_into_view(ref_laplacian_rows, u, rows, g.N * g.N))
+            _strips_into_view(grid._laplacian_rows, x, rows),
+            _strips_into_view(ref_laplacian_rows, u, rows))
 
 
 def test_strip_writes_land_in_the_callers_view_of_out():
     g = GridSpec(9)
     u = np.random.default_rng(5).standard_normal((2, g.m, g.m))
     out = np.full((2, g.m + 4, g.m), np.nan)
-    grid._laplacian_rows(u, 2, 6, out[:, 3:7], g.N * g.N)
+    grid._laplacian_rows(u, 2, 6, out[:, 3:7])
     assert np.array_equal(out[:, 3:7], ref_laplacian(u, g)[:, 2:6])
     assert np.isnan(np.delete(out, np.s_[3:7], axis=1)).all()
-
-
-def test_an_out_that_is_not_a_flat_view_is_refused():
-    g = GridSpec(6)
-    u = np.ones((g.m, g.m))
-    out = np.zeros((g.m, g.m)).T
-    with pytest.raises(ValueError, match="C-contiguous"):
-        grid._laplacian_rows(u, 0, g.m, out, g.N * g.N)
