@@ -116,22 +116,32 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    grid = data.grid
     b = np.stack([data.f, data.g])
-    seed = solve(build_hierarchy(grid.N, q, cp.alpha, smoother), b, spec)
+    seed = solve(build_hierarchy(data.grid.N, q, cp.alpha, smoother), b, spec)
     if not seed.converged:
         raise SolverError(f"multigrid {seed.failure} on the seed system "
                           f"(rho={seed.rho:.3f})")
-    v = seed.v
-    Fv = residual_F(v, data, cp)
+    Fv = residual_F(seed.v, data, cp)
+    floor = 1e-14 * np.sqrt(2.0 * data.grid.m ** 2)
+    target = max(tol * block_norm2(Fv), tol * block_norm2(b), floor)
+    return newton(seed.v, Fv, data, cp, q, smoother, spec, target,
+                  baseline_iters=seed.iters)
+
+
+def newton(v: np.ndarray, Fv: np.ndarray, data: ProblemData, cp: ControlParams,
+           q: int, smoother: SmootherSpec, spec: CycleSpec, target: float, *,
+           baseline_iters: int) -> SsnResult:
+    """Damped semi-smooth Newton from v, whose residual_F is Fv, to ||F|| <= target.
+
+    converged=True as ssn_solve says; SolverError with the last accepted
+    iterate as its state otherwise.  baseline_iters only labels the result.
+    """
     residuals = [block_norm2(Fv)]
-    floor = 1e-14 * np.sqrt(2.0 * grid.m ** 2)
-    target = max(tol * residuals[0], tol * block_norm2(b), floor)
     mg_iters, steps = [], []
     stalled_mask = None  # the last step's mask when that step was negligible
 
     def result(converged: bool = False) -> SsnResult:
-        return SsnResult(v, phi(v[1], cp), mg_iters, seed.iters, residuals,
+        return SsnResult(v, phi(v[1], cp), mg_iters, baseline_iters, residuals,
                          steps, converged)
 
     while residuals[-1] > target:
@@ -145,7 +155,7 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
                 f"(||F||/||F0||={residuals[-1] / residuals[0]:.3e})", result())
         # correction system: start from zero so the 1e-10 relative stop
         # scales with the current Newton residual
-        jac = solve(build_hierarchy(grid.N, q, cp.alpha, smoother, mask=mask),
+        jac = solve(build_hierarchy(data.grid.N, q, cp.alpha, smoother, mask=mask),
                     -1.0 * Fv, spec, v0=np.zeros_like(v))
         if not jac.converged:
             raise SolverError(f"multigrid {jac.failure} on the Jacobian system "
