@@ -236,6 +236,10 @@ def cmd_ssn(opts: dict) -> int:
     print(f"converged={res.converged} newton_iters={res.iters}")
     print(f"baseline_mg_iters={res.baseline_iters}")
     print("jacobian_mg_iters=" + ",".join(str(k) for k in res.mg_iters))
+    start = res.start
+    print(f"start=coarse N={start.v.shape[1] + 1} newton_iters={start.iters} "
+          f"jacobian_mg_iters={','.join(str(k) for k in start.mg_iters)}"
+          if start is not None else f"start=seed ({res.seed_start})")
     print(f"zero_fraction={zero:.6f} active_fraction={active:.6f}")
     if opts.get("out"):
         _dump_state(opts["out"], res, grid)

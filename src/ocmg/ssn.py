@@ -18,21 +18,33 @@ that mask in the (1,2) block by multigrid and is globalized with a
 monotone backtracking line search (step halving, full step tried first
 so local superlinear convergence is preserved).
 
-The iteration starts from the unconstrained beta=0 solution; the
-multigrid iteration count of that seed solve is kept as the baseline
-that constrained Jacobian solves are compared against.
+ssn_solve first solves the unconstrained system (phi(p) = p/alpha, no
+bounds) on the given grid.  That seed fixes the final ||F|| target, and
+its multigrid iteration count is kept as the baseline that constrained
+Jacobian solves are compared against.  Semi-smooth Newton is mesh
+independent, so the loop then starts from one level of nested
+iteration: the same problem, on the grid N/q with full-weighted f and g,
+is solved from its own seed to its discretization error (1/N_c)^2, and
+its (y, p) is prolonged.  At ssn-sparse's N=128 this leaves 2 fine
+steps where the seed left 15.  The loop starts from the seed instead
+when N/q has no coarser grid, or when the seed already solves the system
+(beta = 0 and no bound active there).  It also reruns from the seed
+when the coarse stage or the loop from its start fails, which happens
+at small alpha (bsr, N=32, alpha=1e-10).  Every multigrid solve goes
+through this module's solve binding, the coarse stage's too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import apply_laplacian, block_norm2, check_alpha
-from .multigrid import CycleSpec, build_hierarchy, solve
+from .grid import GridSpec, apply_laplacian, block_norm2, check_alpha
+from .multigrid import (CycleSpec, MgResult, build_hierarchy, level_sizes,
+                        prolong, restrict, solve)
 from .problems import ProblemData
-from .smoothers import SmootherSpec
+from .smoothers import PcgBreakdownError, SmootherSpec
 
 MAX_BACKTRACKS = 20  # step halvings per Newton step before the line search fails
 MAX_NEWTON_STEPS = 50  # Newton steps before the solve fails
@@ -63,6 +75,8 @@ class SsnResult:
     residuals: list[float]     # ||F|| history, entry 0 at the seed
     steps: list[float]         # accepted line-search step per Newton step
     converged: bool
+    start: SsnResult | None = None  # the coarse stage the loop started from
+    seed_start: str | None = None   # else why it started from the seed
 
     @property
     def iters(self) -> int:
@@ -106,16 +120,55 @@ def residual_F(v: np.ndarray, data: ProblemData,
 def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
               smoother: SmootherSpec, spec: CycleSpec = CycleSpec(),
               tol: float = 1e-10) -> SsnResult:
-    """Semi-smooth Newton from the unconstrained (beta=0) seed solve.
+    """Semi-smooth Newton from the same problem solved one grid coarser.
 
     Returns converged=True once ||F|| <= max(tol ||F0||, tol ||(f,g)||, floor)
-    (the seed may already solve the system; floor is round-off), or once a
-    negligible step leaves the active set unchanged (a round-off stall).
-    SolverError on an unconverged multigrid solve (its MgResult.failure),
-    a failed line search or MAX_NEWTON_STEPS steps.
+    (F0 the residual of the unconstrained seed, which may already solve
+    the system; floor is round-off), or once a negligible step leaves the
+    active set unchanged (a round-off stall).  When the coarse stage or
+    the Newton loop from its prolonged iterate fails, the loop reruns from
+    the seed, and its SolverError (on an unconverged multigrid solve, a
+    failed line search or MAX_NEWTON_STEPS steps) is the one raised.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    seed, Fv, target = _seed(data, cp, q, smoother, spec, tol)
+
+    def newton_from(v: np.ndarray, Fv: np.ndarray) -> SsnResult:
+        return newton(v, Fv, data, cp, q, smoother, spec, target,
+                      baseline_iters=seed.iters)
+
+    Nc = level_sizes(data.grid.N, q)[1]
+    try:
+        level_sizes(Nc, q)
+    except ValueError:
+        return replace(newton_from(seed.v, Fv), seed_start=f"N={Nc} has no coarser grid")
+    if cp.beta == 0 and dphi_mask(seed.v[1], cp).all():
+        # phi is p/alpha at the seed, so the seed solves the system as well
+        # as multigrid solved the linear one; a coarse start is further off
+        return replace(newton_from(seed.v, Fv),
+                       seed_start="no bound is active and beta=0 at the seed")
+    stage = f"the coarse stage on N={Nc}"
+    try:
+        # solved to its discretization error, (1/Nc)^2: the prolongation
+        # would lose any further accuracy
+        ctol = max(tol, 1.0 / Nc ** 2)
+        cspec = replace(spec, tol=ctol)
+        cdata = ProblemData(restrict(data.f, q), restrict(data.g, q), GridSpec(Nc))
+        cseed, cFv, ctarget = _seed(cdata, cp, q, smoother, cspec, ctol)
+        coarse = newton(cseed.v, cFv, cdata, cp, q, smoother, cspec, ctarget,
+                        baseline_iters=cseed.iters)
+        stage = "Newton from the coarse stage"
+        v = np.stack([prolong(c, q) for c in coarse.v])
+        return replace(newton_from(v, residual_F(v, data, cp)), start=coarse)
+    except (SolverError, PcgBreakdownError) as exc:
+        seed_start = f"{stage} failed: {exc}"
+    return replace(newton_from(seed.v, Fv), seed_start=seed_start)
+
+
+def _seed(data: ProblemData, cp: ControlParams, q: int, smoother: SmootherSpec,
+          spec: CycleSpec, tol: float) -> tuple[MgResult, np.ndarray, float]:
+    """The unconstrained (beta=0) seed solve, its residual_F and the Newton target."""
     b = np.stack([data.f, data.g])
     seed = solve(build_hierarchy(data.grid.N, q, cp.alpha, smoother), b, spec)
     if not seed.converged:
@@ -123,9 +176,7 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
                           f"(rho={seed.rho:.3f})")
     Fv = residual_F(seed.v, data, cp)
     floor = 1e-14 * np.sqrt(2.0 * data.grid.m ** 2)
-    target = max(tol * block_norm2(Fv), tol * block_norm2(b), floor)
-    return newton(seed.v, Fv, data, cp, q, smoother, spec, target,
-                  baseline_iters=seed.iters)
+    return seed, Fv, max(tol * block_norm2(Fv), tol * block_norm2(b), floor)
 
 
 def newton(v: np.ndarray, Fv: np.ndarray, data: ProblemData, cp: ControlParams,

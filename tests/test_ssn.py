@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, block_norm2, residual
-from ocmg.multigrid import CycleSpec
+from ocmg.multigrid import CycleSpec, build_hierarchy, solve
 from ocmg.problems import ProblemData, example2_fields
 from ocmg import ssn
 from ocmg.smoothers import SmootherSpec
@@ -259,31 +259,124 @@ def test_tolerance_must_be_positive_and_finite(tol):
         _solve_example2(1e-4, 1e-3, tol=tol)
 
 
-def _rebind_solve(monkeypatch, at=None, edit=None):
-    """Rebind ssn.solve to record each multigrid solve's iteration count;
-    the result of the solve numbered at (0 is the seed) goes through edit."""
+def _newton_from_seed(alpha, beta, N=32, kind="ibsr", u0=-30.0, u1=30.0):
+    """The Newton loop from the unconstrained seed, to the target ssn_solve
+    documents: the solve without grid continuation."""
+    grid = GridSpec(N)
+    data = example2_fields(grid)
+    cp = ControlParams(alpha=alpha, beta=beta, u0=u0, u1=u1)
+    spec = CycleSpec(cycle="W", nu_pre=2)
+    b = np.stack([data.f, data.g])
+    seed = solve(build_hierarchy(N, 2, alpha, SmootherSpec(kind)), b, spec)
+    Fv = residual_F(seed.v, data, cp)
+    target = max(1e-10 * block_norm2(Fv), 1e-10 * block_norm2(b),
+                 1e-14 * np.sqrt(2.0 * grid.m ** 2))
+    return ssn.newton(seed.v, Fv, data, cp, 2, SmootherSpec(kind), spec, target,
+                      baseline_iters=seed.iters)
+
+
+def _assert_same_result(res, ref):
+    for name in ("v", "u"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name))
+    for name in ("mg_iters", "baseline_iters", "residuals", "steps", "converged"):
+        assert getattr(res, name) == getattr(ref, name)
+
+
+@pytest.mark.parametrize("kind", ["ibsr", "bsr", "cjr"])
+@pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-8])
+def test_continued_solve_matches_the_newton_loop_from_the_seed(kind, alpha):
+    res, cp, _ = _solve_example2(alpha, 1e-3, N=64, kind=kind)
+    ref = _newton_from_seed(alpha, 1e-3, N=64, kind=kind)
+    assert res.converged and ref.converged
+    assert res.start is not None and res.start.v.shape == (2, 31, 31)
+    if alpha > 1e-8:  # at 1e-8 the loop from the coarse start took 24-33 steps against 31
+        assert res.iters < ref.iters
+    np.testing.assert_allclose(res.u, ref.u, rtol=0, atol=1e-10 * np.abs(ref.u).max())
+    assert np.array_equal(res.u == 0.0, ref.u == 0.0)
+    assert sparsity_fractions(res.u, cp) == sparsity_fractions(ref.u, cp)
+
+
+def test_a_grid_with_no_coarser_multigrid_runs_the_loop_from_the_seed():
+    res, _, _ = _solve_example2(1e-4, 1e-3, N=16)
+    assert res.start is None and res.seed_start == "N=8 has no coarser grid"
+    _assert_same_result(res, _newton_from_seed(1e-4, 1e-3, N=16))
+
+
+def test_an_unconstrained_seed_runs_the_loop_from_the_seed():
+    # phi is p/alpha at the seed, which then already solves the system
+    bounds = dict(u0=-1e9, u1=1e9)
+    res = ssn_solve(example2_fields(GridSpec(32)), ControlParams(1e-4, 0.0, **bounds),
+                    2, SmootherSpec("ibsr"), CycleSpec(cycle="W", nu_pre=2))
+    assert res.start is None and "no bound is active" in res.seed_start
+    _assert_same_result(res, _newton_from_seed(1e-4, 0.0, **bounds))
+
+
+def _rebind_solve(monkeypatch, at=None, edit=None, coarse=None):
+    """Rebind ssn.solve to record each multigrid solve's (N, iteration count).
+    The result of the solve numbered at among those on the N=32 grid (0 is
+    the seed) goes through edit, and every one on a coarser grid through
+    coarse."""
     inner, counts = ssn.solve, []
 
-    def counted(*args, **kwargs):
-        res = inner(*args, **kwargs)
-        if len(counts) == at:
+    def counted(hier, *args, **kwargs):
+        res = inner(hier, *args, **kwargs)
+        N = hier.levels[0].op.grid.N
+        if N < 32 and coarse is not None:
+            res = coarse(res)
+        if N == 32 and sum(n == 32 for n, _ in counts) == at:
             res = edit(res)
-        counts.append(res.iters)
+        counts.append((N, res.iters))
         return res
     monkeypatch.setattr(ssn, "solve", counted)
     return counts
 
 
+def _unconverged(res):
+    return replace(res, converged=False)
+
+
 def test_every_multigrid_solve_goes_through_the_module_binding(monkeypatch):
-    # the benchmark counts the Newton loop's cycles at this binding
+    # the benchmark counts the cycles of every solve, the coarse stage's
+    # too, at this binding
     counts = _rebind_solve(monkeypatch)
     res, _, _ = _solve_example2(1e-4, 1e-3)
-    assert len(counts) == 1 + res.iters
-    assert counts == [res.baseline_iters] + res.mg_iters
+    start = res.start
+    assert len(counts) == 2 + start.iters + res.iters
+    assert counts == ([(32, res.baseline_iters), (16, start.baseline_iters)]
+                      + [(16, k) for k in start.mg_iters]
+                      + [(32, k) for k in res.mg_iters])
+
+
+def test_a_failed_coarse_stage_returns_the_loop_from_the_seed(monkeypatch):
+    ref = _newton_from_seed(1e-4, 1e-3)
+    counts = _rebind_solve(monkeypatch, coarse=_unconverged)
+    res, _, _ = _solve_example2(1e-4, 1e-3)
+    _assert_same_result(res, ref)
+    assert res.start is None
+    assert res.seed_start.startswith("the coarse stage on N=16 failed: multigrid "
+                                     "did not reach tolerance on the seed system")
+    assert counts[0] == (32, ref.baseline_iters) and counts[1][0] == 16
+    assert counts[2:] == [(32, k) for k in ref.mg_iters]
+
+
+@pytest.mark.parametrize("at, edit, message", [
+    (1, _unconverged, "multigrid did not reach tolerance on the Jacobian system"),
+    (1, lambda res: replace(res, v=-1e6 * res.v), "line search failed after 20 halvings"),
+])
+def test_a_failed_continued_loop_returns_the_loop_from_the_seed(monkeypatch, at, edit, message):
+    ref = _newton_from_seed(1e-4, 1e-3)
+    counts = _rebind_solve(monkeypatch, at=at, edit=edit)
+    res, _, _ = _solve_example2(1e-4, 1e-3)
+    _assert_same_result(res, ref)
+    assert res.start is None
+    assert res.seed_start.startswith("Newton from the coarse stage failed: " + message)
+    # the fine seed, the coarse stage, one continued step, then the loop
+    # from the seed
+    assert [n for n, _ in counts].count(32) == 2 + ref.iters
 
 
 def test_diverged_seed_solve_carries_no_state(monkeypatch):
-    _rebind_solve(monkeypatch, at=0, edit=lambda res: replace(res, converged=False))
+    _rebind_solve(monkeypatch, at=0, edit=_unconverged)
     with pytest.raises(SolverError, match="multigrid did not reach tolerance on the seed system") as exc:
         _solve_example2(1e-4, 1e-3)
     assert exc.value.state is None
@@ -301,18 +394,23 @@ def _check_failed_state(match, steps):
     assert state.iters == steps == len(state.mg_iters) == len(state.residuals) - 1
     np.testing.assert_array_equal(state.u, phi(state.v[1], cp))
     assert block_norm2(residual_F(state.v, data, cp)) == state.residuals[-1]
+    assert state.start is None and state.seed_start is None
 
 
+# the coarse stage fails, so the N=32 solves are numbered as without it:
+# the seed is 0, the loop's first Jacobian solve 1
 def test_diverged_jacobian_solve_carries_the_last_accepted_iterate(monkeypatch):
-    _rebind_solve(monkeypatch, at=2, edit=lambda res: replace(res, converged=False))
+    _rebind_solve(monkeypatch, at=2, edit=_unconverged, coarse=_unconverged)
     _check_failed_state("multigrid did not reach tolerance on the Jacobian system", 1)
 
 
 def test_uphill_correction_fails_the_line_search_with_state(monkeypatch):
-    _rebind_solve(monkeypatch, at=1, edit=lambda res: replace(res, v=-1e6 * res.v))
+    _rebind_solve(monkeypatch, at=1, edit=lambda res: replace(res, v=-1e6 * res.v),
+                  coarse=_unconverged)
     _check_failed_state("line search failed after 20 halvings at iteration 1", 0)
 
 
 def test_iteration_cap_raises_with_state(monkeypatch):
+    # the coarse stage and the continued loop fail at the cap too
     monkeypatch.setattr(ssn, "MAX_NEWTON_STEPS", 1)
     _check_failed_state("no convergence in 1 iterations", 1)
