@@ -139,12 +139,6 @@ def relax_eigs(scheme: str, t1, t2, alpha: float, h: float):
     return _eig2(half, disc)
 
 
-def cjr_eigs_analytic(tau, gamma: float):
-    """(tau +- i gamma)/(1 +- i gamma), the collective-Jacobi symbol eigenvalues."""
-    ig = 1j * gamma
-    return (tau + ig) / (1.0 + ig), (tau - ig) / (1.0 - ig)
-
-
 class _SampledSymbol:
     """Precomputed eigenvalues over a sampled high-frequency set.
 
@@ -252,23 +246,3 @@ def closed_form(scheme: str, params: LfaParams) -> LfaReport:
         omega, mu = bsr_damping(params.q)
         return LfaReport(mu=mu, omega=omega, theta=None)
     raise ValueError(f"unknown scheme {scheme!r} (closed forms cover cjr, bsr, ibsr)")
-
-
-def lambda2_bsr(theta: tuple[float, float], params: LfaParams) -> float:
-    """The non-unit eigenvalue (1 + alpha a^2)/(1 + alpha a b); lambda1 = 1."""
-    a = symbol_laplacian(theta[0], theta[1], params.h)
-    b = 1.0 / symbol_mass(theta[0], theta[1], params.h)
-    return float((1.0 + params.alpha * a * a) / (1.0 + params.alpha * a * b))
-
-
-def scalar_range_check(kind: str, q: int) -> tuple[float, float]:
-    """Sampled (min, max) of a/a1 (kind 'jacobi') or a/b (kind 'mass') over T^H_q."""
-    t1, t2 = high_freq_grid(q)
-    a = symbol_laplacian(t1, t2, 1.0)
-    if kind == "jacobi":
-        ratio = a / 4.0
-    elif kind == "mass":
-        ratio = a * symbol_mass(t1, t2, 1.0)
-    else:
-        raise ValueError(f"kind must be 'jacobi' or 'mass', got {kind!r}")
-    return float(np.min(ratio)), float(np.max(ratio))

@@ -57,7 +57,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from math import frexp, inf, log
+from math import frexp, inf
 
 import numpy as np
 
@@ -258,10 +258,3 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
         if rel <= spec.tol or not rel <= 1e8:  # converged, diverging or NaN
             break
     return MgResult(v, k, rel ** (1.0 / k), history, rel <= spec.tol)
-
-
-def eta_ratio(rho_s: float, rho_j: float) -> float:
-    """Work-equivalence exponent ln(rho_s)/ln(rho_j) for two factors in (0,1)."""
-    if not (0.0 < rho_s < 1.0 and 0.0 < rho_j < 1.0):
-        raise ValueError(f"factors must lie in (0,1), got {rho_s}, {rho_j}")
-    return log(rho_s) / log(rho_j)

@@ -6,7 +6,8 @@ code, so matrix-vector products are comparable entry for entry; a
 (2, N-1, N-1) block field ravels to the [y; p] vector of the 2(N-1)^2
 matrices.  Used only by the test suite, to pin down every matrix-free
 path and the multigrid module's sparse coarse-solve matrix; no solver
-module imports it.
+module imports it.  Two scalar references the tests share sit at the
+end: the sampled symbol-ratio ranges and the work-equivalence exponent.
 
 Assembly kinds:
 
@@ -23,9 +24,12 @@ of the constrained problem.
 
 from __future__ import annotations
 
+from math import log
+
 import numpy as np
 
 from ocmg.grid import GridSpec
+from ocmg.lfa import high_freq_grid, symbol_laplacian, symbol_mass
 
 MAX_N = 24  # memory guard: dense matrices only on tiny grids
 
@@ -104,3 +108,23 @@ def dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         if rel > 1e-10:
             raise np.linalg.LinAlgError(f"dense solve residual {rel:.2e} > 1e-10")
     return x
+
+
+def scalar_range_check(kind: str, q: int) -> tuple[float, float]:
+    """Sampled (min, max) of a/a1 (kind 'jacobi') or a/b (kind 'mass') over T^H_q."""
+    t1, t2 = high_freq_grid(q)
+    a = symbol_laplacian(t1, t2, 1.0)
+    if kind == "jacobi":
+        ratio = a / 4.0
+    elif kind == "mass":
+        ratio = a * symbol_mass(t1, t2, 1.0)
+    else:
+        raise ValueError(f"kind must be 'jacobi' or 'mass', got {kind!r}")
+    return float(np.min(ratio)), float(np.max(ratio))
+
+
+def eta_ratio(rho_s: float, rho_j: float) -> float:
+    """Work-equivalence exponent ln(rho_s)/ln(rho_j) for two factors in (0,1)."""
+    if not (0.0 < rho_s < 1.0 and 0.0 < rho_j < 1.0):
+        raise ValueError(f"factors must lie in (0,1), got {rho_s}, {rho_j}")
+    return log(rho_s) / log(rho_j)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 import oracle
+from oracle import eta_ratio, scalar_range_check
 from ocmg.grid import (
     GridSpec,
     SaddleOperator,
@@ -25,9 +26,8 @@ from ocmg.lfa import (
     bsr_damping,
     cjr_optimal,
     sampled_optimal,
-    scalar_range_check,
 )
-from ocmg.multigrid import CycleSpec, build_hierarchy, eta_ratio, solve
+from ocmg.multigrid import CycleSpec, build_hierarchy, solve
 from ocmg.problems import discrete_norm, example1_fields, example2_fields
 from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation, schur_apply
 from ocmg.ssn import ControlParams, sparsity_fractions, ssn_solve

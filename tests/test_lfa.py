@@ -12,18 +12,16 @@ from ocmg.lfa import (
     LfaParams,
     LfaReport,
     bsr_damping,
-    cjr_eigs_analytic,
     cjr_optimal,
     closed_form,
     high_freq_grid,
-    lambda2_bsr,
     psi,
     relax_eigs,
     sampled_optimal,
-    scalar_range_check,
     symbol_laplacian,
     symbol_mass,
 )
+from oracle import scalar_range_check
 
 
 def smoothing_factor_sampled(scheme, params, omega):
@@ -208,6 +206,12 @@ def test_psi_at_omega0_identity():
         assert psi(omega0, g) == pytest.approx(want, rel=1e-12)
 
 
+def cjr_eigs_analytic(tau, gamma: float):
+    """(tau +- i gamma)/(1 +- i gamma), the collective-Jacobi symbol eigenvalues."""
+    ig = 1j * gamma
+    return (tau + ig) / (1.0 + ig), (tau - ig) / (1.0 - ig)
+
+
 def test_generic_eigs_match_analytic_cjr():
     alpha, h = 1e-4, 1.0 / 32
     gamma = h * h / (4 * sqrt(alpha))
@@ -268,6 +272,13 @@ def test_sampled_mu_is_finite_where_one_over_alpha_nears_overflow(scheme):
     assert all(np.isfinite(part).all() for part in lam)
     rep = sampled_optimal(scheme, params)
     assert np.isfinite(rep.mu) and rep.mu < 1.0
+
+
+def lambda2_bsr(theta: tuple[float, float], params: LfaParams) -> float:
+    """The non-unit eigenvalue (1 + alpha a^2)/(1 + alpha a b); lambda1 = 1."""
+    a = symbol_laplacian(theta[0], theta[1], params.h)
+    b = 1.0 / symbol_mass(theta[0], theta[1], params.h)
+    return float((1.0 + params.alpha * a * a) / (1.0 + params.alpha * a * b))
 
 
 def test_lambda2_limits():

