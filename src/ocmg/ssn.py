@@ -25,13 +25,13 @@ Jacobian solves are compared against.  Semi-smooth Newton is mesh
 independent, so the loop then starts from one level of nested
 iteration: the same problem, on the grid N/q with full-weighted f and g,
 is solved from its own seed to its discretization error (1/N_c)^2, and
-its (y, p) is prolonged.  At ssn-sparse's N=128 this leaves 2 fine
-steps where the seed left 15.  The loop starts from the seed instead
-when N/q has no coarser grid, or when the seed already solves the system
-(beta = 0 and no bound active there).  It also reruns from the seed
-when the coarse stage or the loop from its start fails, which happens
-at small alpha (bsr, N=32, alpha=1e-10).  Every multigrid solve goes
-through this module's solve binding, the coarse stage's too.
+its (y, p) is prolonged.  On example 2 at N=128 and alpha=1e-6 this
+leaves 2 fine steps where the seed start took 15.  The loop starts from
+the seed instead when N/q has no coarser grid, or when the seed already
+solves the system (beta = 0 and no bound active there).  It also reruns
+from the seed when the coarse stage or the loop from its start fails,
+which happens at small alpha (bsr, N=32, alpha=1e-10).  Every multigrid
+solve goes through this module's solve binding, the coarse stage's too.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class SsnResult:
     u: np.ndarray              # phi(p), the control
     mg_iters: list[int]        # per-Newton-step multigrid counts
     baseline_iters: int        # unconstrained seed solve count
-    residuals: list[float]     # ||F|| history, entry 0 at the seed
+    residuals: list[float]     # ||F|| history, entry 0 at the loop's start
     steps: list[float]         # accepted line-search step per Newton step
     converged: bool
     start: SsnResult | None = None  # the coarse stage the loop started from
@@ -168,7 +168,7 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
 
 def _seed(data: ProblemData, cp: ControlParams, q: int, smoother: SmootherSpec,
           spec: CycleSpec, tol: float) -> tuple[MgResult, np.ndarray, float]:
-    """The unconstrained (beta=0) seed solve, its residual_F and the Newton target."""
+    """The unconstrained seed solve, its residual_F and the Newton target."""
     b = np.stack([data.f, data.g])
     seed = solve(build_hierarchy(data.grid.N, q, cp.alpha, smoother), b, spec)
     if not seed.converged:

@@ -327,6 +327,18 @@ def test_ssn_dumps_fields_and_reports_sparsity(tmp_path, capsys):
     assert np.mean(u == 0.0) == pytest.approx(zero, abs=5e-7)
 
 
+@pytest.mark.parametrize("argv, start", [
+    (["--N", "32"], "start=coarse N=16 newton_iters=3 jacobian_mg_iters=3,3,3\n"),
+    (["--N", "16"], "start=seed (N=8 has no coarser grid)\n"),
+    (["--N", "32", "--scheme", "bsr", "--alpha", "1e-8"],
+     "start=seed (the coarse stage on N=16 failed: no convergence in 50 iterations"),
+])
+def test_ssn_reports_which_start_the_newton_loop_took(argv, start, capsys):
+    assert run_cli(["ssn"] + argv) == 0
+    report = capsys.readouterr().out
+    assert report.count("start=") == 1 and start in report
+
+
 def test_ssn_with_exact_bsr_converges_at_small_alpha(capsys):
     # masked exact bsr used to lose positivity in its inner CG here (exit 2)
     code = run_cli(["ssn", "--scheme", "bsr", "--N", "32", "--alpha", "1e-10"])

@@ -311,11 +311,11 @@ def test_an_unconstrained_seed_runs_the_loop_from_the_seed():
     _assert_same_result(res, _newton_from_seed(1e-4, 0.0, **bounds))
 
 
-def _rebind_solve(monkeypatch, at=None, edit=None, coarse=None):
+def _rebind_solve(monkeypatch, at=(), edit=None, coarse=None):
     """Rebind ssn.solve to record each multigrid solve's (N, iteration count).
-    The result of the solve numbered at among those on the N=32 grid (0 is
-    the seed) goes through edit, and every one on a coarser grid through
-    coarse."""
+    The result of each solve whose number among those on the N=32 grid
+    (0 is the seed) is in at goes through edit, and every one on a coarser
+    grid through coarse."""
     inner, counts = ssn.solve, []
 
     def counted(hier, *args, **kwargs):
@@ -323,7 +323,7 @@ def _rebind_solve(monkeypatch, at=None, edit=None, coarse=None):
         N = hier.levels[0].op.grid.N
         if N < 32 and coarse is not None:
             res = coarse(res)
-        if N == 32 and sum(n == 32 for n, _ in counts) == at:
+        if N == 32 and sum(n == 32 for n, _ in counts) in at:
             res = edit(res)
         counts.append((N, res.iters))
         return res
@@ -360,8 +360,8 @@ def test_a_failed_coarse_stage_returns_the_loop_from_the_seed(monkeypatch):
 
 
 @pytest.mark.parametrize("at, edit, message", [
-    (1, _unconverged, "multigrid did not reach tolerance on the Jacobian system"),
-    (1, lambda res: replace(res, v=-1e6 * res.v), "line search failed after 20 halvings"),
+    ({1}, _unconverged, "multigrid did not reach tolerance on the Jacobian system"),
+    ({1}, lambda res: replace(res, v=-1e6 * res.v), "line search failed after 20 halvings"),
 ])
 def test_a_failed_continued_loop_returns_the_loop_from_the_seed(monkeypatch, at, edit, message):
     ref = _newton_from_seed(1e-4, 1e-3)
@@ -376,7 +376,7 @@ def test_a_failed_continued_loop_returns_the_loop_from_the_seed(monkeypatch, at,
 
 
 def test_diverged_seed_solve_carries_no_state(monkeypatch):
-    _rebind_solve(monkeypatch, at=0, edit=_unconverged)
+    _rebind_solve(monkeypatch, at={0}, edit=_unconverged)
     with pytest.raises(SolverError, match="multigrid did not reach tolerance on the seed system") as exc:
         _solve_example2(1e-4, 1e-3)
     assert exc.value.state is None
@@ -395,19 +395,31 @@ def _check_failed_state(match, steps):
     np.testing.assert_array_equal(state.u, phi(state.v[1], cp))
     assert block_norm2(residual_F(state.v, data, cp)) == state.residuals[-1]
     assert state.start is None and state.seed_start is None
+    return state
 
 
 # the coarse stage fails, so the N=32 solves are numbered as without it:
 # the seed is 0, the loop's first Jacobian solve 1
 def test_diverged_jacobian_solve_carries_the_last_accepted_iterate(monkeypatch):
-    _rebind_solve(monkeypatch, at=2, edit=_unconverged, coarse=_unconverged)
+    _rebind_solve(monkeypatch, at={2}, edit=_unconverged, coarse=_unconverged)
     _check_failed_state("multigrid did not reach tolerance on the Jacobian system", 1)
 
 
 def test_uphill_correction_fails_the_line_search_with_state(monkeypatch):
-    _rebind_solve(monkeypatch, at=1, edit=lambda res: replace(res, v=-1e6 * res.v),
+    _rebind_solve(monkeypatch, at={1}, edit=lambda res: replace(res, v=-1e6 * res.v),
                   coarse=_unconverged)
     _check_failed_state("line search failed after 20 halvings at iteration 1", 0)
+
+
+def test_a_failed_continued_loop_then_seed_loop_raises_the_seed_loops_error(monkeypatch):
+    # every N=32 Jacobian solve diverges: the continued loop fails at its
+    # first one, then the loop from the seed fails where it always did
+    _rebind_solve(monkeypatch, at=range(1, 100), edit=_unconverged)
+    state = _check_failed_state("multigrid did not reach tolerance on the Jacobian system", 0)
+    data = example2_fields(GridSpec(32))
+    seed = solve(build_hierarchy(32, 2, 1e-4, SmootherSpec("ibsr")),
+                 np.stack([data.f, data.g]), CycleSpec(cycle="W", nu_pre=2))
+    assert np.array_equal(state.v, seed.v)
 
 
 def test_iteration_cap_raises_with_state(monkeypatch):

@@ -1,4 +1,5 @@
-"""The test configuration itself: a failing test is reported, not an internal error."""
+"""The test configuration itself (a failing test is reported, not an internal
+error) and the package's own hygiene (no function only tests use)."""
 
 import ast
 import subprocess
@@ -44,8 +45,8 @@ def test_every_package_function_is_used_in_the_package():
     # shared ones), not on the solver path
     statements = [stmt for path in sorted((ROOT / "src" / "ocmg").glob("*.py"))
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
-    unused = {stmt.name for stmt in statements
+    names = [_names(stmt) for stmt in statements]
+    unused = {stmt.name for i, stmt in enumerate(statements)
               if isinstance(stmt, ast.FunctionDef)
-              and not any(stmt.name in _names(other)
-                          for other in statements if other is not stmt)}
+              and not any(stmt.name in used for j, used in enumerate(names) if j != i)}
     assert unused == set(USED_OUTSIDE_THE_PACKAGE)
