@@ -17,8 +17,10 @@ Its C-order ravel is the vector [y; p], the unknown ordering of the dense
 oracle's 2(N-1)^2 matrices.  The scalar stencils act on the trailing two
 axes, so one call applies them to both components of a block field.
 
-Operators provided, matrix-free (all sparse assembly, for the direct
-solves, is sparse_laplacian, sparse_mass, saddle_matrix, schur_matrix):
+Operators provided, matrix-free (the direct solves are SaddleRowLU, a
+NumPy block LU of the saddle operator over grid rows for the coarsest
+multigrid level, and SparseLU of schur_matrix, assembled from
+sparse_laplacian and sparse_mass, for masked exact Braess-Sarazin):
 
   * five-point Laplacian       L u = (4u_c - u_W - u_E - u_S - u_N) / h^2
   * nine-point mass operator   Q u = (h^2/36) [1 4 1; 4 16 4; 1 4 1] * u
@@ -231,14 +233,6 @@ def _mask_diagonal(op: SaddleOperator) -> np.ndarray:  # float64; ones without a
     return np.ones(op.grid.npoints) if op.mask is None else op.mask.astype(np.float64).ravel()
 
 
-def saddle_matrix(op: SaddleOperator):
-    """apply_saddle as a sparse CSC [[L, -diag(mask)/alpha], [I, L]] on v.ravel() = [y; p]."""
-    from scipy import sparse  # here, not at start-up of every ocmg command
-    L = sparse_laplacian(op.grid)
-    return sparse.bmat([[L, sparse.diags_array(-_mask_diagonal(op) / op.alpha)],
-                        [sparse.identity(op.grid.npoints), L]], format="csc")
-
-
 def schur_matrix(op: SaddleOperator):
     """Sparse CSC L + Q diag(mask)/alpha, the masked Braess-Sarazin Schur matrix."""
     from scipy import sparse  # here, not at start-up of every ocmg command
@@ -255,6 +249,68 @@ class SparseLU:
 
     def solve(self, b: np.ndarray) -> np.ndarray:  # A^{-1} b, shaped as b and of its dtype
         return self._lu.solve(b.ravel()).astype(b.dtype, copy=False).reshape(b.shape)
+
+
+class SaddleRowLU:
+    """Direct solve of the saddle system A v = b by block LU over grid rows.
+
+    Taken row by row, the unknowns x_j = (y_j, p_j) of grid row j (m = N - 1
+    of each) make A block tridiagonal, as the x2-neighbours enter both
+    Laplacians with weight -1/h^2 = -N^2:
+
+        D_j x_j - N^2 x_{j-1} - N^2 x_{j+1} = b_j,
+        D_j = [[T, -diag(mask_j)/alpha], [I, T]],   T = N^2 tridiag(-1, 4, -1).
+
+    Block Gaussian elimination (Varah, Math. Comp. 26, 1972; Golub & Van
+    Loan, Matrix Computations, 4.5) gives the pivot blocks S_0 = D_0 and
+    S_j = D_j - N^2 H_{j-1}; the factorization stores H_j = N^2 S_j^{-1},
+    m blocks of 2m x 2m in float64.  The solve is a forward sweep
+    u_j = H_j (b_j + u_{j-1}) and a back sweep x'_j = u_j + H_j x'_{j+1},
+    one 2m x 2m matvec per row each, and x = x' / N^2.
+
+    Why the blocks need no pivoting across rows: S_0, ..., S_j are the
+    pivots of the leading 2(j+1)m unknowns, whose matrix is the saddle
+    operator [[L_s, -M_s/alpha], [I, L_s]] of the strip of rows 0..j with
+    a zero Dirichlet row above it.  Its Laplacian L_s is SPD, and
+    eliminating y leaves L_s^{-1} (L_s^2 + M_s/alpha) with L_s^2 + M_s/alpha
+    SPD (M_s a diagonal with entries in [0, 1]), so every leading block is
+    nonsingular and so is every S_j; each is inverted with partial
+    pivoting inside the block.  The backward error, max|A x - b| over
+    ||A||_inf max|x| + max|b|, measured at most 3.1e-16 for N from 8 to
+    50, alpha from 1e2 to 1e-100 and masks absent, fractional, {0,1} or
+    all zero.
+
+    Cost on one Xeon core: m inversions of 2m x 2m, about 4 ms at N=32
+    and 0.5 s at N=125; a solve takes about 0.2 ms at N=32.  H holds
+    m (2m)^2 doubles: 0.95 MB at N=32, 61 MB at N=125.
+    """
+
+    def __init__(self, op: SaddleOperator):
+        m, n2 = op.grid.m, float(op.grid.N**2)
+        mask = _mask_diagonal(op).reshape(m, m)
+        T = n2 * (4.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+        D = np.zeros((2 * m, 2 * m))
+        D[:m, :m] = D[m:, m:] = T
+        D[m:, :m] = np.eye(m)
+        i = np.arange(m)
+        self._H = np.empty((m, 2 * m, 2 * m))
+        for j in range(m):
+            D[i, m + i] = -mask[j] / op.alpha
+            S = D if j == 0 else D - n2 * self._H[j - 1]
+            np.multiply(np.linalg.inv(S), n2, out=self._H[j])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:  # A^{-1} b, shaped as b and of its dtype
+        H, m = self._H, b.shape[-1]
+        u = np.array(b.transpose(1, 0, 2), np.float64).reshape(m, 2 * m)  # row j: (y_j, p_j)
+        u[0] = np.dot(H[0], u[0])
+        for j in range(1, m):
+            np.dot(H[j], u[j] + u[j - 1], out=u[j])
+        for j in range(m - 2, -1, -1):
+            u[j] += np.dot(H[j], u[j + 1])
+        out = np.empty(b.shape, b.dtype)
+        np.divide(u.reshape(m, 2, m).transpose(1, 0, 2), (m + 1) ** 2, out=out,
+                  casting="same_kind")
+        return out
 
 
 def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,

@@ -7,10 +7,13 @@ Hierarchy invariants:
   * every chain coarsens at least once; after that it coarsens while
     the coarsest grid has more than DIRECT_N = 32 subdivisions, so the
     coarsest level is the first coarse grid with at most 32 subdivisions
-    (2 * 31^2 = 1,922 unknowns, where one sparse LU solve costs less than
-    the cycle dispatch of the levels below it) unless divisibility stops
-    the chain first.  Each step needs N divisible by q and N/q >=
-    COARSEST_N = 8.  The level chains:
+    (2 * 31^2 = 1,922 unknowns, where one row-block LU solve, about
+    0.2 ms after a 4 ms factorization, costs less than the cycle dispatch
+    of the levels below it) unless divisibility stops the chain first.
+    Each step needs N divisible by q and N/q >= COARSEST_N = 8, so an
+    odd grid stops it early: 250 -> 125 (q = 2) factors in about 0.5 s
+    and holds 61 MB of row blocks, (N-1) (2(N-1))^2 doubles.  The level
+    chains:
     256 -> 128 -> 64 -> 32   (q = 2; N = 128 and N = 1024 also stop at 32)
     243 -> 81 -> 27          (q = 3)
     256 -> 64 -> 16          (q = 4)
@@ -22,9 +25,10 @@ Hierarchy invariants:
 Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once.  Each level holds one
 solve, its relax: smoothers.relaxation's damped relaxation on every
-level but the coarsest, and there the sparse LU solve (B = A, omega = 1)
-of grid.saddle_matrix, factored once per hierarchy.  Each relax returns
-a new array and leaves r as it was (the W-cycle reads rc again).
+level but the coarsest, and there the direct solve (B = A, omega = 1)
+of grid.SaddleRowLU, a NumPy block LU of the saddle operator over grid
+rows, factored once per hierarchy.  Each relax returns a new array and
+leaves r as it was (the W-cycle reads rc again).
 Fields are stacked (2, m, m) block fields (see grid); the transfers act
 on one (m, m) component at a time.  As the LU solve is exact, a W-cycle
 visits the coarsest level once, not twice.
@@ -37,9 +41,10 @@ accurate next to rho): float32, also for the masks, unless alpha,
 of them overflows.  The cycle reads 2^-s r, 2^s the binary exponent of
 ||r||, and its correction is scaled back by 2^s in float64; powers of
 two are exact, so scaling b by one scales v exactly.  Kernels follow
-their input's dtype; the sparse LU solves run in float64.  Near the
-bound float32 cycles can need more: at alpha = 1e-19, N = 16 or 64, cjr
-takes 3 cycles (the second barely contracts) where float64 ones take 1.
+their input's dtype; the direct solves (the coarse row-block LU and
+masked exact bsr's sparse LU) run in float64.  Near the bound float32
+cycles can need more: at alpha = 1e-19, N = 16 or 64, cjr takes 3
+cycles (the second barely contracts) where float64 ones take 1.
 
 Transfers are tensor products of sparse 1D operators built once per
 (N, q, dtype): full weighting R1, weights (q - |k|)/q^2 for k = -(q-1)..(q-1),
@@ -61,8 +66,8 @@ from math import frexp, inf
 
 import numpy as np
 
-from .grid import (GridSpec, SaddleOperator, SparseLU, block_norm2, check_alpha,
-                   check_integer, check_q, residual, row_strips, saddle_matrix)
+from .grid import (GridSpec, SaddleOperator, SaddleRowLU, block_norm2, check_alpha,
+                   check_integer, check_q, residual, row_strips)
 from .smoothers import SmootherSpec, relaxation
 
 CYCLES = ("V", "W")
@@ -145,7 +150,7 @@ def level_sizes(N: int, q: int) -> list[int]:
 
 def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
                     mask: np.ndarray | None = None) -> Hierarchy:
-    """Re-discretized level chain; smoother relaxes all levels but the coarsest, solved by LU."""
+    """Re-discretized level chain; smoother relaxes all but the coarsest, a row-block LU."""
     sizes = level_sizes(N, q)
     check_alpha(alpha)
     big = float(np.finfo(np.float32).max) ** 0.5  # a product of two numbers below big is finite
@@ -161,7 +166,7 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
         ops.append(SaddleOperator(GridSpec(n), alpha,
                                   None if mask is None else np.asarray(mask, dtype)))
     levels = [Level(op, relaxation(op, smoother, q)) for op in ops[:-1]]
-    levels.append(Level(ops[-1], SparseLU(saddle_matrix(ops[-1])).solve))
+    levels.append(Level(ops[-1], SaddleRowLU(ops[-1]).solve))
     return Hierarchy(levels=levels, q=q, dtype=dtype)
 
 

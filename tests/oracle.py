@@ -5,9 +5,10 @@ Everything here assembles explicit matrices on tiny grids (N <= MAX_N
 code, so matrix-vector products are comparable entry for entry; a
 (2, N-1, N-1) block field ravels to the [y; p] vector of the 2(N-1)^2
 matrices.  Used only by the test suite, to pin down every matrix-free
-path and the multigrid module's sparse coarse-solve matrix; no solver
-module imports it.  Two scalar references the tests share sit at the
-end: the sampled symbol-ratio ranges and the work-equivalence exponent.
+path; no solver module imports it.  One sparse assembly of any size,
+saddle_matrix, gives the tests direct solutions beyond the dense size
+guard.  Two scalar references the tests share sit at the end: the
+sampled symbol-ratio ranges and the work-equivalence exponent.
 
 Assembly kinds:
 
@@ -27,8 +28,9 @@ from __future__ import annotations
 from math import log
 
 import numpy as np
+from scipy import sparse
 
-from ocmg.grid import GridSpec
+from ocmg.grid import GridSpec, SaddleOperator, sparse_laplacian
 from ocmg.lfa import high_freq_grid, symbol_laplacian, symbol_mass
 
 MAX_N = 24  # memory guard: dense matrices only on tiny grids
@@ -108,6 +110,15 @@ def dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         if rel > 1e-10:
             raise np.linalg.LinAlgError(f"dense solve residual {rel:.2e} > 1e-10")
     return x
+
+
+def saddle_matrix(op: SaddleOperator):
+    """apply_saddle as a sparse CSC [[L, -diag(mask)/alpha], [I, L]] on v.ravel() = [y; p]."""
+    n = op.grid.npoints
+    mask = np.ones(n) if op.mask is None else op.mask.astype(np.float64).ravel()
+    L = sparse_laplacian(op.grid)
+    return sparse.bmat([[L, sparse.diags_array(-mask / op.alpha)],
+                        [sparse.identity(n), L]], format="csc")
 
 
 def scalar_range_check(kind: str, q: int) -> tuple[float, float]:

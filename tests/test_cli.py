@@ -88,7 +88,7 @@ def test_mg_indivisible_grid_is_a_validation_error(capsys):
 @pytest.mark.parametrize("N, q, scheme", [("50", "2", "cjr"), ("75", "3", "cjr"),
                                           ("100", "4", "bsr")])
 def test_mg_coarsening_to_a_grid_above_n24_converges(capsys, N, q, scheme):
-    # the level chain stops at N=25, which the sparse coarse LU solves directly
+    # the level chain stops at N=25, which the coarse row-block LU solves directly
     code = run_cli(["mg", "--N", N, "--q", q, "--scheme", scheme])
     assert code == 0
     assert "converged=True" in capsys.readouterr().out

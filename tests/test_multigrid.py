@@ -1,7 +1,11 @@
 """Hierarchy construction, transfer operators, cycling, and factor measurement."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
+import ocmg
 from ocmg import grid as grid_module
-from ocmg.grid import (GridSpec, apply_mass, apply_saddle, block_norm2, residual,
-                       saddle_matrix)
+from ocmg.grid import GridSpec, apply_mass, apply_saddle, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal, closed_form
 from ocmg import multigrid, smoothers
 from ocmg.multigrid import (
@@ -94,13 +98,13 @@ def test_build_hierarchy_rejects_uncoarsenable():
 
 
 def test_build_hierarchy_rejects_nan_alpha_before_the_coarse_lu(monkeypatch):
-    # NaN alpha used to reach splu, which failed with "Factor is exactly singular"
-    import scipy.sparse.linalg
+    # NaN alpha used to reach the coarse LU: splu failed with "Factor is
+    # exactly singular", and the row-block inverses would turn it into NaN
 
-    def no_splu(*args, **kwargs):
-        raise AssertionError("splu reached")
+    def no_lu(*args, **kwargs):
+        raise AssertionError("coarse LU reached")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+    monkeypatch.setattr(grid_module.SaddleRowLU, "__init__", no_lu)
     with pytest.raises(ValueError, match="alpha"):
         build_hierarchy(16, 2, float("nan"), SmootherSpec("cjr"))
 
@@ -140,7 +144,7 @@ def test_integer_inputs_reject_non_integers_by_name(name, build):
 
 @pytest.mark.parametrize("N, q, kind", [(50, 2, "cjr"), (75, 3, "cjr"), (100, 4, "bsr")])
 def test_chains_stopping_above_n24_build_and_converge(N, q, kind):
-    # each chain stops at N=25; the sparse coarse LU takes any coarsest grid
+    # each chain stops at N=25; the coarse row-block LU takes any coarsest grid
     hier = build_hierarchy(N, q, 1e-6, SmootherSpec(kind))
     assert hier.levels[-1].op.grid.N == 25
     data, _ = example1_fields(hier.levels[0].op.grid, 1e-6)
@@ -523,8 +527,9 @@ def test_cycle_fields_stay_in_the_hierarchy_dtype(monkeypatch, kind, masked):
             return out
         return recorded
 
-    # the coarsest level binds SparseLU.solve when the hierarchy is built
-    monkeypatch.setattr(grid_module.SparseLU, "solve", record(grid_module.SparseLU.solve))
+    # the coarsest level binds SaddleRowLU.solve when the hierarchy is built
+    monkeypatch.setattr(grid_module.SaddleRowLU, "solve",
+                        record(grid_module.SaddleRowLU.solve))
     monkeypatch.setattr(smoothers.SchurSpectral, "solve",
                         record(smoothers.SchurSpectral.solve))
     for name in ("cjr_apply", "bsr_apply", "pcg", "schur_apply", "apply_mass",
@@ -539,7 +544,7 @@ def test_cycle_fields_stay_in_the_hierarchy_dtype(monkeypatch, kind, masked):
     b = _rng(15).standard_normal((2, 127, 127)).astype(np.float32)
     assert cycle(hier, 0, b, CycleSpec(cycle="W", nu_pre=2)).dtype == np.float32
     names = {name for name, _ in seen}
-    assert {"residual", "restrict", "prolong", "SparseLU.solve"} <= names
+    assert {"residual", "restrict", "prolong", "SaddleRowLU.solve"} <= names
     assert {"cjr": "cjr_apply", "bsr": "bsr_apply", "ibsr": "pcg"}[kind] in names
     assert [s for s in seen if s[1] != np.float32] == []
 
@@ -560,7 +565,7 @@ def test_mixed_precision_solve_keeps_float64_accuracy(kind, alpha, masked):
     # alpha=1e-12 contracts by about 0.89 per cycle
     res = solve(hier, b, CycleSpec(tol=1e-12, max_iters=300), v0=np.zeros_like(b))
     assert res.converged
-    x = spsolve(saddle_matrix(hier.levels[0].op), b.ravel()).reshape(b.shape)
+    x = spsolve(oracle.saddle_matrix(hier.levels[0].op), b.ravel()).reshape(b.shape)
     assert block_norm2(res.v - x) <= 1e-10 * block_norm2(x)
 
 
@@ -679,6 +684,31 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
     assert built == {"cjr": [], "bsr": ["SparseLU"] * 2, "ibsr": ["schur_diag"] * 2}[kind]
     _assert_lu_solves_the_saddle_system(hier.levels[-1], _rng(13))
     assert all(callable(lev.relax) for lev in hier.levels[:-1])
+
+
+def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
+    # the coarsest level is a NumPy row-block LU, so cjr and ibsr solves and
+    # an ibsr Newton solve never import splu's package (nor scipy.linalg)
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ocmg import cli, multigrid, ssn\n"
+        "from ocmg.grid import GridSpec\n"
+        "from ocmg.problems import example2_fields\n"
+        "from ocmg.smoothers import SmootherSpec\n"
+        "for kind in ('cjr', 'ibsr'):\n"
+        "    h = multigrid.build_hierarchy(64, 2, 1e-3, SmootherSpec(kind))\n"
+        "    multigrid.solve(h, np.ones((2, 63, 63)), multigrid.CycleSpec(max_iters=2))\n"
+        "cp = ssn.ControlParams(alpha=1e-4, beta=1e-3, u0=-30.0, u1=30.0)\n"
+        "res = ssn.ssn_solve(example2_fields(GridSpec(32)), cp, 2, SmootherSpec('ibsr'),\n"
+        "                    multigrid.CycleSpec(nu_pre=2))\n"
+        "assert res.converged\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        "multigrid.build_hierarchy(16, 2, 1e-3, SmootherSpec('bsr'), mask=np.ones((15, 15)))\n"
+        "assert 'scipy.sparse.linalg' in sys.modules\n")
+    src = Path(ocmg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 # Residual histories and iterate checksums of six W(1,0) cycles on the

@@ -1,18 +1,21 @@
-"""Property tests: the matrix-free saddle operator, the smoothers and the
-sparse coarse-solve and Schur matrices against the dense oracle.
+"""Property tests: the matrix-free saddle operator, the smoothers, the
+coarse row-block LU and the sparse saddle and Schur matrices against the
+dense oracle.
 
 A block field's C-order ravel is the oracle's [y; p] vector, so every
 matrix-free result is compared with the dense matrix acting on v.ravel().
 Grids, alphas and masks are drawn at random: N <= 24 (the oracle's size
 guard), alpha log-uniform in [1e-12, 1], and masks that are absent, {0,1}
-or fractional.
+or fractional.  The row-block LU is checked on the coarsest grids too
+(N up to 33), through the oracle's sparse saddle matrix, which equals the
+dense one entry by entry.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocmg.grid import GridSpec, SaddleOperator, apply_saddle, saddle_matrix, schur_matrix
+from ocmg.grid import GridSpec, SaddleOperator, SaddleRowLU, apply_saddle, schur_matrix
 from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation
 
 import oracle
@@ -51,9 +54,34 @@ def test_saddle_operator_matches_dense(case):
 @given(cases())
 def test_coarse_solve_matrix_equals_dense_entry_by_entry(case):
     grid, alpha, mask, _ = case
-    A = saddle_matrix(SaddleOperator(grid, alpha, mask))
+    A = oracle.saddle_matrix(SaddleOperator(grid, alpha, mask))
     assert np.array_equal(A.toarray(),
                           oracle.assemble("saddle", grid, alpha=alpha, mask=mask))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(8, 33),
+       log_alpha=st.one_of(st.just(-40.0), st.floats(-12.0, 2.0)),
+       kind=st.sampled_from(["none", "fractional", "binary", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=27, log_alpha=-6.0, kind="fractional", seed=0)
+@example(N=33, log_alpha=-40.0, kind="binary", seed=1)
+def test_row_block_lu_solves_the_oracle_saddle_system(N, log_alpha, kind, seed):
+    # the backward-error bound of the coarse-level test in test_multigrid:
+    # 1e-14 relative to an upper bound of the infinity norm of A
+    grid, alpha = GridSpec(N), 10.0 ** log_alpha
+    rng = np.random.default_rng(seed)
+    shape = (grid.m, grid.m)
+    mask = {"none": None, "fractional": rng.random(shape),
+            "binary": (rng.random(shape) < 0.5).astype(float),
+            "zero": np.zeros(shape)}[kind]
+    op = SaddleOperator(grid, alpha, mask)
+    b = rng.standard_normal((2, grid.m, grid.m))
+    x = SaddleRowLU(op).solve(b)
+    assert x.shape == b.shape and x.dtype == b.dtype
+    norm_a = 8.0 / grid.h**2 + max(1.0, (1.0 if mask is None else mask.max()) / alpha)
+    err = np.abs(oracle.saddle_matrix(op) @ x.ravel() - b.ravel()).max()
+    assert err <= 1e-14 * (norm_a * np.abs(x).max() + np.abs(b).max())
 
 
 @settings(max_examples=40, deadline=None)
