@@ -53,6 +53,7 @@ def test_saddle_operator_matches_dense(case):
 @settings(max_examples=40, deadline=None)
 @given(cases())
 def test_coarse_solve_matrix_equals_dense_entry_by_entry(case):
+    # the sparse saddle matrix stands in for the dense one on grids above N=24
     grid, alpha, mask, _ = case
     A = oracle.saddle_matrix(SaddleOperator(grid, alpha, mask))
     assert np.array_equal(A.toarray(),
