@@ -40,12 +40,15 @@ row kernel (_laplacian_rows, _saddle_rows) over row ranges [a, b).
 residual evaluates a field in row strips of about STRIP_BYTES (512 KiB)
 each (row_strips), taken across both components of a block field, so
 that its passes over a strip stay in a 2 MiB L2 cache;
-smoothers.cjr_apply does the same.  A field of at most STRIP_BYTES is
-one strip, and apply_laplacian and apply_saddle take all rows as one
-range.  512 KiB strips measured as fast as 256 KiB ones and faster than
-1 MiB ones at N=1024, and faster than one whole-array pass at N=256.  A
-strip reads one halo row on each side and keeps the per-element order
-of operations, so any split into strips is bitwise one whole-array pass.
+smoothers.cjr_apply does the same, and so do multigrid.restrict (both
+passes over the coarse rows a strip of fine rows makes) and
+multigrid.prolong (both passes over the fine rows of a strip).  A field
+of at most STRIP_BYTES is one strip, and apply_laplacian and
+apply_saddle take all rows as one range.  512 KiB strips measured as
+fast as 256 KiB ones and faster than 1 MiB ones at N=1024, and faster
+than one whole-array pass at N=256.  A strip reads one halo row on each
+side and keeps the per-element order of operations, so any split into
+strips is bitwise one whole-array pass.
 
 Flat east-west policy: the x1-neighbour updates of the Laplacian row
 kernel and the mass operator are each one ufunc call on the trailing

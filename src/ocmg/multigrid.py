@@ -30,8 +30,9 @@ of grid.SaddleRowLU, a NumPy block LU of the saddle operator over grid
 rows, factored once per hierarchy.  Each relax returns a new array and
 leaves r as it was (the W-cycle reads rc again).
 Fields are stacked (2, m, m) block fields (see grid); the transfers act
-on one (m, m) component at a time.  As the LU solve is exact, a W-cycle
-visits the coarsest level once, not twice.
+on the trailing (m, m) axes, so a cycle restricts its residual and
+prolongs its coarse correction in one call each.  As the LU solve is
+exact, a W-cycle visits the coarsest level once, not twice.
 
 Precision: solve keeps the iterate v and its residual r = b - A v in
 float64 and adds to v the correction a cycle from zero computes for r
@@ -46,11 +47,21 @@ masked exact bsr's sparse LU) run in float64.  Near the bound float32
 cycles can need more: at alpha = 1e-19, N = 16 or 64, cjr takes 3
 cycles (the second barely contracts) where float64 ones take 1.
 
-Transfers are tensor products of sparse 1D operators built once per
-(N, q, dtype): full weighting R1, weights (q - |k|)/q^2 for k = -(q-1)..(q-1),
-and linear interpolation P1 = q R1^T, boundary values zero.  Then
-restrict(f) = R1 f R1^T and prolong(c) = P1 c P1^T are adjoint up to the
-fixed factor q^2 by construction: <prolong(c), f> = q^2 <c, restrict(f)>.
+Transfers are tensor products of 1D stencils of 2q - 1 taps, applied
+with NumPy strided slices: full weighting R1, weights (q - |k|)/q^2 for
+k = -(q-1)..(q-1), and linear interpolation P1 = q R1^T, boundary values
+zero.  Then restrict(f) = R1 f R1^T and prolong(c) = P1 c P1^T are
+adjoint up to the fixed factor q^2: <prolong(c), f> = q^2 <c, restrict(f)>.
+restrict sums over rows first and then over columns, prolong interpolates
+columns first and then rows, each adding its terms one product at a time
+in increasing index order with the weights cast to the field's dtype.
+That is the order in which the sparse CSR products R1 f R1^T and
+P1 c P1^T add them, so both transfers are bitwise those products (the
+tests keep the sparse matrices as the reference, tests/oracle.py).  Both
+work in the row strips of grid.row_strips: restrict makes the coarse rows
+of one strip of fine rows at a time, prolong the fine rows of one strip
+from the coarse rows around it, so the passes over a strip stay in cache.
+No scipy module is imported on their path.
 
 The convergence factor of a solve stopped at iteration k is
 rho = (||r_k|| / ||r_0||)^(1/k), measured from a seeded uniform(0,1)
@@ -61,7 +72,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 from math import frexp, inf
 
 import numpy as np
@@ -172,30 +182,81 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
 
 # ---------------------------------------------------------------- transfers
 
-@lru_cache(maxsize=None)
-def _transfers_1d(N: int, q: int, dtype: np.dtype) -> tuple:
-    """Full weighting R1, (N/q - 1) x (N - 1), and interpolation P1 = q R1^T."""
-    from scipy import sparse  # here, not at start-up of every ocmg command
+def _weights(q: int) -> np.ndarray:
+    """Full-weighting taps (q - |k|)/q^2 for k = -(q-1)..(q-1), in float64."""
+    return (q - np.abs(np.arange(1 - q, q))) / q**2
+
+
+def _check_transfer(x: np.ndarray, N: int, q: int) -> None:
+    """x ends in square (m, m) axes, and its fine grid of N subdivisions coarsens by q."""
+    check_q(q)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"field shape {x.shape} does not end in square (m, m) axes")
     if N % q != 0 or N < 2 * q:
         raise ValueError(f"N={N} cannot be coarsened by q={q}")
-    k = np.arange(-(q - 1), q)
-    band = sparse.diags_array((q - np.abs(k)) / q**2, offsets=k,
-                              shape=(N - 1, N - 1))
-    R = band.tocsr()[q - 1::q]  # rows at the coarse nodes q, 2q, ...
-    return R.astype(dtype), (q * R.T).tocsr().astype(dtype)
 
 
-# Only sparse @ dense products; the transposes copy the smaller arrays.
+def _weighted_sum(terms: list[np.ndarray], w: np.ndarray, out: np.ndarray) -> None:
+    """out = w[0] terms[0] + w[1] terms[1] + ..., added left to right, one product at a time."""
+    np.multiply(terms[0], w[0], out=out)
+    tmp = np.empty_like(out)
+    for x, wt in zip(terms[1:], w[1:]):
+        out += np.multiply(x, wt, out=tmp)
+
+
+def _interpolate(xp: np.ndarray, q: int, pw: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """Linear interpolation along axis (-1 or -2) from the coarse lines xp to the fine
+    lines out: line q j + s lies between xp[j] and xp[j + 1] for s < q - 1, at
+    distances s + 1 and q - 1 - s, and on xp[j + 1] for s = q - 1."""
+    def at(x, sl):
+        return x[(Ellipsis, sl) + (slice(None),) * (-1 - axis)]
+    near = {d: xp * pw[q - 1 + d] for d in range(1, q)}  # the weights at distance d
+    for s in range(q - 1):
+        np.add(at(near[s + 1], slice(None, -1)), at(near[q - 1 - s], slice(1, None)),
+               out=at(out, slice(s, None, q)))
+    on = at(out, slice(q - 1, None, q))
+    # on a coarse line the weight pw[q - 1] = q (q/q^2) rounds to 1 for q = 2, 3, 4
+    on[...] = at(xp, slice(1, on.shape[axis] + 1))
+
+
 def restrict(fine: np.ndarray, q: int) -> np.ndarray:
-    """Tensor-product full weighting R1 f R1^T onto the q-times-coarser grid."""
-    R, _ = _transfers_1d(fine.shape[0] + 1, q, fine.dtype)
-    return np.ascontiguousarray((R @ (R @ fine).T).T)
+    """Full weighting R1 f R1^T onto the q-times-coarser grid, over the trailing
+    (m, m) axes: a block field is restricted in one call."""
+    m = fine.shape[-1]
+    _check_transfer(fine, m + 1, q)
+    mc = (m + 1) // q - 1
+    dtype = np.result_type(fine, 1.0)
+    w = _weights(q).astype(dtype)
+    taps = range(2 * q - 1)
+    out = np.empty(fine.shape[:-2] + (mc, mc), dtype)
+    for lo, hi in row_strips(fine):  # fine rows; a strip makes coarse rows [a, b)
+        a, b = lo // q, hi // q
+        if a < b:
+            rows = np.empty(fine.shape[:-2] + (b - a, m), dtype)
+            _weighted_sum([fine[..., q * a + t:q * (b - 1) + t + 1:q, :] for t in taps], w, rows)
+            _weighted_sum([rows[..., t:q * (mc - 1) + t + 1:q] for t in taps], w, out[..., a:b, :])
+    return out
 
 
 def prolong(coarse: np.ndarray, q: int) -> np.ndarray:
-    """Tensor-product linear interpolation P1 c P1^T onto the q-times-finer grid."""
-    _, P = _transfers_1d(q * (coarse.shape[0] + 1), q, coarse.dtype)
-    return P @ (P @ coarse.T).T
+    """Linear interpolation P1 c P1^T onto the q-times-finer grid, over the
+    trailing (m, m) axes: a block field is prolonged in one call."""
+    mc = coarse.shape[-1]
+    m = q * (mc + 1) - 1
+    _check_transfer(coarse, m + 1, q)
+    lead = coarse.shape[:-2]
+    dtype = np.result_type(coarse, 1.0)
+    pw = (q * _weights(q)).astype(dtype)
+    cp = np.zeros(lead + (mc + 2, mc + 2), dtype)  # the coarse values inside their zero boundary
+    cp[..., 1:-1, 1:-1] = coarse
+    out = np.empty(lead + (m, m), dtype)
+    for lo, hi in row_strips(out):  # fine rows; a strip makes fine rows [q a, q b)
+        a, b = -(-lo // q), -(-hi // q)
+        if a < b:
+            cols = np.empty(lead + (b + 1 - a, m), dtype)  # rows a..b of cp, interpolated
+            _interpolate(cp[..., a:b + 1, :], q, pw, cols, -1)
+            _interpolate(cols, q, pw, out[..., q * a:q * b, :], -2)
+    return out
 
 
 # ---------------------------------------------------------------- cycling
@@ -212,14 +273,13 @@ def cycle(hier: Hierarchy, level: int, b: np.ndarray, spec: CycleSpec) -> np.nda
     for _ in range(spec.nu_pre - 1):
         e += lev.relax(r)
         r = residual(lev.op, b, e)
-    rc = np.stack([restrict(rk, q) for rk in r])
+    rc = restrict(r, q)
     del r  # unused below; freeing it lowers the peak memory of the cycle
     ec = cycle(hier, level + 1, rc, spec)
     # the coarsest level's LU solve is exact: a second visit would correct nothing
     if spec.cycle == "W" and level + 1 < last:
         ec += cycle(hier, level + 1, residual(hier.levels[level + 1].op, rc, ec), spec)
-    for ek, eck in zip(e, ec):
-        ek += prolong(eck, q)
+    e += prolong(ec, q)
     return e
 
 

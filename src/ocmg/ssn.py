@@ -154,12 +154,13 @@ def ssn_solve(data: ProblemData, cp: ControlParams, q: int,
         # would lose any further accuracy
         ctol = max(tol, 1.0 / Nc ** 2)
         cspec = replace(spec, tol=ctol)
-        cdata = ProblemData(restrict(data.f, q), restrict(data.g, q), GridSpec(Nc))
+        fc, gc = restrict(np.stack([data.f, data.g]), q)
+        cdata = ProblemData(fc, gc, GridSpec(Nc))
         cseed, cFv, ctarget = _seed(cdata, cp, q, smoother, cspec, ctol)
         coarse = newton(cseed.v, cFv, cdata, cp, q, smoother, cspec, ctarget,
                         baseline_iters=cseed.iters)
         stage = "Newton from the coarse stage"
-        v = np.stack([prolong(c, q) for c in coarse.v])
+        v = prolong(coarse.v, q)
         return replace(newton_from(v, residual_F(v, data, cp)), start=coarse)
     except (SolverError, PcgBreakdownError) as exc:
         seed_start = f"{stage} failed: {exc}"

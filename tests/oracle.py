@@ -5,10 +5,14 @@ Everything here assembles explicit matrices on tiny grids (N <= MAX_N
 code, so matrix-vector products are comparable entry for entry; a
 (2, N-1, N-1) block field ravels to the [y; p] vector of the 2(N-1)^2
 matrices.  Used only by the test suite, to pin down every matrix-free
-path; no solver module imports it.  One sparse assembly of any size,
-saddle_matrix, gives the tests direct solutions beyond the dense size
-guard.  Two scalar references the tests share sit at the end: the
-sampled symbol-ratio ranges and the work-equivalence exponent.
+path; no solver module imports it.  Two sparse assemblies of any size
+follow the dense ones: saddle_matrix gives the tests direct solutions
+beyond the dense size guard, and transfer_matrices the 1D full weighting
+R1 and interpolation P1 = q R1^T that multigrid.restrict and
+multigrid.prolong reproduce bitwise as R1 f R1^T and P1 c P1^T
+(restrict_reference, prolong_reference).  Two scalar references the
+tests share sit at the end: the sampled symbol-ratio ranges and the
+work-equivalence exponent.
 
 Assembly kinds:
 
@@ -119,6 +123,34 @@ def saddle_matrix(op: SaddleOperator):
     L = sparse_laplacian(op.grid)
     return sparse.bmat([[L, sparse.diags_array(-mask / op.alpha)],
                         [sparse.identity(n), L]], format="csc")
+
+
+def transfer_matrices(N: int, q: int, dtype) -> tuple:
+    """Sparse CSR full weighting R1, (N/q - 1) x (N - 1), and interpolation P1 = q R1^T.
+
+    Row i of R1 holds the weights (q - |k|)/q^2, k = -(q-1)..(q-1), at the
+    fine nodes q (i + 1) + k, computed in float64 and then cast to dtype.
+    """
+    k = np.arange(-(q - 1), q)
+    band = sparse.diags_array((q - np.abs(k)) / q**2, offsets=k, shape=(N - 1, N - 1))
+    R = band.tocsr()[q - 1::q]  # rows at the coarse nodes q, 2q, ...
+    return R.astype(dtype), (q * R.T).tocsr().astype(dtype)
+
+
+def restrict_reference(fine: np.ndarray, q: int) -> np.ndarray:
+    """R1 f R1^T over the trailing (m, m) axes, one component at a time."""
+    if fine.ndim > 2:
+        return np.stack([restrict_reference(f, q) for f in fine])
+    R, _ = transfer_matrices(fine.shape[-1] + 1, q, fine.dtype)
+    return np.ascontiguousarray((R @ (R @ fine).T).T)  # rows first, then columns
+
+
+def prolong_reference(coarse: np.ndarray, q: int) -> np.ndarray:
+    """P1 c P1^T over the trailing (m, m) axes, one component at a time."""
+    if coarse.ndim > 2:
+        return np.stack([prolong_reference(c, q) for c in coarse])
+    _, P = transfer_matrices(q * (coarse.shape[-1] + 1), q, coarse.dtype)
+    return P @ (P @ coarse.T).T  # columns first, then rows
 
 
 def scalar_range_check(kind: str, q: int) -> tuple[float, float]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
@@ -364,6 +364,40 @@ def test_transfers_match_loops_and_are_adjoint(q, data, seed):
     assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(pc) * np.linalg.norm(f)
 
 
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4]), Nc=st.integers(2, 24),
+       dtype=st.sampled_from([np.float32, np.float64]), stacked=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(q=2, Nc=129, dtype=np.float64, stacked=False, seed=0)  # two strips each
+def test_transfers_are_bitwise_the_sparse_products(q, Nc, dtype, stacked, seed):
+    # the stencils sum the sparse products' terms in their order, with the
+    # weights cast to the field's dtype, so every bit agrees
+    rng = np.random.default_rng(seed)
+    shape = (2,) if stacked else ()
+    f = rng.standard_normal(shape + (q * Nc - 1,) * 2).astype(dtype)
+    c = rng.standard_normal(shape + (Nc - 1,) * 2).astype(dtype)
+    if Nc == 129:
+        assert len(grid_module.row_strips(f)) > 1
+        assert len(grid_module.row_strips(prolong(c, q))) > 1
+    for out, ref in ((restrict(f, q), oracle.restrict_reference(f, q)),
+                     (prolong(c, q), oracle.prolong_reference(c, q))):
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("transfer", [restrict, prolong])
+def test_transfers_reject_fields_they_cannot_map(transfer):
+    for field in (np.ones((7, 8)), np.ones((2, 8, 7)), np.ones(7)):
+        with pytest.raises(ValueError, match="square"):
+            transfer(field, 2)
+    # N = 3 is divisible by q = 3 but has no coarse interior point
+    with pytest.raises(ValueError, match="cannot be coarsened"):
+        transfer(np.ones((2, 2)) if transfer is restrict else np.ones((0, 0)), 3)
+    with pytest.raises(ValueError, match="coarsening factor"):
+        transfer(np.ones((2, 7, 7)), 5)
+
+
 def test_restrict_rejects_indivisible():
     with pytest.raises(ValueError):
         restrict(np.ones((15, 15)), 3)
@@ -687,8 +721,9 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
 
 
 def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
-    # the coarsest level is a NumPy row-block LU, so cjr and ibsr solves and
-    # an ibsr Newton solve never import splu's package (nor scipy.linalg)
+    # the transfers are NumPy stencils and the coarsest level a NumPy row-block
+    # LU, so cjr and ibsr solves and an ibsr Newton solve with its coarse stage
+    # import no scipy module at all; masked exact bsr factors with splu
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -696,14 +731,17 @@ def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
         "from ocmg.grid import GridSpec\n"
         "from ocmg.problems import example2_fields\n"
         "from ocmg.smoothers import SmootherSpec\n"
+        "def scipy_modules():\n"
+        "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
         "for kind in ('cjr', 'ibsr'):\n"
-        "    h = multigrid.build_hierarchy(64, 2, 1e-3, SmootherSpec(kind))\n"
-        "    multigrid.solve(h, np.ones((2, 63, 63)), multigrid.CycleSpec(max_iters=2))\n"
+        "    for q in (2, 3, 4):\n"
+        "        h = multigrid.build_hierarchy(48, q, 1e-3, SmootherSpec(kind))\n"
+        "        multigrid.solve(h, np.ones((2, 47, 47)), multigrid.CycleSpec(max_iters=2))\n"
         "cp = ssn.ControlParams(alpha=1e-4, beta=1e-3, u0=-30.0, u1=30.0)\n"
         "res = ssn.ssn_solve(example2_fields(GridSpec(32)), cp, 2, SmootherSpec('ibsr'),\n"
         "                    multigrid.CycleSpec(nu_pre=2))\n"
-        "assert res.converged\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        "assert res.converged and res.start is not None  # the coarse stage ran\n"
+        "assert scipy_modules() == [], scipy_modules()\n"
         "multigrid.build_hierarchy(16, 2, 1e-3, SmootherSpec('bsr'), mask=np.ones((15, 15)))\n"
         "assert 'scipy.sparse.linalg' in sys.modules\n")
     src = Path(ocmg.__file__).resolve().parents[1]
