@@ -38,14 +38,21 @@ Precision: solve keeps the iterate v and its residual r = b - A v in
 float64 and adds to v the correction a cycle from zero computes for r
 in the hierarchy's dtype (iterative refinement: it need only be
 accurate next to rho): float32, also for the masks, unless alpha,
-1/alpha or 4N^2 reach sqrt(float32 max), beyond which a product of two
-of them overflows.  The cycle reads 2^-s r, 2^s the binary exponent of
-||r||, and its correction is scaled back by 2^s in float64; powers of
-two are exact, so scaling b by one scales v exactly.  Kernels follow
-their input's dtype; the direct solves (the coarse row-block LU and
-masked exact bsr's sparse LU) run in float64.  Near the bound float32
-cycles can need more: at alpha = 1e-19, N = 16 or 64, cjr takes 3
-cycles (the second barely contracts) where float64 ones take 1.
+1/alpha or d = 4N^2 reach sqrt(float32 max), beyond which a product of
+two of them overflows, or alpha d^2 falls below float32's eps (2^-23).
+The second bound comes from the smoothers' y-update
+w_y = F (r_y + M w_p/alpha) (smoothers._eliminate).  For a residual led
+by r_y, as a random start's is by its p/alpha term, the two terms cancel
+to about alpha d^2 of their size, so the float32 rounding of w_p, scaled
+by 1/alpha, leaves w_y a relative error of about eps/(alpha d^2).  Past
+the bound a float32 first cycle leaves a y-error the second one barely
+contracts: cjr took 3 cycles at alpha = 1e-19, N = 16 and 64, where
+float64 cycles take 1; the bsr and ibsr counts did not differ.  The
+cycle reads 2^-s r, 2^s the binary exponent of ||r||, and its correction
+is scaled back by 2^s in float64; powers of two are exact, so scaling b
+by one scales v exactly.  Kernels follow their input's dtype; the direct
+solves (the coarse row-block LU and masked exact bsr's sparse LU) run in
+float64.
 
 Transfers are tensor products of 1D stencils of 2q - 1 taps, applied
 with NumPy strided slices: full weighting R1, weights (q - |k|)/q^2 for
@@ -54,7 +61,10 @@ zero.  Then restrict(f) = R1 f R1^T and prolong(c) = P1 c P1^T are
 adjoint up to the fixed factor q^2: <prolong(c), f> = q^2 <c, restrict(f)>.
 restrict sums over rows first and then over columns, prolong interpolates
 columns first and then rows, each adding its terms one product at a time
-in increasing index order with the weights cast to the field's dtype.
+in increasing index order with the weights cast to the field's dtype;
+a product two taps share (equal weights on one fine line: restrict's
+0.25 f on even lines at q = 2 and 2/16 tap at q = 4, prolong's products
+of a coarse line) is made once.
 That is the order in which the sparse CSR products R1 f R1^T and
 P1 c P1^T add them, so both transfers are bitwise those products (the
 tests keep the sparse matrices as the reference, tests/oracle.py).  Both
@@ -163,8 +173,13 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
     """Re-discretized level chain; smoother relaxes all but the coarsest, a row-block LU."""
     sizes = level_sizes(N, q)
     check_alpha(alpha)
-    big = float(np.finfo(np.float32).max) ** 0.5  # a product of two numbers below big is finite
-    dtype = np.float32 if max(alpha, 1.0 / alpha, 4.0 * N * N) < big else np.float64
+    f32 = np.finfo(np.float32)
+    big = float(f32.max) ** 0.5  # a product of two numbers below big is finite
+    d = 4.0 * N * N
+    # the y-update r_y + M w_p/alpha of the smoothers cancels to alpha d^2 of its
+    # terms (see Precision): below float32's eps, no digit of it is left
+    in_range = max(alpha, 1.0 / alpha, d) < big and alpha * d * d >= float(f32.eps)
+    dtype = np.float32 if in_range else np.float64
     ops = []
     for n in sizes:
         if ops and mask is not None:
@@ -196,12 +211,32 @@ def _check_transfer(x: np.ndarray, N: int, q: int) -> None:
         raise ValueError(f"N={N} cannot be coarsened by q={q}")
 
 
-def _weighted_sum(terms: list[np.ndarray], w: np.ndarray, out: np.ndarray) -> None:
-    """out = w[0] terms[0] + w[1] terms[1] + ..., added left to right, one product at a time."""
-    np.multiply(terms[0], w[0], out=out)
-    tmp = np.empty_like(out)
-    for x, wt in zip(terms[1:], w[1:]):
-        out += np.multiply(x, wt, out=tmp)
+def _fold(x: np.ndarray, q: int, w: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """Full weighting along axis (-2 or -1): line j of out is the sum over t of
+    w[t] times line q j + t of x, the 2q - 1 products added left to right.
+
+    Taps t and t + q read lines one coarse line apart, and for even q the
+    tap s = q/2 - 1 has the weight of tap s + q (0.25 at q = 2, 2/16 at
+    q = 4), so one product over n + 1 lines serves both."""
+    n = out.shape[axis]
+    tail = (slice(None),) * (-1 - axis)
+    shared = {}
+    if q % 2 == 0:
+        s = q // 2 - 1
+        both = np.multiply(x[(Ellipsis, slice(s, q * n + s + 1, q)) + tail], w[s])
+        shared = {s: both[(Ellipsis, slice(None, -1)) + tail],
+                  s + q: both[(Ellipsis, slice(1, None)) + tail]}
+    tmp = np.empty_like(out) if q > 2 else None  # q = 2 makes one product, into out
+
+    def product(t, dst):
+        if t in shared:
+            return shared[t]
+        return np.multiply(x[(Ellipsis, slice(t, q * (n - 1) + t + 1, q)) + tail], w[t], out=dst)
+    lead = 1 if 0 in shared else 0  # made into out; the first two terms commute
+    product(lead, out)
+    out += product(1 - lead, tmp)
+    for t in range(2, 2 * q - 1):
+        out += product(t, tmp)
 
 
 def _interpolate(xp: np.ndarray, q: int, pw: np.ndarray, out: np.ndarray, axis: int) -> None:
@@ -227,14 +262,13 @@ def restrict(fine: np.ndarray, q: int) -> np.ndarray:
     mc = (m + 1) // q - 1
     dtype = np.result_type(fine, 1.0)
     w = _weights(q).astype(dtype)
-    taps = range(2 * q - 1)
     out = np.empty(fine.shape[:-2] + (mc, mc), dtype)
     for lo, hi in row_strips(fine):  # fine rows; a strip makes coarse rows [a, b)
         a, b = lo // q, hi // q
         if a < b:
             rows = np.empty(fine.shape[:-2] + (b - a, m), dtype)
-            _weighted_sum([fine[..., q * a + t:q * (b - 1) + t + 1:q, :] for t in taps], w, rows)
-            _weighted_sum([rows[..., t:q * (mc - 1) + t + 1:q] for t in taps], w, out[..., a:b, :])
+            _fold(fine[..., q * a:, :], q, w, rows, -2)
+            _fold(rows, q, w, out[..., a:b, :], -1)
     return out
 
 

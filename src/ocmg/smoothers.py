@@ -15,10 +15,19 @@ The Schur solve is where the two Braess-Sarazin variants differ:
   * BSR_EXACT solves it directly.  Without a mask the type-I discrete
     sine basis diagonalizes both L (eigenvalues (2 - 2cos(k pi/N))/h^2
     summed over the two axes) and Q (eigenvalues (h^2/36) prod(4 +
-    2cos(k pi/N))), so one solve is two DSTs and a pointwise division
-    (SchurSpectral).  With a mask (Q M is not M Q) it is a sparse LU of
-    grid.schur_matrix, which would be far slower without one (N=256, one
-    Xeon core: factor 0.8 s, solve 22 ms against 2.8 ms).
+    2cos(k pi/N))), the matrix-decomposition method of Buzbee, Golub and
+    Nielsen (SIAM J. Numer. Anal. 7, 1970).  The sine matrix
+    S[j, k] = sqrt(2/N) sin(pi j k/N) is orthonormal, symmetric and its
+    own inverse, so one solve is S ((S b S) / eig) S, four matrix
+    products with no scipy import (SchurSpectral).  The products cost
+    O(n^3) where a fast sine transform costs O(n^2 log n); on one Xeon
+    core, single-thread BLAS, a float32 solve takes 1.3 ms at N=256,
+    9.6 ms at N=512 and 75 ms at N=1024 (scipy.fft.dstn: 0.8, 4.0 and
+    27 ms), and a bsr W-cycle 5.2, 26 and 152 ms (against 4.7, 20 and
+    93 ms).  No benchmarked bsr run is above N=256, so there is no
+    switch to a transform by size.  With a mask (Q M is not M Q) it is a
+    sparse LU of grid.schur_matrix, which would be far slower without
+    one (N=256: factor 0.8 s, solve 22 ms against 2.6 ms in float64).
   * IBSR runs a FIXED number of CG iterations (default 2) with the plain
     diagonal preconditioner diag(S) = 4/h^2 + (16 h^2/36) m / alpha.
     The iteration count is part of the method definition, not a
@@ -147,27 +156,28 @@ def schur_diag(op: SaddleOperator) -> np.ndarray | float:
 
 
 class SchurSpectral:
-    """Exact unmasked Schur inverse: orthonormal, self-inverse type-I
-    discrete sine transforms around a division by the exact eigenvalues."""
+    """Exact unmasked Schur inverse: the orthonormal, symmetric, self-inverse
+    type-I sine matrix on both sides of a division by the exact eigenvalues."""
 
     def __init__(self, grid: GridSpec, alpha: float):
-        from scipy import fft  # here: only unmasked exact bsr pays for the import
-        self._dstn = fft.dstn
         k = np.arange(1, grid.N)
         c = np.cos(np.pi * k / grid.N)
         lap_1d = (2.0 - 2.0 * c) * grid.N ** 2
         mass_1d = (4.0 + 2.0 * c) * grid.h / 6.0
         self.eig = (lap_1d[:, None] + lap_1d[None, :]
                     + np.outer(mass_1d, mass_1d) / alpha)
+        # S[j, k] = sqrt(2/N) sin(pi j k / N), its argument reduced modulo 2 pi exactly
+        self.sine = np.sqrt(2.0 / grid.N) * np.sin(np.pi * (np.outer(k, k) % (2 * grid.N))
+                                                   / grid.N)
 
     @cached_property
-    def _eig32(self) -> np.ndarray:  # cast on the first float32 input, which stays float32
-        return self.eig.astype(np.float32)
+    def _float32(self) -> tuple[np.ndarray, np.ndarray]:  # cast on the first float32 input
+        return self.sine.astype(np.float32), self.eig.astype(np.float32)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        bh = self._dstn(b, type=1, norm="ortho")
-        eig = self._eig32 if bh.dtype == np.float32 else self.eig
-        return self._dstn(bh / eig, type=1, norm="ortho")
+        """S ((S b S) / eig) S: four matrix products in b's dtype (float32 or float64)."""
+        s, eig = self._float32 if b.dtype == np.float32 else (self.sine, self.eig)
+        return s @ ((s @ b @ s) / eig) @ s
 
 
 def bsr_apply(r: np.ndarray, op: SaddleOperator, omega: float,

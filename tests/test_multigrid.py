@@ -605,11 +605,13 @@ def test_mixed_precision_solve_keeps_float64_accuracy(kind, alpha, masked):
 
 @pytest.mark.parametrize("N, alpha, dtype, iters", [
     (64, 1e-40, np.float64, (1, 22, 16)), (64, 1e-100, np.float64, (1, 22, 16)),
-    (256, 1e-19, np.float32, (3, 23, 16))])
+    (256, 1e-19, np.float64, (3, 23, 16)), (256, 1e-16, np.float32, (3, 23, 16)),
+    (64, 1e-19, np.float64, (1, 22, 16)), (16, 1e-19, np.float64, (1, 22, 16))])
 def test_precision_follows_the_float32_range(N, alpha, dtype, iters):
     # alpha or 1/alpha beyond sqrt(float32 max) would overflow float32
-    # products, so such a hierarchy cycles in float64; the counts are the
-    # all-float64 solver's
+    # products, and below alpha (4N^2)^2 = eps a float32 y-update keeps no
+    # digit, so such a hierarchy cycles in float64; the counts are the
+    # all-float64 solver's (float32 cjr cycles took 3 at N=64 and N=16)
     grid = GridSpec(N)
     data, _ = example1_fields(grid, alpha)
     for kind, want in zip(("cjr", "ibsr", "bsr"), iters):
@@ -617,6 +619,15 @@ def test_precision_follows_the_float32_range(N, alpha, dtype, iters):
         assert hier.dtype == dtype
         res = solve(hier, np.stack([data.f, data.g]), CycleSpec())
         assert res.converged and res.iters == want
+
+
+def test_float32_bound_is_where_the_y_update_cancels():
+    # float32 cycles while alpha (4N^2)^2 >= float32 eps, float64 below
+    eps = float(np.finfo(np.float32).eps)
+    for N in (16, 64, 256):
+        edge = eps / (4.0 * N * N) ** 2
+        assert build_hierarchy(N, 2, 1.01 * edge, SmootherSpec("cjr")).dtype == np.float32
+        assert build_hierarchy(N, 2, edge / 1.01, SmootherSpec("cjr")).dtype == np.float64
 
 
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
@@ -720,10 +731,11 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
     assert all(callable(lev.relax) for lev in hier.levels[:-1])
 
 
-def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
-    # the transfers are NumPy stencils and the coarsest level a NumPy row-block
-    # LU, so cjr and ibsr solves and an ibsr Newton solve with its coarse stage
-    # import no scipy module at all; masked exact bsr factors with splu
+def test_no_solve_but_masked_exact_bsr_imports_scipy():
+    # the transfers are NumPy stencils, the coarsest level a NumPy row-block
+    # LU and unmasked bsr's Schur solve sine-matrix products, so cjr, ibsr and
+    # unmasked bsr solves and an ibsr Newton solve with its coarse stage import
+    # no scipy module at all; masked exact bsr factors with splu
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -733,7 +745,7 @@ def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
         "from ocmg.smoothers import SmootherSpec\n"
         "def scipy_modules():\n"
         "    return sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
-        "for kind in ('cjr', 'ibsr'):\n"
+        "for kind in ('cjr', 'ibsr', 'bsr'):\n"
         "    for q in (2, 3, 4):\n"
         "        h = multigrid.build_hierarchy(48, q, 1e-3, SmootherSpec(kind))\n"
         "        multigrid.solve(h, np.ones((2, 47, 47)), multigrid.CycleSpec(max_iters=2))\n"
@@ -751,8 +763,9 @@ def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
 
 # Residual histories and iterate checksums of six W(1,0) cycles on the
 # manufactured problem at alpha=1e-6, recorded with float32 cycles inside
-# the float64 residual (64 -> 32, 81 -> 27 and 64 -> 16); the all-float64
-# solver's histories differ from these by at most 1.2e-6 relative.
+# the float64 residual (64 -> 32, 81 -> 27 and 64 -> 16) and bsr's Schur
+# solve as sine-matrix products; the all-float64 solver's histories differ
+# from these by at most 1.2e-6 relative.
 # Checksum: <w0, y>, <w1, p>, ||y||, ||p|| with
 # w = default_rng(1).standard_normal((2, m, m)).
 REFERENCE_SIZES = {2: 64, 3: 81, 4: 64}
@@ -776,23 +789,23 @@ REFERENCE = {
         (-1014.9086765774375, 13.389930081786126, 1042.2990498596675,
          36.757626671278146)),
     ("bsr", 2): (
-        [52852947.741985254, 4607001.645008941, 981913.20878746,
-         242196.46492988543, 59585.474956652346, 15002.732607545217,
-         3727.6655119585107],
-        (-152.1993853114918, 11.803495343668537, 101.52834672932225,
-         36.67757054102314)),
+        [52852947.741985254, 4607001.823996336, 981913.0821816976,
+         242196.36521174724, 59585.44703569298, 15002.721910389828,
+         3727.6622156916173],
+        (-152.1993875333045, 11.803495376093949, 101.52834638655449,
+         36.67757054096747)),
     ("bsr", 3): (
-        [66824210.69292641, 5966097.124840681, 1264422.1039880584,
-         311624.6920887203, 82438.65120623828, 22511.755417467775,
-         6245.402089459735],
-        (48.10117356159387, -31.26018519166465, 127.62239531000449,
-         46.41996642811727)),
+        [66824210.69292641, 5966097.6856351495, 1264421.6800590544,
+         311624.5559351627, 82438.59747792697, 22511.74131060623,
+         6245.39656659079],
+        (48.10116860653766, -31.26018520274686, 127.62239586869632,
+         46.41996642812564)),
     ("bsr", 4): (
-        [52852947.741985254, 2692014.067957769, 369297.3931224078,
-         70004.93559401661, 28809.828136846536, 10904.018041943413,
-         4834.264228933247],
-        (-153.41351000077597, 11.804710653757006, 101.53333462790175,
-         36.67757140975517)),
+        [52852947.741985254, 2692014.469093005, 369297.07403376617,
+         70004.94824917984, 28809.838358953508, 10904.023158375821,
+         4834.26783026621],
+        (-153.41358210989395, 11.804710656299628, 101.53333461800652,
+         36.67757140978064)),
     ("ibsr", 2): (
         [52852947.741985254, 4732502.963038806, 1201555.3780459517,
          301784.85273856425, 89121.93838629716, 24415.68521309546,
