@@ -731,7 +731,7 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
     assert all(callable(lev.relax) for lev in hier.levels[:-1])
 
 
-def test_no_solve_but_masked_exact_bsr_imports_scipy():
+def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
     # the transfers are NumPy stencils, the coarsest level a NumPy row-block
     # LU and unmasked bsr's Schur solve sine-matrix products, so cjr, ibsr and
     # unmasked bsr solves and an ibsr Newton solve with its coarse stage import
