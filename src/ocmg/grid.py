@@ -17,10 +17,10 @@ Its C-order ravel is the vector [y; p], the unknown ordering of the dense
 oracle's 2(N-1)^2 matrices.  The scalar stencils act on the trailing two
 axes, so one call applies them to both components of a block field.
 
-Operators provided, matrix-free (the direct solves are SaddleRowLU, a
+Operators provided, matrix-free (the one direct solve is SaddleRowLU, a
 NumPy block LU of the saddle operator over grid rows for the coarsest
-multigrid level, and SparseLU of schur_matrix, assembled from
-sparse_laplacian and sparse_mass, for masked exact Braess-Sarazin):
+multigrid level; masked exact Braess-Sarazin factors its Schur matrix
+in smoothers.schur_lu):
 
   * five-point Laplacian       L u = (4u_c - u_W - u_E - u_S - u_N) / h^2
   * nine-point mass operator   Q u = (h^2/36) [1 4 1; 4 16 4; 1 4 1] * u
@@ -67,7 +67,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,10 +90,6 @@ class GridSpec:
     def m(self) -> int:
         """Interior points per direction."""
         return self.N - 1
-
-    @property
-    def npoints(self) -> int:
-        return self.m * self.m
 
     def check_field(self, u: np.ndarray) -> None:
         """Trailing axes (m, m): a scalar field or a stack of them."""
@@ -214,46 +209,6 @@ def apply_mass(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)  # one matrix per grid, shared: its entries are read-only
-def sparse_laplacian(grid: GridSpec):
-    """apply_laplacian as a sparse matrix: (I x T + T x I) / h^2, T = tridiag(-1, 2, -1)."""
-    from scipy import sparse  # here, not at start-up of every ocmg command
-    T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(grid.m, grid.m))
-    I = sparse.identity(grid.m)
-    L = (sparse.kron(I, T) + sparse.kron(T, I)) * grid.N**2
-    L.data.flags.writeable = False
-    return L
-
-
-def sparse_mass(grid: GridSpec):
-    """apply_mass as a sparse matrix: (T4 x T4) h^2/36, T4 = tridiag(1, 4, 1)."""
-    from scipy import sparse  # here, not at start-up of every ocmg command
-    T4 = sparse.diags_array([1.0, 4.0, 1.0], offsets=[-1, 0, 1], shape=(grid.m, grid.m))
-    return sparse.kron(T4, T4) * grid.h**2 / 36.0
-
-
-def _mask_diagonal(op: SaddleOperator) -> np.ndarray:  # float64; ones without a mask
-    return np.ones(op.grid.npoints) if op.mask is None else op.mask.astype(np.float64).ravel()
-
-
-def schur_matrix(op: SaddleOperator):
-    """Sparse CSC L + Q diag(mask)/alpha, the masked Braess-Sarazin Schur matrix."""
-    from scipy import sparse  # here, not at start-up of every ocmg command
-    qm = sparse_mass(op.grid) @ sparse.diags_array(_mask_diagonal(op)) / op.alpha
-    return (sparse_laplacian(op.grid) + qm).tocsc()
-
-
-class SparseLU:
-    """Sparse LU of a CSC matrix acting on C-order ravelled fields."""
-
-    def __init__(self, A):
-        from scipy.sparse.linalg import splu  # here, not at start-up of every ocmg command
-        self._lu = splu(A)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:  # A^{-1} b, shaped as b and of its dtype
-        return self._lu.solve(b.ravel()).astype(b.dtype, copy=False).reshape(b.shape)
-
-
 class SaddleRowLU:
     """Direct solve of the saddle system A v = b by block LU over grid rows.
 
@@ -290,7 +245,7 @@ class SaddleRowLU:
 
     def __init__(self, op: SaddleOperator):
         m, n2 = op.grid.m, float(op.grid.N**2)
-        mask = _mask_diagonal(op).reshape(m, m)
+        mask = np.ones((m, m)) if op.mask is None else op.mask.astype(np.float64)
         T = n2 * (4.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
         D = np.zeros((2 * m, 2 * m))
         D[:m, :m] = D[m:, m:] = T

@@ -25,9 +25,11 @@ The Schur solve is where the two Braess-Sarazin variants differ:
     9.6 ms at N=512 and 75 ms at N=1024 (scipy.fft.dstn: 0.8, 4.0 and
     27 ms), and a bsr W-cycle 5.2, 26 and 152 ms (against 4.7, 20 and
     93 ms).  No benchmarked bsr run is above N=256, so there is no
-    switch to a transform by size.  With a mask (Q M is not M Q) it is a
-    sparse LU of grid.schur_matrix, which would be far slower without
-    one (N=256: factor 0.8 s, solve 22 ms against 2.6 ms in float64).
+    switch to a transform by size.  With a mask (Q M is not M Q) it is
+    schur_lu, a sparse LU of the Schur matrix assembled from its 1-D
+    factors, which would be far slower without one (N=256: factor 0.8 s,
+    solve 22 ms against 2.6 ms in float64); it is the package's one use
+    of scipy.
   * IBSR runs a FIXED number of CG iterations (default 2) with the plain
     diagonal preconditioner diag(S) = 4/h^2 + (16 h^2/36) m / alpha.
     The iteration count is part of the method definition, not a
@@ -53,8 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from . import grid as _grid
-from .grid import (GridSpec, SaddleOperator, SparseLU, apply_laplacian,
-                   apply_mass, check_integer, schur_matrix)
+from .grid import GridSpec, SaddleOperator, apply_laplacian, apply_mass, check_integer
 from .lfa import LfaParams, closed_form
 
 SCHEMES = ("cjr", "bsr", "ibsr")
@@ -180,6 +181,27 @@ class SchurSpectral:
         return s @ ((s @ b @ s) / eig) @ s
 
 
+def schur_lu(op: SaddleOperator) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve of a sparse LU of the masked Schur matrix L + Q diag(mask)/alpha.
+
+    The CSC matrix is assembled from the 1-D factors T = tridiag(-1, 2, -1)
+    and T4 = tridiag(1, 4, 1): L = (I x T + T x I)/h^2 and Q = (T4 x T4)
+    h^2/36, the stencils of apply_laplacian and apply_mass on C-order
+    ravelled fields.  The solve runs in float64 and returns b's shape and dtype.
+    """
+    from scipy import sparse  # here, not at start-up of every ocmg command
+    from scipy.sparse.linalg import splu
+    m = op.grid.m
+    T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
+    T4 = sparse.diags_array([1.0, 4.0, 1.0], offsets=[-1, 0, 1], shape=(m, m))
+    I = sparse.identity(m)
+    L = (sparse.kron(I, T) + sparse.kron(T, I)) * op.grid.N**2
+    Q = sparse.kron(T4, T4) * op.grid.h**2 / 36.0
+    qm = Q @ sparse.diags_array(op.mask.astype(np.float64).ravel()) / op.alpha
+    lu = splu((L + qm).tocsc())
+    return lambda b: lu.solve(b.ravel()).astype(b.dtype, copy=False).reshape(b.shape)
+
+
 def bsr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
               schur_solve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """One Braess-Sarazin correction omega * B_m^{-1} r: _eliminate with
@@ -201,9 +223,10 @@ def relaxation(op: SaddleOperator, spec: SmootherSpec,
         omega = closed_form(spec.kind, LfaParams(q, op.alpha, op.grid.h)).omega
     if spec.kind == "cjr":
         return lambda r: cjr_apply(r, op, omega)
-    if spec.kind == "bsr":
-        inv = (SchurSpectral(op.grid, op.alpha) if op.mask is None
-               else SparseLU(schur_matrix(op)))
+    if spec.kind == "bsr" and op.mask is not None:
+        solve = schur_lu(op)
+    elif spec.kind == "bsr":
+        inv = SchurSpectral(op.grid, op.alpha)
         solve = lambda rhs: inv.solve(rhs)
     else:
         diag = schur_diag(op)

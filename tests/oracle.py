@@ -34,7 +34,7 @@ from math import log
 import numpy as np
 from scipy import sparse
 
-from ocmg.grid import GridSpec, SaddleOperator, sparse_laplacian
+from ocmg.grid import GridSpec, SaddleOperator
 from ocmg.lfa import high_freq_grid, symbol_laplacian, symbol_mass
 
 MAX_N = 24  # memory guard: dense matrices only on tiny grids
@@ -79,7 +79,7 @@ def assemble(kind: str, grid: GridSpec, alpha: float | None = None,
 
     if alpha is None:
         raise ValueError(f"kind {kind!r} needs alpha")
-    n = grid.npoints
+    n = grid.m ** 2
     M = np.eye(n) if mask is None else np.diag(mask.ravel().astype(float))
     L = assemble_laplacian(grid)
     I = np.eye(n)
@@ -118,9 +118,11 @@ def dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def saddle_matrix(op: SaddleOperator):
     """apply_saddle as a sparse CSC [[L, -diag(mask)/alpha], [I, L]] on v.ravel() = [y; p]."""
-    n = op.grid.npoints
+    m, n = op.grid.m, op.grid.m ** 2
     mask = np.ones(n) if op.mask is None else op.mask.astype(np.float64).ravel()
-    L = sparse_laplacian(op.grid)
+    T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
+    I = sparse.identity(m)
+    L = (sparse.kron(I, T) + sparse.kron(T, I)) * op.grid.N**2
     return sparse.bmat([[L, sparse.diags_array(-mask / op.alpha)],
                         [sparse.identity(n), L]], format="csc")
 

@@ -13,7 +13,6 @@ from ocmg.grid import (
     check_alpha,
     check_q,
     residual,
-    sparse_laplacian,
 )
 from ocmg import lfa, multigrid
 from ocmg.smoothers import SmootherSpec
@@ -76,15 +75,6 @@ def test_laplacian_shape_guard():
         apply_laplacian(np.zeros((3, 3)), g)
     with pytest.raises(ValueError):
         apply_laplacian(np.zeros((2, 7, 6)), g)
-
-
-def test_sparse_laplacian_is_one_read_only_matrix_per_grid():
-    L = sparse_laplacian(GridSpec(8))
-    assert sparse_laplacian(GridSpec(8)) is L
-    with pytest.raises(ValueError, match="read-only"):
-        L.data[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        L *= 2.0
 
 
 @pytest.mark.parametrize("apply_op", [apply_laplacian, apply_mass])

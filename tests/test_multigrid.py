@@ -676,7 +676,7 @@ def test_masked_bsr_levels_cache_an_exact_schur_inverse(monkeypatch):
     rng = _rng(10)
     mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float)
     hier = build_hierarchy(128, 2, 1e-6, SmootherSpec("bsr", omega=1.0), mask=mask)
-    for name in ("SparseLU", "SchurSpectral", "schur_diag"):
+    for name in ("schur_lu", "SchurSpectral", "schur_diag"):
         monkeypatch.setattr(smoothers, name, _refuse(name))
     for lev in hier.levels[:-1]:
         assert lev.op.mask is not None
@@ -716,7 +716,7 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
     # the coarsest level's relax is the LU solve of its saddle system, so
     # it builds no smoother state
     built = []
-    for name in ("SparseLU", "SchurSpectral", "schur_diag"):
+    for name in ("schur_lu", "SchurSpectral", "schur_diag"):
         def record(*args, _name=name, _f=getattr(smoothers, name)):
             built.append(_name)
             return _f(*args)
@@ -726,7 +726,7 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
     assert [lev.op.grid.N for lev in hier.levels] == [128, 64, 32]
     # one Schur solve per relaxed level: a sparse LU for masked bsr, the
     # diagonal for ibsr
-    assert built == {"cjr": [], "bsr": ["SparseLU"] * 2, "ibsr": ["schur_diag"] * 2}[kind]
+    assert built == {"cjr": [], "bsr": ["schur_lu"] * 2, "ibsr": ["schur_diag"] * 2}[kind]
     _assert_lu_solves_the_saddle_system(hier.levels[-1], _rng(13))
     assert all(callable(lev.relax) for lev in hier.levels[:-1])
 

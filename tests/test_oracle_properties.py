@@ -1,6 +1,6 @@
 """Property tests: the matrix-free saddle operator, the smoothers, the
-coarse row-block LU and the sparse saddle and Schur matrices against the
-dense oracle.
+coarse row-block LU, the oracle's sparse saddle matrix and the masked
+Schur matrix that smoothers.schur_lu factors against the dense oracle.
 
 A block field's C-order ravel is the oracle's [y; p] vector, so every
 matrix-free result is compared with the dense matrix acting on v.ravel().
@@ -11,12 +11,15 @@ or fractional.  The row-block LU is checked on the coarsest grids too
 dense one entry by entry.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from ocmg.grid import GridSpec, SaddleOperator, SaddleRowLU, apply_saddle, schur_matrix
-from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation
+from ocmg.grid import GridSpec, SaddleOperator, SaddleRowLU, apply_saddle
+from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation, schur_lu
 
 import oracle
 
@@ -86,10 +89,19 @@ def test_row_block_lu_solves_the_oracle_saddle_system(N, log_alpha, kind, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(cases())
+@given(cases(masks=("binary", "fractional")))
 def test_schur_matrix_equals_dense_entry_by_entry(case):
+    # the matrix schur_lu hands to splu
     grid, alpha, mask, _ = case
-    S = schur_matrix(SaddleOperator(grid, alpha, mask))
+    factored = []
+
+    def record(A):
+        factored.append(A)
+        return splu(A)
+
+    with patch("scipy.sparse.linalg.splu", record):
+        schur_lu(SaddleOperator(grid, alpha, mask))
+    (S,) = factored
     dense = oracle.assemble("schur", grid, alpha=alpha, mask=mask)
     # relative to the largest entry: L and Q (mask)/alpha may cancel in one
     # entry, and scipy divides a sparse matrix by a scalar as a product

@@ -251,6 +251,17 @@ def test_mg_counts_tracked_per_iteration():
     assert all(abs(c - res.baseline_iters) <= 3 for c in res.mg_iters)
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 1e-6])
+@pytest.mark.parametrize("beta", [1e-3, 1e-2])
+def test_masked_exact_bsr_holds_the_jacobian_count_band(alpha, beta):
+    # criterion 9's +-3 band for the scheme it does not run: exact bsr,
+    # whose masked levels solve the Schur system by smoothers.schur_lu
+    res, _, _ = _solve_example2(alpha, beta, N=64, kind="bsr")
+    assert res.converged
+    assert all(abs(c - res.baseline_iters) <= 3 for c in res.mg_iters), \
+        (res.baseline_iters, res.mg_iters)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_tolerance_must_be_positive_and_finite(tol):
     # nan and inf made the target nan or inf, and the solve claimed

@@ -1,5 +1,6 @@
 """The test configuration itself (a failing test is reported, not an internal
-error) and the package's own hygiene (no function only tests use)."""
+error) and the package's own hygiene (no function, class or constant only
+tests use)."""
 
 import ast
 import subprocess
@@ -40,13 +41,24 @@ def _names(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _defined(stmt: ast.stmt) -> set[str]:
+    """Names a module-level function, class or assignment defines, dunders aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = set().union(*(_names(t) for t in targets))
+    else:
+        names = set()
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
 def test_every_package_function_is_used_in_the_package():
-    # a function only tests call belongs in the tests (tests/oracle.py for
-    # shared ones), not on the solver path
+    # a function, class or constant only tests use belongs in the tests
+    # (tests/oracle.py for shared ones), not on the solver path
     statements = [stmt for path in sorted((ROOT / "src" / "ocmg").glob("*.py"))
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
     names = [_names(stmt) for stmt in statements]
-    unused = {stmt.name for i, stmt in enumerate(statements)
-              if isinstance(stmt, ast.FunctionDef)
-              and not any(stmt.name in used for j, used in enumerate(names) if j != i)}
+    unused = {name for i, stmt in enumerate(statements) for name in _defined(stmt)
+              if not any(name in used for j, used in enumerate(names) if j != i)}
     assert unused == set(USED_OUTSIDE_THE_PACKAGE)
