@@ -7,13 +7,16 @@ Hierarchy invariants:
   * every chain coarsens at least once; after that it coarsens while
     the coarsest grid has more than DIRECT_N = 32 subdivisions, so the
     coarsest level is the first coarse grid with at most 32 subdivisions
-    (2 * 31^2 = 1,922 unknowns, where one row-block LU solve, about
-    0.2 ms after a 4 ms factorization, costs less than the cycle dispatch
-    of the levels below it) unless divisibility stops the chain first.
-    Each step needs N divisible by q and N/q >= COARSEST_N = 8, so an
-    odd grid stops it early: 250 -> 125 (q = 2) factors in about 0.5 s
-    and holds 61 MB of row blocks, (N-1) (2(N-1))^2 doubles.  The level
-    chains:
+    (2 * 31^2 = 1,922 unknowns, where one direct solve costs less than
+    the cycle dispatch of the levels below it: on one Xeon core 0.03 ms
+    unmasked and 0.05 ms with a sparse mask after at most 1.5 ms of set-up,
+    0.14 ms after a 3.5 ms factorization with a dense one) unless
+    divisibility stops the chain first.  Each step needs N divisible by q
+    and N/q >= COARSEST_N = 8, so an odd grid stops it early: at
+    250 -> 125 (q = 2) a dense mask's row LU factors in about 0.4 s and
+    holds 61 MB of row blocks, (N-1) (2(N-1))^2 doubles, where the sine
+    solve is built in 0.4 ms unmasked and in at most 0.12 s for a sparse
+    mask (k = 4m = 496 nonzeros).  The level chains:
     256 -> 128 -> 64 -> 32   (q = 2; N = 128 and N = 1024 also stop at 32)
     243 -> 81 -> 27          (q = 3)
     256 -> 64 -> 16          (q = 4)
@@ -26,13 +29,15 @@ Cycles use nu pre-smoothing steps and NO post-smoothing; a W-cycle
 recurses twice where a V-cycle recurses once.  Each level holds one
 solve, its relax: smoothers.relaxation's damped relaxation on every
 level but the coarsest, and there the direct solve (B = A, omega = 1)
-of grid.SaddleRowLU, a NumPy block LU of the saddle operator over grid
-rows, factored once per hierarchy.  Each relax returns a new array and
-leaves r as it was (the W-cycle reads rc again).
+that grid.saddle_solver builds once per hierarchy: grid.SaddleSine in
+the sine basis of L without a mask or with at most 4 (N-1) nonzeros, and
+grid.SaddleRowLU, a NumPy block LU over grid rows, for a denser mask.
+Each relax returns a new array and leaves r as it was (the W-cycle
+reads rc again).
 Fields are stacked (2, m, m) block fields (see grid); the transfers act
 on the trailing (m, m) axes, so a cycle restricts its residual and
-prolongs its coarse correction in one call each.  As the LU solve is
-exact, a W-cycle visits the coarsest level once, not twice.
+prolongs its coarse correction in one call each.  As the direct solve
+is exact, a W-cycle visits the coarsest level once, not twice.
 
 Precision: solve keeps the iterate v and its residual r = b - A v in
 float64 and adds to v the correction a cycle from zero computes for r
@@ -51,8 +56,8 @@ float64 cycles take 1; the bsr and ibsr counts did not differ.  The
 cycle reads 2^-s r, 2^s the binary exponent of ||r||, and its correction
 is scaled back by 2^s in float64; powers of two are exact, so scaling b
 by one scales v exactly.  Kernels follow their input's dtype; the direct
-solves (the coarse row-block LU and masked exact bsr's sparse LU) run in
-float64.
+solves (the coarsest level's sine-basis solve or row-block LU, and
+masked exact bsr's sparse LU) run in float64.
 
 Transfers are tensor products of 1D stencils of 2q - 1 taps, applied
 with NumPy strided slices: full weighting R1, weights (q - |k|)/q^2 for
@@ -86,8 +91,8 @@ from math import frexp, inf
 
 import numpy as np
 
-from .grid import (GridSpec, SaddleOperator, SaddleRowLU, block_norm2, check_alpha,
-                   check_integer, check_q, residual, row_strips)
+from .grid import (GridSpec, SaddleOperator, block_norm2, check_alpha, check_integer,
+                   check_q, residual, row_strips, saddle_solver)
 from .smoothers import SmootherSpec, relaxation
 
 CYCLES = ("V", "W")
@@ -122,7 +127,7 @@ class CycleSpec:
 @dataclass
 class Level:
     op: SaddleOperator
-    relax: Callable[[np.ndarray], np.ndarray]  # a relaxation; the coarsest: its LU solve
+    relax: Callable[[np.ndarray], np.ndarray]  # a relaxation; the coarsest: its direct solve
 
 
 @dataclass
@@ -170,7 +175,7 @@ def level_sizes(N: int, q: int) -> list[int]:
 
 def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
                     mask: np.ndarray | None = None) -> Hierarchy:
-    """Re-discretized level chain; smoother relaxes all but the coarsest, a row-block LU."""
+    """Re-discretized level chain; smoother relaxes all but the coarsest, a direct solve."""
     sizes = level_sizes(N, q)
     check_alpha(alpha)
     f32 = np.finfo(np.float32)
@@ -191,7 +196,7 @@ def build_hierarchy(N: int, q: int, alpha: float, smoother: SmootherSpec,
         ops.append(SaddleOperator(GridSpec(n), alpha,
                                   None if mask is None else np.asarray(mask, dtype)))
     levels = [Level(op, relaxation(op, smoother, q)) for op in ops[:-1]]
-    levels.append(Level(ops[-1], SaddleRowLU(ops[-1]).solve))
+    levels.append(Level(ops[-1], saddle_solver(ops[-1])))
     return Hierarchy(levels=levels, q=q, dtype=dtype)
 
 
@@ -310,7 +315,7 @@ def cycle(hier: Hierarchy, level: int, b: np.ndarray, spec: CycleSpec) -> np.nda
     rc = restrict(r, q)
     del r  # unused below; freeing it lowers the peak memory of the cycle
     ec = cycle(hier, level + 1, rc, spec)
-    # the coarsest level's LU solve is exact: a second visit would correct nothing
+    # the coarsest level's direct solve is exact: a second visit would correct nothing
     if spec.cycle == "W" and level + 1 < last:
         ec += cycle(hier, level + 1, residual(hier.levels[level + 1].op, rc, ec), spec)
     e += prolong(ec, q)
@@ -326,7 +331,7 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
     the right-hand side rather than against random-iterate noise.  v is
     float64 whatever b and v0 are; each step adds 2^s cycle(2^-s r) (see
     Precision).  A non-finite b raises ValueError; a non-finite residual
-    norm ends the solve unconverged before it can reach the coarse LU solve.
+    norm ends the solve unconverged before it can reach the coarse direct solve.
     """
     op = hier.levels[0].op
     g = op.grid

@@ -158,18 +158,13 @@ def schur_diag(op: SaddleOperator) -> np.ndarray | float:
 
 class SchurSpectral:
     """Exact unmasked Schur inverse: the orthonormal, symmetric, self-inverse
-    type-I sine matrix on both sides of a division by the exact eigenvalues."""
+    type-I sine matrix of grid.sine_basis on both sides of a division by the
+    exact eigenvalues."""
 
     def __init__(self, grid: GridSpec, alpha: float):
-        k = np.arange(1, grid.N)
-        c = np.cos(np.pi * k / grid.N)
-        lap_1d = (2.0 - 2.0 * c) * grid.N ** 2
-        mass_1d = (4.0 + 2.0 * c) * grid.h / 6.0
+        self.sine, lap_1d, mass_1d = _grid.sine_basis(grid)
         self.eig = (lap_1d[:, None] + lap_1d[None, :]
                     + np.outer(mass_1d, mass_1d) / alpha)
-        # S[j, k] = sqrt(2/N) sin(pi j k / N), its argument reduced modulo 2 pi exactly
-        self.sine = np.sqrt(2.0 / grid.N) * np.sin(np.pi * (np.outer(k, k) % (2 * grid.N))
-                                                   / grid.N)
 
     @cached_property
     def _float32(self) -> tuple[np.ndarray, np.ndarray]:  # cast on the first float32 input

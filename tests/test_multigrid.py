@@ -99,12 +99,14 @@ def test_build_hierarchy_rejects_uncoarsenable():
 
 def test_build_hierarchy_rejects_nan_alpha_before_the_coarse_lu(monkeypatch):
     # NaN alpha used to reach the coarse LU: splu failed with "Factor is
-    # exactly singular", and the row-block inverses would turn it into NaN
+    # exactly singular", and the row-block inverses would turn it into NaN;
+    # no coarse direct solve may be built from it
 
     def no_lu(*args, **kwargs):
-        raise AssertionError("coarse LU reached")
+        raise AssertionError("coarse direct solve reached")
 
-    monkeypatch.setattr(grid_module.SaddleRowLU, "__init__", no_lu)
+    for solver in (grid_module.SaddleRowLU, grid_module.SaddleSine):
+        monkeypatch.setattr(solver, "__init__", no_lu)
     with pytest.raises(ValueError, match="alpha"):
         build_hierarchy(16, 2, float("nan"), SmootherSpec("cjr"))
 
@@ -417,22 +419,45 @@ def test_cycle_coarsest_level_is_direct_solve():
 
 
 @pytest.mark.parametrize("N, q", [(64, 2), (81, 3)])
-@pytest.mark.parametrize("mask_kind", ["none", "binary", "fractional"])
+@pytest.mark.parametrize("mask_kind", ["none", "binary", "fractional", "sparse"])
 @pytest.mark.parametrize("alpha", [1e-2, 1e-6, 1e-10])
 def test_coarse_solve_is_backward_stable_above_the_oracle_size(N, q, mask_kind,
                                                                alpha):
     # coarsest grids of N=32 and N=27 are beyond the dense oracle, so the
-    # LU solution is checked against the matrix-free operator; the mask is
+    # direct solution is checked against the matrix-free operator; the mask is
     # drawn on the fine grid and reaches the coarsest level averaged
     rng = _rng(12)
     shape = (N - 1, N - 1)
     mask = {"none": None,
             "binary": (rng.random(shape) < 0.5).astype(float),
-            "fractional": rng.random(shape)}[mask_kind]
+            "fractional": rng.random(shape),
+            "sparse": _sparse_mask(_rng(17), shape, 20)}[mask_kind]
     hier = build_hierarchy(N, q, alpha, SmootherSpec("cjr"), mask=mask)
     coarse = hier.levels[-1]
     assert coarse.op.grid.N == N // q
+    # both direct solves are checked: the sine solve unmasked and sparse
+    sine = mask_kind in ("none", "sparse")
+    assert isinstance(coarse.relax.__self__,
+                      grid_module.SaddleSine if sine else grid_module.SaddleRowLU)
     _assert_lu_solves_the_saddle_system(coarse, rng)
+
+
+def _sparse_mask(rng, shape, k):
+    """A fractional mask nonzero at k random points."""
+    mask = np.zeros(shape)
+    mask.flat[rng.choice(mask.size, k, replace=False)] = rng.uniform(0.1, 1.0, k)
+    return mask
+
+
+def test_saddle_solver_takes_the_row_lu_above_4m_nonzeros():
+    # build_hierarchy binds saddle_solver's choice (see the test above)
+    grid = GridSpec(32)
+    for k, solver in ((None, grid_module.SaddleSine), (0, grid_module.SaddleSine),
+                      (4 * grid.m, grid_module.SaddleSine),
+                      (4 * grid.m + 1, grid_module.SaddleRowLU)):
+        mask = None if k is None else _sparse_mask(_rng(19), (grid.m, grid.m), k)
+        op = grid_module.SaddleOperator(grid, 1e-6, mask)
+        assert isinstance(grid_module.saddle_solver(op).__self__, solver)
 
 
 def _assert_lu_solves_the_saddle_system(coarse, rng):
@@ -561,9 +586,9 @@ def test_cycle_fields_stay_in_the_hierarchy_dtype(monkeypatch, kind, masked):
             return out
         return recorded
 
-    # the coarsest level binds SaddleRowLU.solve when the hierarchy is built
-    monkeypatch.setattr(grid_module.SaddleRowLU, "solve",
-                        record(grid_module.SaddleRowLU.solve))
+    # the coarsest level binds its direct solve when the hierarchy is built
+    for solver in (grid_module.SaddleRowLU, grid_module.SaddleSine):
+        monkeypatch.setattr(solver, "solve", record(solver.solve))
     monkeypatch.setattr(smoothers.SchurSpectral, "solve",
                         record(smoothers.SchurSpectral.solve))
     for name in ("cjr_apply", "bsr_apply", "pcg", "schur_apply", "apply_mass",
@@ -578,7 +603,9 @@ def test_cycle_fields_stay_in_the_hierarchy_dtype(monkeypatch, kind, masked):
     b = _rng(15).standard_normal((2, 127, 127)).astype(np.float32)
     assert cycle(hier, 0, b, CycleSpec(cycle="W", nu_pre=2)).dtype == np.float32
     names = {name for name, _ in seen}
-    assert {"residual", "restrict", "prolong", "SaddleRowLU.solve"} <= names
+    # the 70% mask is dense, so the masked coarsest level is the row LU's
+    coarse = "SaddleRowLU.solve" if masked else "SaddleSine.solve"
+    assert {"residual", "restrict", "prolong", coarse} <= names
     assert {"cjr": "cjr_apply", "bsr": "bsr_apply", "ibsr": "pcg"}[kind] in names
     assert [s for s in seen if s[1] != np.float32] == []
 
@@ -732,8 +759,8 @@ def test_coarsest_level_builds_no_smoother_state(monkeypatch, kind):
 
 
 def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
-    # the transfers are NumPy stencils, the coarsest level a NumPy row-block
-    # LU and unmasked bsr's Schur solve sine-matrix products, so cjr, ibsr and
+    # the transfers are NumPy stencils, the coarsest level a NumPy direct
+    # solve and unmasked bsr's Schur solve sine-matrix products, so cjr, ibsr and
     # unmasked bsr solves and an ibsr Newton solve with its coarse stage import
     # no scipy module at all; masked exact bsr factors with splu
     code = (

@@ -1,14 +1,16 @@
 """Property tests: the matrix-free saddle operator, the smoothers, the
-coarse row-block LU, the oracle's sparse saddle matrix and the masked
-Schur matrix that smoothers.schur_lu factors against the dense oracle.
+coarse direct solves (row-block LU and sine basis), the oracle's sparse
+saddle matrix and the masked Schur matrix that smoothers.schur_lu factors
+against the dense oracle.
 
 A block field's C-order ravel is the oracle's [y; p] vector, so every
 matrix-free result is compared with the dense matrix acting on v.ravel().
 Grids, alphas and masks are drawn at random: N <= 24 (the oracle's size
 guard), alpha log-uniform in [1e-12, 1], and masks that are absent, {0,1}
-or fractional.  The row-block LU is checked on the coarsest grids too
-(N up to 33), through the oracle's sparse saddle matrix, which equals the
-dense one entry by entry.
+or fractional.  Both coarse direct solves are checked on the coarsest
+grids too (N up to 33), through the oracle's sparse saddle matrix, which
+equals the dense one entry by entry; the sine solve also at alpha = 1e-300
+and 1e300 and for right-hand sides up to 1e8.
 """
 
 from unittest.mock import patch
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from ocmg.grid import GridSpec, SaddleOperator, SaddleRowLU, apply_saddle
+from ocmg.grid import GridSpec, SaddleOperator, SaddleRowLU, SaddleSine, apply_saddle
 from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation, schur_lu
 
 import oracle
@@ -86,6 +88,36 @@ def test_row_block_lu_solves_the_oracle_saddle_system(N, log_alpha, kind, seed):
     norm_a = 8.0 / grid.h**2 + max(1.0, (1.0 if mask is None else mask.max()) / alpha)
     err = np.abs(oracle.saddle_matrix(op) @ x.ravel() - b.ravel()).max()
     assert err <= 1e-14 * (norm_a * np.abs(x).max() + np.abs(b).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(8, 33),
+       log_alpha=st.one_of(st.sampled_from([-40.0, -300.0, 300.0]), st.floats(-12.0, 2.0)),
+       kind=st.sampled_from(["none", "fractional", "binary", "zero"]),
+       log_scale=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=32, log_alpha=-300.0, kind="fractional", log_scale=8.0, seed=0)
+@example(N=33, log_alpha=300.0, kind="binary", log_scale=8.0, seed=1)
+@example(N=8, log_alpha=-40.0, kind="none", log_scale=8.0, seed=2)
+def test_sine_solve_solves_the_oracle_saddle_system(N, log_alpha, kind, log_scale, seed):
+    # the bound of test_row_block_lu_solves_the_oracle_saddle_system, divided
+    # by norm_a so that it stays finite at alpha = 1e-300; the masks are
+    # sparse, k <= 4m nonzeros, or all zero, as saddle_solver hands them over
+    grid, alpha = GridSpec(N), 10.0 ** log_alpha
+    rng = np.random.default_rng(seed)
+    mask = None
+    if kind != "none":
+        mask = np.zeros((grid.m, grid.m))
+        k = 0 if kind == "zero" else int(rng.integers(1, 4 * grid.m + 1))
+        at = rng.choice(mask.size, k, replace=False)
+        mask.flat[at] = rng.random(k) if kind == "fractional" else 1.0
+    op = SaddleOperator(grid, alpha, mask)
+    b = rng.standard_normal((2, grid.m, grid.m)) * 10.0 ** log_scale
+    x = SaddleSine(op).solve(b)
+    assert x.shape == b.shape and x.dtype == b.dtype
+    norm_a = 8.0 / grid.h**2 + max(1.0, (1.0 if mask is None else mask.max()) / alpha)
+    err = np.abs(oracle.saddle_matrix(op) @ x.ravel() - b.ravel()).max()
+    assert err / norm_a <= 1e-14 * (np.abs(x).max() + np.abs(b).max() / norm_a)
 
 
 @settings(max_examples=40, deadline=None)
