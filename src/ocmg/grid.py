@@ -45,14 +45,16 @@ residual evaluates a field in row strips of about STRIP_BYTES (512 KiB)
 each (row_strips), taken across both components of a block field, so
 that its passes over a strip stay in a 2 MiB L2 cache;
 smoothers.cjr_apply does the same, and so do multigrid.restrict (both
-passes over the coarse rows a strip of fine rows makes) and
-multigrid.prolong (both passes over the fine rows of a strip).  A field
-of at most STRIP_BYTES is one strip, and apply_laplacian and
-apply_saddle take all rows as one range.  512 KiB strips measured as
-fast as 256 KiB ones and faster than 1 MiB ones at N=1024, and faster
-than one whole-array pass at N=256.  A strip reads one halo row on each
-side and keeps the per-element order of operations, so any split into
-strips is bitwise one whole-array pass.
+passes over the coarse rows a strip of fine rows makes),
+multigrid.prolong (both passes over the fine rows of a strip) and
+add_correction, multigrid.solve's update after a cycle (the residual
+update, the add into the iterate and the norm, in the strips of the
+float64 iterate).  A field of at most STRIP_BYTES is one strip, and
+apply_laplacian and apply_saddle take all rows as one range.  512 KiB
+strips measured as fast as 256 KiB ones and faster than 1 MiB ones at
+N=1024, and faster than one whole-array pass at N=256.  A strip reads
+one halo row on each side and keeps the per-element order of operations,
+so any split into strips is bitwise one whole-array pass.
 
 Flat east-west policy: the x1-neighbour updates of the Laplacian row
 kernel and the mass operator are each one ufunc call on the trailing
@@ -411,6 +413,27 @@ def residual(op: SaddleOperator, b: np.ndarray, v: np.ndarray) -> np.ndarray:
         _saddle_rows(op, v, lo, hi, strip)
         np.subtract(b[:, lo:hi], strip, out=strip)
     return out
+
+
+def add_correction(op: SaddleOperator, v: np.ndarray, r: np.ndarray, c: np.ndarray,
+                   scale: float) -> float:
+    """v += scale c and r -= A c in place, in one pass over v's row strips;
+    returns scale ||r||, the norm of the updated r at v's scale.
+
+    Per element r becomes bitwise residual(op, r, c), A c made in c's
+    dtype, and v bitwise v + c * float64(scale).  ||r|| is summed in
+    float64, so it does not depend on how BLAS orders a float32 sum."""
+    op.grid.check_block(c)
+    total = 0.0
+    for lo, hi in row_strips(v):
+        strip = r[:, lo:hi]
+        ac = np.empty(strip.shape, np.result_type(c, 4.0))
+        _saddle_rows(op, c, lo, hi, ac)
+        np.subtract(strip, ac, out=strip)
+        v[:, lo:hi] += c[:, lo:hi] * np.float64(scale)
+        x = strip.astype(np.float64)
+        total += float(np.vdot(x, x))
+    return scale * math.sqrt(total)
 
 
 def block_norm2(v: np.ndarray) -> float:

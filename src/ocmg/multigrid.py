@@ -39,9 +39,9 @@ on the trailing (m, m) axes, so a cycle restricts its residual and
 prolongs its coarse correction in one call each.  As the direct solve
 is exact, a W-cycle visits the coarsest level once, not twice.
 
-Precision: solve keeps the iterate v and its residual r = b - A v in
-float64 and adds to v the correction a cycle from zero computes for r
-in the hierarchy's dtype (iterative refinement: it need only be
+Precision: solve keeps the iterate v in float64 and adds to it the
+correction a cycle from zero computes for the residual r = b - A v in
+the hierarchy's dtype (iterative refinement: it need only be
 accurate next to rho): float32, also for the masks, unless alpha,
 1/alpha or d = 4N^2 reach sqrt(float32 max), beyond which a product of
 two of them overflows, or alpha d^2 falls below float32's eps (2^-23).
@@ -53,11 +53,33 @@ by 1/alpha, leaves w_y a relative error of about eps/(alpha d^2).  Past
 the bound a float32 first cycle leaves a y-error the second one barely
 contracts: cjr took 3 cycles at alpha = 1e-19, N = 16 and 64, where
 float64 cycles take 1; the bsr and ibsr counts did not differ.  The
-cycle reads 2^-s r, 2^s the binary exponent of ||r||, and its correction
-is scaled back by 2^s in float64; powers of two are exact, so scaling b
-by one scales v exactly.  Kernels follow their input's dtype; the direct
+cycle reads r_low = 2^-s r, one field of the hierarchy's dtype, 2^s the
+binary exponent of ||r|| at the last refresh, and its correction c is
+scaled back by 2^s in float64; powers of two are exact, so scaling b by
+one scales v exactly.  Kernels follow their input's dtype; the direct
 solves (the coarsest level's sine-basis solve or row-block LU, and
 masked exact bsr's sparse LU) run in float64.
+
+Between refreshes r is carried in the hierarchy's dtype (Carson & Higham,
+SIAM J. Sci. Comput. 40, 2018; McCormick, Benzaken & Tamstorf, SIAM J.
+Sci. Comput. 43, 2021): after each cycle one strip pass,
+grid.add_correction, adds 2^s c into v and makes r_low <- r_low - A c,
+and 2^s ||r_low|| is the iteration's estimate of ||r||.  A refresh makes
+b - A v in float64 and scales it into r_low again.  It happens for the
+start, once the estimate has fallen by eps^(1/4) of the hierarchy's dtype
+since the last refresh, and where the estimate would end the solve (at
+most tol, above 1e8 or not finite relative to ||r_0||, or the last
+iteration), so converged, rho and the first and last history entries are
+float64 norms.  Each carried update rounds at about eps of the norm of
+the last refresh, so the ratio bounds the estimate's drift: refreshing
+at sqrt(eps) moved the recorded six-cycle histories (REFERENCE in
+tests/test_multigrid.py) by up to 1.6e-5 relative, eps^(1/3) by 2.3e-6
+and eps^(1/4) by 8.6e-7.  A float64 hierarchy takes the same path with
+float64's eps.  At N = 1024 (cjr, q = 2) the pass took a median of
+14.3-14.7 ms on one Xeon core, where the float64 residual, its norm, the
+scale into r_low and the add into v that it replaces took 23.8-24.6 ms
+(three runs of 15 interleaved calls each), and the solve of 45 cycles
+makes 7 float64 residuals, not 46.
 
 Transfers are tensor products of 1D stencils of 2q - 1 taps, applied
 with NumPy strided slices: full weighting R1, weights (q - |k|)/q^2 for
@@ -91,8 +113,8 @@ from math import frexp, inf
 
 import numpy as np
 
-from .grid import (GridSpec, SaddleOperator, block_norm2, check_alpha, check_integer,
-                   check_q, residual, row_strips, saddle_solver)
+from .grid import (GridSpec, SaddleOperator, add_correction, block_norm2, check_alpha,
+                   check_integer, check_q, residual, row_strips, saddle_solver)
 from .smoothers import SmootherSpec, relaxation
 
 CYCLES = ("V", "W")
@@ -142,6 +164,8 @@ class MgResult:
     v: np.ndarray  # (2, m, m) block field
     iters: int
     rho: float
+    # ||r_k||: float64 norms at refreshes, the first and the last entry always;
+    # between refreshes the estimates carried in the hierarchy's dtype (see Precision)
     history: list[float]
     converged: bool
 
@@ -329,9 +353,11 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
     An explicit v0 overrides the random guess; correction equations are
     best started from zero so the relative tolerance is measured against
     the right-hand side rather than against random-iterate noise.  v is
-    float64 whatever b and v0 are; each step adds 2^s cycle(2^-s r) (see
-    Precision).  A non-finite b raises ValueError; a non-finite residual
-    norm ends the solve unconverged before it can reach the coarse direct solve.
+    float64 whatever b and v0 are; each step adds 2^s cycle(2^-s r) and
+    carries r in the hierarchy's dtype, refreshed in float64 by the rule of
+    Precision, which also decides every stop.  A non-finite b raises
+    ValueError; a non-finite residual norm ends the solve unconverged before
+    it can reach the coarse direct solve.
     """
     op = hier.levels[0].op
     g = op.grid
@@ -347,18 +373,26 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
         return MgResult(v, 0, 0.0, history, True)
     if not np.isfinite(r0):
         return MgResult(v, 0, float("nan"), history, False)
+
+    def ends(norm: float) -> bool:  # converged, diverging or NaN
+        return not spec.tol < norm / r0 <= 1e8
+
     r_low = np.empty(r.shape, hier.dtype)
+    drop = float(np.finfo(hier.dtype).eps) ** 0.25  # refresh once the estimate falls this far
     for k in range(1, spec.max_iters + 1):  # CycleSpec: max_iters >= 1
-        s = frexp(history[-1])[1]  # ||2^-s r|| lies in [1/2, 1)
-        np.multiply(r, 2.0 ** -s, out=r_low, casting="same_kind")
-        del r  # freed while the cycle runs: the peak memory stays the float64 solver's
+        if r is not None:  # refreshed: carry 2^-s r, ||2^-s r|| in [1/2, 1)
+            refreshed = history[-1]
+            s = frexp(refreshed)[1]
+            np.multiply(r, 2.0 ** -s, out=r_low, casting="same_kind")
+            r = None  # freed while the cycle runs: the peak memory stays the float64 solver's
         c = cycle(hier, 0, r_low, spec)
-        for lo, hi in row_strips(v):  # a float64 product per strip, not per field
-            v[:, lo:hi] += c[:, lo:hi] * np.float64(2.0 ** s)
+        est = add_correction(op, v, r_low, c, 2.0 ** s)
         del c
-        r = residual(op, b, v)
-        history.append(block_norm2(r))
-        rel = history[-1] / r0
-        if rel <= spec.tol or not rel <= 1e8:  # converged, diverging or NaN
+        if k == spec.max_iters or est <= drop * refreshed or ends(est):
+            r = residual(op, b, v)
+            est = block_norm2(r)
+        history.append(est)
+        if ends(est):
             break
+    rel = history[-1] / r0
     return MgResult(v, k, rel ** (1.0 / k), history, rel <= spec.tol)

@@ -789,68 +789,71 @@ def test_only_masked_exact_bsr_imports_scipy_sparse_linalg():
 
 
 # Residual histories and iterate checksums of six W(1,0) cycles on the
-# manufactured problem at alpha=1e-6, recorded with float32 cycles inside
-# the float64 residual (64 -> 32, 81 -> 27 and 64 -> 16) and bsr's Schur
-# solve as sine-matrix products; the all-float64 solver's histories differ
-# from these by at most 1.2e-6 relative.
+# manufactured problem at alpha=1e-6, recorded with float32 cycles
+# (64 -> 32, 81 -> 27 and 64 -> 16) and bsr's Schur solve as sine-matrix
+# products.  The first and last entries are float64 residual norms, the
+# five between the float32-carried estimates solve refreshes by the
+# eps^(1/4) rule; they differ by at most 8.6e-7 relative from the histories
+# of a float64 residual made after every cycle, which differ from the
+# all-float64 solver's by at most 1.2e-6.
 # Checksum: <w0, y>, <w1, p>, ||y||, ||p|| with
 # w = default_rng(1).standard_normal((2, m, m)).
 REFERENCE_SIZES = {2: 64, 3: 81, 4: 64}
 REFERENCE = {
     ("cjr", 2): (
-        [52852947.741985254, 7477277.1810417725, 6422481.512342965,
-         5079027.827963427, 3626059.7356472774, 2450112.63932613,
-         1601549.3423107325],
-        (-91.34450645243814, 11.985946163509327, 122.96071347916548,
-         36.678118857518776)),
+        [52852947.741985254, 7477277.129992019, 6422481.482341346,
+         5079027.840093266, 3626059.7805248904, 2450112.6933519687,
+         1601549.3281003751],
+        (-91.33866791825875, 11.985939222340296, 122.96076699119298,
+         36.67811876930421)),
     ("cjr", 3): (
-        [66824210.69292641, 9885748.297032658, 11076756.470682865,
-         11408725.541026676, 10630491.323504806, 9402729.46260484,
-         8066165.192289721],
-        (251.9101408231482, -27.978807928478307, 345.84698635409126,
-         46.439623806014424)),
+        [66824210.69292641, 9885748.286327628, 11076756.320963541,
+         11408725.369642911, 10630491.198092524, 9402729.309957724,
+         8066164.91447675],
+        (251.90954214822705, -27.978809543234327, 345.84688819086205,
+         46.43962349556606)),
     ("cjr", 4): (
-        [52852947.741985254, 9008204.477629177, 11157710.038597124,
-         12892876.081670756, 13447204.101131838, 13254414.257821932,
-         12620444.335054845],
-        (-1014.9086765774375, 13.389930081786126, 1042.2990498596675,
-         36.757626671278146)),
+        [52852947.741985254, 9008204.46410041, 11157710.026452541,
+         12892876.172630968, 13447204.129621606, 13254414.226815388,
+         12620444.539959563],
+        (-1014.9059608194566, 13.389927432149017, 1042.299171632106,
+         36.757626700915154)),
     ("bsr", 2): (
-        [52852947.741985254, 4607001.823996336, 981913.0821816976,
-         242196.36521174724, 59585.44703569298, 15002.721910389828,
-         3727.6622156916173],
-        (-152.1993875333045, 11.803495376093949, 101.52834638655449,
-         36.67757054096747)),
+        [52852947.741985254, 4607001.792806753, 981913.0773562924,
+         242196.37483792225, 59585.446696723564, 15002.722553184767,
+         3727.662704100825],
+        (-152.1993898225625, 11.803495355109316, 101.5283467726857,
+         36.67757054081725)),
     ("bsr", 3): (
-        [66824210.69292641, 5966097.6856351495, 1264421.6800590544,
-         311624.5559351627, 82438.59747792697, 22511.74131060623,
-         6245.39656659079],
-        (48.10116860653766, -31.26018520274686, 127.62239586869632,
-         46.41996642812564)),
+        [66824210.69292641, 5966097.620490444, 1264421.591878906,
+         311624.61789831583, 82438.57920658524, 22511.723831108,
+         6245.391206448118],
+        (48.10107176045905, -31.26018523087953, 127.62240592831928,
+         46.4199664283638)),
     ("bsr", 4): (
-        [52852947.741985254, 2692014.469093005, 369297.07403376617,
-         70004.94824917984, 28809.838358953508, 10904.023158375821,
-         4834.26783026621],
-        (-153.41358210989395, 11.804710656299628, 101.53333461800652,
-         36.67757140978064)),
+        [52852947.741985254, 2692014.4569417825, 369296.98648950196,
+         70004.921840396, 28809.836383062437, 10904.023601659432,
+         4834.266649059227],
+        (-153.41358656074487, 11.804710701603417, 101.5333309382626,
+         36.677571409183734)),
     ("ibsr", 2): (
-        [52852947.741985254, 4732502.963038806, 1201555.3780459517,
-         301784.85273856425, 89121.93838629716, 24415.68521309546,
-         6854.476038153177],
-        (-152.45587603331165, 11.7997564892574, 101.52635514769733,
-         36.677569134102)),
+        [52852947.741985254, 4732502.936725082, 1201555.3099286302,
+         301784.8702804995, 89121.93766714072, 24415.68937837426,
+         6854.478764411142],
+        (-152.45589203415363, 11.799756446400856, 101.52634367817885,
+         36.67756913337512)),
     ("ibsr", 3): (
-        [66824210.69292641, 7035791.572409639, 1720050.3917376737,
-         485441.60032533563, 160210.44276722553, 51697.72446978712,
-         19884.940840595118],
-        (49.76388405954544, -31.225838512863938, 127.73774970743068,
-         46.41997048336394)),
+        [66824210.69292641, 7035791.47519628, 1720050.464603538,
+         485441.5235686204, 160210.41382817537, 51697.72395642445,
+         19884.94314881561],
+        (49.76393737611623, -31.225838746321777, 127.73775885061585,
+         46.419970483526555)),
     ("ibsr", 4): (
-        [52852947.741985254, 4870829.399035043, 1166560.032025883,
-         535184.1097962852, 333719.65413572796, 209669.23899585108,
-         118409.04893208484],
-        (-168.39030724376877, 11.81163413434866, 114.46777203104095,
-         36.677560706927636)),
+        [52852947.741985254, 4870829.352459435, 1166559.9145699784,
+         535184.0119622907, 333719.7469613846, 209669.29499670592,
+         118409.07412736477],
+        (-168.3903394385093, 11.811634040753145, 114.46778337250299,
+         36.6775607067369)),
 }
 
 
@@ -931,6 +934,68 @@ def test_solve_stops_at_first_non_finite_residual():
     assert not res.converged
     assert res.iters == 1
     assert not np.isfinite(res.history[-1])
+
+
+@st.composite
+def solve_cases(draw):
+    """A small solve: q, N <= 48, a scheme, a fine mask, and alpha down to a
+    float64 hierarchy's (alpha (4N^2)^2 below float32's eps)."""
+    q = draw(st.sampled_from((2, 3, 4)), label="q")
+    N = q * draw(st.integers(COARSEST_N, 48 // q), label="N / q")
+    kind = draw(st.sampled_from(("cjr", "bsr", "ibsr")), label="scheme")
+    alpha = 10.0 ** draw(st.one_of(st.floats(-12.0, 0.0), st.just(-19.0)),
+                         label="log10 alpha")
+    rng = _rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    mask = draw(st.sampled_from((None, 0.5, 0.05)), label="mask density")
+    if mask is not None:
+        mask = (rng.random((N - 1, N - 1)) < mask).astype(float)
+    hier = build_hierarchy(N, q, alpha, SmootherSpec(kind), mask=mask)
+    b = rng.standard_normal((2, N - 1, N - 1))
+    tol = 10.0 ** -draw(st.floats(1.0, 10.0), label="-log10 tol")
+    return hier, b, CycleSpec(tol=tol, max_iters=draw(st.integers(1, 8), label="max_iters"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(solve_cases())
+@example((build_hierarchy(16, 2, 1e-19, SmootherSpec("cjr")),  # a float64 hierarchy
+          _rng(3).standard_normal((2, 15, 15)), CycleSpec(tol=1e-10, max_iters=8)))
+def test_solve_history_ends_in_float64_norms_and_estimates_them_between(case):
+    # the first and last entries are float64 residual norms, so converged and
+    # rho are exact; the entries between are the estimates carried in the
+    # hierarchy's dtype, each within 1e-5 of the float64 norm a solve
+    # stopped there ends on
+    hier, b, spec = case
+    res = solve(hier, b, spec)
+    h = res.history
+    assert h[-1] == block_norm2(residual(hier.levels[0].op, b, res.v))
+    assert res.converged == (h[-1] / h[0] <= spec.tol)
+    for k in range(1, res.iters):
+        stopped = solve(hier, b, replace(spec, max_iters=k))
+        assert stopped.history[:k] == h[:k]
+        assert h[k] == pytest.approx(stopped.history[-1], rel=1e-5)
+
+
+def test_solve_refreshes_the_float64_residual_only_by_the_refresh_rule(monkeypatch):
+    # between refreshes the residual is carried in the hierarchy's dtype: the
+    # float64 fine residual is made for r0, once each time the estimate falls
+    # by eps^(1/4) and at the end, not once per cycle
+    hier = build_hierarchy(64, 2, 1e-6, SmootherSpec("cjr"))
+    assert hier.dtype == np.float32
+    fine, calls = hier.levels[0].op, []
+    inner = multigrid.residual
+
+    def counted(op, b, v):
+        if op is fine and v.dtype == np.float64:
+            calls.append(1)
+        return inner(op, b, v)
+
+    monkeypatch.setattr(multigrid, "residual", counted)
+    data, _ = example1_fields(fine.grid, 1e-6)
+    res = solve(hier, np.stack([data.f, data.g]), CycleSpec())
+    assert res.converged and res.iters > 20
+    drop = float(np.finfo(hier.dtype).eps) ** 0.25
+    falls = math.log(res.history[0] / res.history[-1]) / math.log(1.0 / drop)
+    assert len(calls) <= 2 + math.ceil(falls) < res.iters
 
 
 def test_solve_rho_consistent_with_history():

@@ -1,10 +1,10 @@
 """Strip-mined and flat-pass kernels against column-sliced references, bitwise.
 
-residual and cjr_apply process every field in the row strips of
-grid.row_strips; a field of at most grid.STRIP_BYTES is one strip.  The
-strip size is patched here so that the small random grids (N <= 24)
-split into several strips, down to one row each; the default size keeps
-them in one strip, a single pass over all rows.
+residual, add_correction and cjr_apply process every field in the row
+strips of grid.row_strips; a field of at most grid.STRIP_BYTES is one
+strip.  The strip size is patched here so that the small random grids
+(N <= 24) split into several strips, down to one row each; the default
+size keeps them in one strip, a single pass over all rows.
 
 apply_laplacian, apply_saddle and residual all run the row kernel
 grid._laplacian_rows, and it and apply_mass make their east-west
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocmg import grid
-from ocmg.grid import GridSpec, SaddleOperator, residual
+from ocmg.grid import GridSpec, SaddleOperator, block_norm2, residual
 from ocmg.smoothers import cjr_apply
 
 WHOLE = 1 << 62  # no field is this large: every kernel takes one pass
@@ -68,10 +68,19 @@ REFERENCE = {"apply_laplacian": ref_laplacian, "apply_mass": ref_mass,
              "_laplacian_rows": ref_laplacian_rows}
 
 
+def _corrected(op, v, b):
+    """v and a float32 residual after add_correction of a float32 correction,
+    as one new array: the kernel updates both in place."""
+    vv, r = v.copy(), b.astype(np.float32)
+    grid.add_correction(op, vv, r, v.astype(np.float32), 2.0**-3)
+    return np.stack([vv, r])
+
+
 def _kernels(op, v, b):
     """Every strip-mined kernel on one case, each returning a new array."""
     return {
         "residual": lambda: residual(op, b, v),
+        "add_correction": lambda: _corrected(op, v, b),
         "cjr": lambda: cjr_apply(v, op, 0.7),
         "apply_laplacian": lambda: grid.apply_laplacian(v, op.grid),
         "apply_mass": lambda: grid.apply_mass(v, op.grid),
@@ -175,3 +184,26 @@ def test_strip_writes_land_in_the_callers_view_of_out():
     grid._laplacian_rows(u, 2, 6, out[:, 3:7])
     assert np.array_equal(out[:, 3:7], ref_laplacian(u, g)[:, 2:6])
     assert np.isnan(np.delete(out, np.s_[3:7], axis=1)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+def test_add_correction_is_the_residual_update_and_the_scaled_add(dtype, masked):
+    # r becomes residual(op, r, c) in r's dtype, v becomes v + 2^s c, and the
+    # returned estimate is 2^s ||r||; several strips, the mask in the
+    # hierarchy's dtype as build_hierarchy stores it
+    g = GridSpec(40)
+    rng = np.random.default_rng(11)
+    mask = (rng.random((g.m, g.m)) < 0.5).astype(dtype) if masked else None
+    op = SaddleOperator(g, 1e-4, mask)
+    v = rng.standard_normal((2, g.m, g.m))
+    r, c = rng.standard_normal((2, 2, g.m, g.m)).astype(dtype)
+    scale = 2.0**37
+    want_r, want_v = residual(op, r, c), v + c.astype(np.float64) * scale
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "STRIP_BYTES", 5 * 16 * g.m)  # strips of 5 rows of v
+        assert len(grid.row_strips(v)) > 1
+        est = grid.add_correction(op, v, r, c, scale)
+    assert r.dtype == dtype and v.dtype == np.float64
+    assert np.array_equal(r, want_r) and np.array_equal(v, want_v)
+    assert est == pytest.approx(scale * block_norm2(r.astype(np.float64)), rel=1e-6)
