@@ -50,7 +50,7 @@ multigrid.prolong (both passes over the fine rows of a strip) and
 add_correction, multigrid.solve's update after a cycle (the residual
 update, the add into the iterate and the norm, in the strips of the
 float64 iterate).  A field of at most STRIP_BYTES is one strip, and
-apply_laplacian and apply_saddle take all rows as one range.  512 KiB
+apply_laplacian takes all rows as one range.  512 KiB
 strips measured as fast as 256 KiB ones and faster than 1 MiB ones at
 N=1024, and faster than one whole-array pass at N=256.  A strip reads
 one halo row on each side and keeps the per-element order of operations,
@@ -146,8 +146,8 @@ class SaddleOperator:
         if np.shape(self.mask) != (self.grid.m, self.grid.m):
             raise ValueError(f"mask shape {np.shape(self.mask)} is not "
                              f"({self.grid.m}, {self.grid.m}) for grid N={self.grid.N}")
-        if not np.isfinite(self.mask).all():
-            raise ValueError("mask has a non-finite entry")
+        if not (np.min(self.mask) >= 0 and np.max(self.mask) <= 1):  # NaN fails both
+            raise ValueError("mask has a non-finite entry or one outside [0, 1]")
 
 
 STRIP_BYTES = 1 << 19
@@ -351,8 +351,7 @@ class SaddleRowLU:
     nonsingular and so is every S_j; each is inverted with partial
     pivoting inside the block.  The backward error, max|A x - b| over
     ||A||_inf max|x| + max|b|, measured at most 3.1e-16 for N from 8 to
-    50, alpha from 1e2 to 1e-100 and masks absent, fractional, {0,1} or
-    all zero.
+    50, alpha from 1e2 to 1e-100 and masks fractional, {0,1} or all zero.
 
     Cost on one Xeon core: m inversions of 2m x 2m, about 4 ms at N=32
     and 0.5 s at N=125; a solve takes about 0.2 ms at N=32.  H holds
@@ -361,7 +360,7 @@ class SaddleRowLU:
 
     def __init__(self, op: SaddleOperator):
         m, n2 = op.grid.m, float(op.grid.N**2)
-        mask = np.ones((m, m)) if op.mask is None else op.mask.astype(np.float64)
+        mask = op.mask.astype(np.float64)
         T = n2 * (4.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
         D = np.zeros((2 * m, 2 * m))
         D[:m, :m] = D[m:, m:] = T
@@ -389,19 +388,12 @@ class SaddleRowLU:
 
 def _saddle_rows(op: SaddleOperator, v: np.ndarray, a: int, b: int,
                  out: np.ndarray) -> None:
-    """Rows [a, b) of A v (see apply_saddle) into out, of shape (2, b - a, m)."""
+    """Rows [a, b) of A v = (L y - (M.p)/alpha, y + L p) into out, of shape
+    (2, b - a, m)."""
     _laplacian_rows(v, a, b, out)
     p = v[1, a:b]
     out[0] -= (p if op.mask is None else op.mask[a:b] * p) / op.alpha
     out[1] += v[0, a:b]
-
-
-def apply_saddle(op: SaddleOperator, v: np.ndarray) -> np.ndarray:
-    """A v = (L y - (M.p)/alpha, y + L p)."""
-    op.grid.check_block(v)
-    out = np.empty(v.shape, np.result_type(v, 4.0))
-    _saddle_rows(op, v, 0, op.grid.m, out)
-    return out
 
 
 def residual(op: SaddleOperator, b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -437,7 +429,13 @@ def add_correction(op: SaddleOperator, v: np.ndarray, r: np.ndarray, c: np.ndarr
 
 
 def block_norm2(v: np.ndarray) -> float:
-    """Euclidean norm over all 2(N-1)^2 entries; inf, without a warning, if
-    it overflows."""
+    """Euclidean norm over all entries; inf, without a warning, if it overflows.
+
+    Squares of entries below 2^-537 underflow, so a norm below 2^-400 is
+    taken again of v 2^600 in float64, exact, and scaled back: solves stay
+    homogeneous under tiny powers of two, and larger norms are the plain one."""
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(v))
+        norm = float(np.linalg.norm(v))
+    if norm < 2.0**-400:
+        return float(np.linalg.norm(np.multiply(v, 2.0**600, dtype=np.float64))) * 2.0**-600
+    return norm

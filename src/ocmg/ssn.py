@@ -205,8 +205,8 @@ def newton(v: np.ndarray, Fv: np.ndarray, data: ProblemData, cp: ControlParams,
             raise SolverError(
                 f"no convergence in {MAX_NEWTON_STEPS} iterations "
                 f"(||F||/||F0||={residuals[-1] / residuals[0]:.3e})", result())
-        # correction system: start from zero so the 1e-10 relative stop
-        # scales with the current Newton residual
+        # correction system: from zero, so that spec.tol (ctol = (1/N_c)^2 in
+        # the coarse stage) is relative to the current Newton residual
         jac = solve(build_hierarchy(data.grid.N, q, cp.alpha, smoother, mask=mask),
                     -1.0 * Fv, spec, v0=np.zeros_like(v))
         if not jac.converged:

@@ -5,11 +5,12 @@ Everything here assembles explicit matrices on tiny grids (N <= MAX_N
 code, so matrix-vector products are comparable entry for entry; a
 (2, N-1, N-1) block field ravels to the [y; p] vector of the 2(N-1)^2
 matrices.  Used only by the test suite, to pin down every matrix-free
-path; no solver module imports it.  Two sparse assemblies of any size
-follow the dense ones: saddle_matrix gives the tests direct solutions
-beyond the dense size guard, and transfer_matrices the 1D full weighting
-R1 and interpolation P1 = q R1^T that multigrid.restrict and
-multigrid.prolong reproduce bitwise as R1 f R1^T and P1 c P1^T
+path; no solver module imports it.  Three references of any size follow
+the dense ones: apply_saddle, the matrix-free A v that grid.residual
+makes strip by strip; saddle_matrix, which gives the tests direct
+solutions beyond the dense size guard; and transfer_matrices, the 1D
+full weighting R1 and interpolation P1 = q R1^T that multigrid.restrict
+and multigrid.prolong reproduce bitwise as R1 f R1^T and P1 c P1^T
 (restrict_reference, prolong_reference).  Two scalar references the
 tests share sit at the end: the sampled symbol-ratio ranges and the
 work-equivalence exponent.
@@ -34,7 +35,7 @@ from math import log
 import numpy as np
 from scipy import sparse
 
-from ocmg.grid import GridSpec, SaddleOperator
+from ocmg.grid import GridSpec, SaddleOperator, residual
 from ocmg.lfa import high_freq_grid, symbol_laplacian, symbol_mass
 
 MAX_N = 24  # memory guard: dense matrices only on tiny grids
@@ -114,6 +115,12 @@ def dense_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         if rel > 1e-10:
             raise np.linalg.LinAlgError(f"dense solve residual {rel:.2e} > 1e-10")
     return x
+
+
+def apply_saddle(op: SaddleOperator, v: np.ndarray) -> np.ndarray:
+    """A v = (L y - (M.p)/alpha, y + L p), matrix-free: the residual of v for a
+    zero right-hand side, negated (so a zero entry may be -0.0)."""
+    return -residual(op, np.zeros_like(v), v)
 
 
 def saddle_matrix(op: SaddleOperator):

@@ -12,13 +12,12 @@ import time
 import numpy as np
 
 import oracle
-from oracle import eta_ratio, scalar_range_check
+from oracle import apply_saddle, eta_ratio, scalar_range_check
 from ocmg.grid import (
     GridSpec,
     SaddleOperator,
     apply_laplacian,
     apply_mass,
-    apply_saddle,
     block_norm2,
 )
 from ocmg.lfa import (

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import spsolve
 
 import ocmg
 from ocmg import grid as grid_module
-from ocmg.grid import GridSpec, apply_mass, apply_saddle, block_norm2, residual
+from ocmg.grid import GridSpec, apply_mass, block_norm2, residual
 from ocmg.lfa import LfaParams, bsr_damping, cjr_optimal, closed_form
 from ocmg import multigrid, smoothers
 from ocmg.multigrid import (
@@ -109,6 +109,26 @@ def test_build_hierarchy_rejects_nan_alpha_before_the_coarse_lu(monkeypatch):
         monkeypatch.setattr(solver, "__init__", no_lu)
     with pytest.raises(ValueError, match="alpha"):
         build_hierarchy(16, 2, float("nan"), SmootherSpec("cjr"))
+
+
+@pytest.mark.parametrize("entry", [-3.0, 1.001])
+@pytest.mark.parametrize("kind", ["cjr", "bsr"])
+def test_build_hierarchy_rejects_a_mask_entry_outside_0_1_before_any_direct_solve(
+        monkeypatch, kind, entry):
+    # the nonsingularity of the direct solves (SaddleSine, SaddleRowLU and the
+    # masked Schur LU of exact bsr) assumes mask entries in [0, 1]; an entry
+    # of -3 used to build without complaint
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("direct solve reached")
+
+    for solver in (grid_module.SaddleRowLU, grid_module.SaddleSine):
+        monkeypatch.setattr(solver, "__init__", no_solve)
+    monkeypatch.setattr(smoothers, "schur_lu", no_solve)
+    mask = np.ones((15, 15))
+    mask[3, 7] = entry
+    with pytest.raises(ValueError, match=r"mask has .* outside \[0, 1\]"):
+        build_hierarchy(16, 2, 1e-3, SmootherSpec(kind), mask=mask)
 
 
 @pytest.mark.parametrize("kw", [dict(tol=0.0), dict(tol=-1.0), dict(tol=float("nan")),
@@ -468,7 +488,7 @@ def _assert_lu_solves_the_saddle_system(coarse, rng):
     # whose L rows have absolute sums of at most 8/h^2
     mask_max = 1.0 if coarse.op.mask is None else coarse.op.mask.max()
     norm_a = 8.0 / coarse.op.grid.h**2 + max(1.0, mask_max / coarse.op.alpha)
-    err = np.abs(apply_saddle(coarse.op, x) - b).max()
+    err = np.abs(oracle.apply_saddle(coarse.op, x) - b).max()
     assert err <= 1e-14 * (norm_a * np.abs(x).max() + np.abs(b).max())
 
 
@@ -480,7 +500,7 @@ def test_cycle_error_decreases_monotonically():
     hier = build_hierarchy(N, 2, alpha, SmootherSpec("cjr"))
     rng = _rng(2)
     vstar = rng.standard_normal((2, grid.m, grid.m))
-    b = apply_saddle(hier.levels[0].op, vstar)
+    b = oracle.apply_saddle(hier.levels[0].op, vstar)
     v = rng.uniform(size=(2, grid.m, grid.m))
     spec = CycleSpec(cycle="V", nu_pre=1)
     errs = [block_norm2(v - vstar)]
@@ -660,14 +680,29 @@ def test_float32_bound_is_where_the_y_update_cancels():
 @pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
 def test_solve_is_exactly_homogeneous_under_powers_of_two(kind):
     # the residual is scaled by powers of two only, so 2^200 b gives
-    # exactly 2^200 times the iterate and the history
+    # exactly 2^200 times the iterate and the history; at 2^-600 the
+    # squares of b's entries underflow, and an unscaled norm stopped the
+    # solve after 0 cycles
     hier = build_hierarchy(32, 2, 1e-6, SmootherSpec(kind))
     b = _rng(17).standard_normal((2, 31, 31))
     spec = CycleSpec(max_iters=8)
     one = solve(hier, b, spec, v0=_zeros(32))
-    big = solve(hier, 2.0**200 * b, spec, v0=_zeros(32))
-    np.testing.assert_array_equal(big.v, 2.0**200 * one.v)
-    assert big.history == [2.0**200 * h for h in one.history]
+    for scale in (2.0**200, 2.0**-600):
+        scaled = solve(hier, scale * b, spec, v0=_zeros(32))
+        np.testing.assert_array_equal(scaled.v, scale * one.v)
+        assert scaled.history == [scale * h for h in one.history]
+
+
+def test_solve_of_a_tiny_right_hand_side_takes_the_cycles_of_a_small_one():
+    # every entry 1e-170: the unscaled norm of b read 0, and the solve
+    # returned converged after 0 cycles with v = 0
+    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
+    small, tiny = (solve(hier, np.full((2, 15, 15), x), CycleSpec(), v0=_zeros(16))
+                   for x in (1e-150, 1e-170))
+    assert small.converged and tiny.converged
+    assert tiny.iters == small.iters == 45
+    assert tiny.history[0] == pytest.approx(1e-20 * small.history[0], rel=1e-14)
+    np.testing.assert_allclose(tiny.v, 1e-20 * small.v, rtol=1e-8)
 
 
 def test_solve_returns_a_float64_iterate_for_float32_input():

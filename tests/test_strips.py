@@ -6,7 +6,7 @@ strip.  The strip size is patched here so that the small random grids
 (N <= 24) split into several strips, down to one row each; the default
 size keeps them in one strip, a single pass over all rows.
 
-apply_laplacian, apply_saddle and residual all run the row kernel
+apply_laplacian and residual both run the row kernel
 grid._laplacian_rows, and it and apply_mass make their east-west
 neighbour updates as flat passes over the trailing (rows, m) axes
 (grid._east_west).  The references below are the column-sliced updates
@@ -84,7 +84,6 @@ def _kernels(op, v, b):
         "cjr": lambda: cjr_apply(v, op, 0.7),
         "apply_laplacian": lambda: grid.apply_laplacian(v, op.grid),
         "apply_mass": lambda: grid.apply_mass(v, op.grid),
-        "apply_saddle": lambda: grid.apply_saddle(op, v),
     }
 
 

@@ -31,8 +31,6 @@ def test_failing_property_test_is_reported_as_a_failure(tmp_path):
 # referenced outside the package on purpose; name -> who needs it
 USED_OUTSIDE_THE_PACKAGE = {
     "discrete_norm": "benchmarks/workload.py measures the mg-fine discretization error with it",
-    "apply_saddle": "the operator A v, which grid.residual applies strip by strip; "
-                    "benchmarks/spans.py hooks it as the grid.apply_saddle layer",
 }
 
 
