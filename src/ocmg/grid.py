@@ -429,13 +429,14 @@ def add_correction(op: SaddleOperator, v: np.ndarray, r: np.ndarray, c: np.ndarr
 
 
 def block_norm2(v: np.ndarray) -> float:
-    """Euclidean norm over all entries; inf, without a warning, if it overflows.
+    """Euclidean norm over all entries; inf, without a warning, if the norm is.
 
-    Squares of entries below 2^-537 underflow, so a norm below 2^-400 is
-    taken again of v 2^600 in float64, exact, and scaled back: solves stay
-    homogeneous under tiny powers of two, and larger norms are the plain one."""
+    Squares underflow below 2^-537 and overflow above 2^512 (2^64 in float32),
+    so a norm below 2^-400 or of inf is taken again of v 2^600 or v 2^-600 in
+    float64, exact, and scaled back: solves stay homogeneous under powers of two."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-    if norm < 2.0**-400:
-        return float(np.linalg.norm(np.multiply(v, 2.0**600, dtype=np.float64))) * 2.0**-600
+    if norm < 2.0**-400 or norm == math.inf:
+        scale = 2.0**600 if norm < 1.0 else 2.0**-600
+        return float(np.linalg.norm(np.multiply(v, scale, dtype=np.float64))) / scale
     return norm

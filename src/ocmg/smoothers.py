@@ -38,12 +38,11 @@ The Schur solve is where the two Braess-Sarazin variants differ:
     a smoother needs only a rough solve, and reports loss of positivity.
 
 relaxation(op, spec, q) is the one place a SmootherSpec becomes a
-smoother: it resolves omega, builds the Schur solve of bsr or ibsr once,
-and returns the damped correction.  An unset omega is lfa.closed_form's
-for q and op's h: the collective Jacobi damping is recomputed per level
-(gamma = h^2/(4 sqrt(alpha)) grows on coarse levels), the Braess-Sarazin
-one is the fixed per-q constant.  The kernels cjr_apply and bsr_apply
-take those resolved values and return a new array, leaving r as it was.
+smoother: it takes omega from lfa.closed_form for q and op's h (recomputed
+per level for collective Jacobi, as gamma = h^2/(4 sqrt(alpha)) grows on
+coarse levels; a per-q constant for Braess-Sarazin), builds the Schur solve
+of bsr or ibsr once, and returns the damped correction.  The kernels
+cjr_apply and bsr_apply take omega and return a new array, leaving r as is.
 """
 
 from __future__ import annotations
@@ -63,21 +62,15 @@ SCHEMES = ("cjr", "bsr", "ibsr")
 
 @dataclass(frozen=True)
 class SmootherSpec:
-    """Scheme kind plus damping and inner-solve policy.
-
-    omega None means the closed-form damping, which relaxation fills in
-    from lfa.closed_form for the operator it relaxes and the ratio q.
-    """
+    """Scheme kind plus inner-solve policy; the damping is always the closed
+    form's, which relaxation takes for the operator it relaxes and the ratio q."""
 
     kind: str  # one of SCHEMES
-    omega: float | None = None
     pcg_iters: int = 2  # ibsr only
 
     def __post_init__(self):
         if self.kind not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.kind!r}")
-        if self.omega is not None and not 0 < self.omega < np.inf:
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         check_integer("pcg_iters", self.pcg_iters)
         if self.pcg_iters < 1:
             raise ValueError(f"pcg_iters must be at least 1, got {self.pcg_iters}")
@@ -210,12 +203,10 @@ def bsr_apply(r: np.ndarray, op: SaddleOperator, omega: float,
 
 def relaxation(op: SaddleOperator, spec: SmootherSpec,
                q: int) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> omega B^{-1} r for spec on op (a None omega is closed_form's),
+    """r -> omega B^{-1} r for spec on op, omega closed_form's for q and op's h,
     with the Schur solve built once (ibsr: fixed-count CG from rhs / diag); its
     kernels are looked up by name at each call, so rebinding one reaches it."""
-    omega = spec.omega
-    if omega is None:
-        omega = closed_form(spec.kind, LfaParams(q, op.alpha, op.grid.h)).omega
+    omega = closed_form(spec.kind, LfaParams(q, op.alpha, op.grid.h)).omega
     if spec.kind == "cjr":
         return lambda r: cjr_apply(r, op, omega)
     if spec.kind == "bsr" and op.mask is not None:

@@ -94,7 +94,8 @@ class SolverError(RuntimeError):
 def phi(p: np.ndarray, cp: ControlParams) -> np.ndarray:
     """Pointwise control recovery map; range is [u0, u1], bounds hit exactly."""
     shrunk = np.maximum(0.0, p - cp.beta) + np.minimum(0.0, p + cp.beta)
-    return np.clip(shrunk / cp.alpha, cp.u0, cp.u1)
+    with np.errstate(over="ignore"):  # a quotient that overflows is clipped too
+        return np.clip(shrunk / cp.alpha, cp.u0, cp.u1)
 
 
 def dphi_mask(p: np.ndarray, cp: ControlParams) -> np.ndarray:

@@ -12,8 +12,11 @@ solutions beyond the dense size guard; and transfer_matrices, the 1D
 full weighting R1 and interpolation P1 = q R1^T that multigrid.restrict
 and multigrid.prolong reproduce bitwise as R1 f R1^T and P1 c P1^T
 (restrict_reference, prolong_reference).  Two scalar references the
-tests share sit at the end: the sampled symbol-ratio ranges and the
-work-equivalence exponent.
+tests share follow: the sampled symbol-ratio ranges and the
+work-equivalence exponent.  Two hierarchy tools close the module:
+schur_solve, the Schur solve of bsr or ibsr built here from the smoothers'
+public pieces, and with_cjr_damping, which relaxes a collective Jacobi
+hierarchy with a hand-set damping in place of the closed form's.
 
 Assembly kinds:
 
@@ -35,6 +38,7 @@ from math import log
 import numpy as np
 from scipy import sparse
 
+from ocmg import smoothers
 from ocmg.grid import GridSpec, SaddleOperator, residual
 from ocmg.lfa import high_freq_grid, symbol_laplacian, symbol_mass
 
@@ -180,3 +184,27 @@ def eta_ratio(rho_s: float, rho_j: float) -> float:
     if not (0.0 < rho_s < 1.0 and 0.0 < rho_j < 1.0):
         raise ValueError(f"factors must lie in (0,1), got {rho_s}, {rho_j}")
     return log(rho_s) / log(rho_j)
+
+
+def schur_solve(kind: str, op: SaddleOperator):
+    """The Schur solve of kind 'bsr' or 'ibsr' on op, built afresh: the sine-basis
+    inverse or the sparse LU (with a mask) for bsr, two diagonally
+    preconditioned CG steps from rhs / diag (SmootherSpec's default) for ibsr."""
+    if kind == "bsr":
+        return (smoothers.schur_lu(op) if op.mask is not None
+                else smoothers.SchurSpectral(op.grid, op.alpha).solve)
+    matvec = lambda w: smoothers.schur_apply(w, op)
+    precond = lambda w: w / smoothers.schur_diag(op)
+
+    def solve(rhs):
+        w0 = precond(rhs)
+        return w0 + smoothers.pcg(matvec, rhs - matvec(w0), 2, precond)
+    return solve
+
+
+def with_cjr_damping(hier, omega: float):
+    """hier, its relaxed levels rebound to cjr_apply damped by omega (the
+    coarsest level keeps its direct solve)."""
+    for lev in hier.levels[:-1]:
+        lev.relax = lambda r, op=lev.op: smoothers.cjr_apply(r, op, omega)
+    return hier

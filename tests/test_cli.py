@@ -4,10 +4,13 @@ import csv
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ocmg.cli as cli
 from ocmg.grid import GridSpec
@@ -139,10 +142,10 @@ def test_mg_non_finite_data_is_a_validation_error(tmp_path, capsys, value):
 
 
 def test_mg_data_whose_norm_overflows_is_a_validation_error(tmp_path, capsys):
-    # field files of 1.7e308 and the example data at alpha=1e-300 (f holds
-    # p*/alpha ~ 1e300) both used to pass as data and fail as a solve
+    # field files of 1.7e308 and the example data at alpha=1e-308 (f holds
+    # p*/alpha ~ 1e308) both used to pass as data and fail as a solve
     for argv in (["mg", "--config", _field_config(tmp_path, "1.7e308")],
-                 ["mg", "--N", "16", "--alpha", "1e-300"]):
+                 ["mg", "--N", "16", "--alpha", "1e-308"]):
         assert run_cli(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -152,11 +155,11 @@ def test_mg_data_whose_norm_overflows_is_a_validation_error(tmp_path, capsys):
 
 def test_mg_overflowing_residual_exits_2_without_cycling(tmp_path, capsys):
     # data of a finite norm whose residual norm overflows (A v holds
-    # p/alpha ~ 1e300): the solve must stop before cycling, instead of
+    # p/alpha ~ 1e308): the solve must stop before cycling, instead of
     # handing inf/NaN to the coarse LAPACK solve
     out = tmp_path / "hist.csv"
     code = run_cli(["mg", "--config", _field_config(tmp_path, "1"),
-                    "--alpha", "1e-300", "--out", str(out)])
+                    "--alpha", "1e-308", "--out", str(out)])
     assert code == 2
     captured = capsys.readouterr()
     assert "converged=False iters=0" in captured.out
@@ -294,6 +297,55 @@ def test_config_value_outside_a_flags_choices_is_refused_as_it_is_read(tmp_path,
         assert captured.err == f"ocmg: {cfg}:1: bad value for {key!r}: {value!r}\n"
 
 
+# the numeric options of each command (lfa, mg and ssn; repro takes none)
+_NUMERIC = [(command, key) for command, (_, flags, _) in cli._COMMANDS.items()
+            for key in flags if cli._OPTIONS[key] in (int, float)]
+_EDGE_VALUES = ("0", "-0.0", "5e-324", "1e300", "-1e300", "1e-300", "-1e-300",
+                "inf", "-inf", "nan", "-1e3", "-1.5E-4", "-1")
+_REFUSED = "refused"
+
+
+def _read_flag(command, key, value):
+    """opts[key] after `ocmg command --key value`, or _REFUSED for exit 1."""
+    try:
+        args = cli.build_parser().parse_args([command, "--" + key.replace("_", "-"), value])
+    except SystemExit as exc:
+        assert exc.code == 1
+        return _REFUSED
+    return cli._merge(args)[key]
+
+
+def _read_config(command, key, value):
+    """opts[key] after `ocmg command --config c` with the line `key = value`, or
+    _REFUSED for the ValueError that main turns into exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        try:
+            return cli._merge(cli.build_parser().parse_args([command, "--config", str(cfg)]))[key]
+        except ValueError:
+            return _REFUSED
+
+
+@settings(max_examples=150, deadline=None)
+@given(option=st.sampled_from(_NUMERIC),
+       value=st.one_of(st.sampled_from(_EDGE_VALUES), st.floats().map(repr),
+                       st.floats().map(lambda x: "%e" % x), st.integers().map(str)))
+@example(option=("ssn", "u0"), value="-1e3")
+def test_a_flag_and_a_config_line_read_a_value_the_same_way(option, value):
+    # parse only, no solve: `--u0 -1e3` was refused as a flag ("expected one
+    # argument") while `u0 = -1e3` read -1000.0; repr tells -0.0 from 0.0 and
+    # reads every NaN alike
+    command, key = option
+    assert repr(_read_flag(command, key, value)) == repr(_read_config(command, key, value))
+
+
+def test_a_negative_value_in_scientific_notation_reaches_the_library(capsys):
+    assert _read_flag("ssn", "u0", "-1e3") == -1000.0
+    assert run_cli(["mg", "--N", "16", "--alpha", "-1e-3"]) == 1
+    assert capsys.readouterr().err.startswith("ocmg: alpha must be positive")
+
+
 def test_negative_seed_is_rejected_by_name(capsys):
     # it used to exit 1 with numpy's bare "expected non-negative integer"
     assert run_cli(["mg", "--N", "16", "--seed", "-1"]) == 1
@@ -361,11 +413,25 @@ def test_ssn_rejects_bad_bounds():
 def test_ssn_overflowing_residual_is_reported_without_a_numpy_warning(capsys):
     # the residual norm overflows to inf: numpy's "overflow encountered in
     # dot" warning used to reach stderr before the report
-    assert run_cli(["ssn", "--N", "16", "--alpha", "1e-300"]) == 2
+    assert run_cli(["ssn", "--N", "16", "--alpha", "1e-308"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("ocmg: ")
     # no cycle ran, so nothing diverged: the first residual norm overflowed
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mg", "--N", "16", "--alpha", "1e-155"], ["mg", "--N", "16", "--alpha", "1e-300"],
+    ["ssn", "--N", "16", "--alpha", "1e-160"], ["ssn", "--N", "16", "--alpha", "1e-300"],
+], ids=" ".join)
+def test_data_and_residuals_of_a_huge_finite_norm_are_solved(capsys, argv):
+    # their norms (about 1e156 to 1e301) once overflowed in the sum of squares,
+    # so mg refused f as having no finite norm and ssn stopped with a residual
+    # norm that was not finite; phi's quotient then overflowed with a warning
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert "converged=True" in captured.out
+    assert captured.err == ""
 
 
 # --------------------------------------------------------------- repro

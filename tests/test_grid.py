@@ -196,12 +196,21 @@ def test_block_norm2_examples():
     v = np.ones((2, 2, 2))
     assert block_norm2(v) == pytest.approx(np.sqrt(8.0))
     # squares that underflow (the plain norm of 1e-170s read 0, and of
-    # float32 2^-100s too) are rescaled; an overflow stays inf
+    # float32 2^-100s too) or overflow (the plain norm of 1e200s read inf,
+    # and of float32 1e38s too) are rescaled; a norm above float64's max
+    # stays inf, as does the norm of an inf entry
     assert block_norm2(1e-170 * v) == pytest.approx(np.sqrt(8.0) * 1e-170)
     assert block_norm2(2.0**-1070 * v) == np.sqrt(8.0) * 2.0**-1070
     assert block_norm2((2.0**-100 * v).astype(np.float32)) == np.sqrt(8.0) * 2.0**-100
     assert block_norm2(np.zeros((2, 2, 2), np.float32)) == 0.0
-    assert block_norm2(1e300 * v) == np.inf
+    assert block_norm2(np.full((2, 3, 3), 1e200)) == pytest.approx(np.sqrt(18.0) * 1e200,
+                                                                   rel=1e-15)
+    assert block_norm2(np.full((2, 3, 3), 1e38, np.float32)) == pytest.approx(4.2426e38,
+                                                                               rel=1e-4)
+    assert block_norm2(2.0**1000 * v) == np.sqrt(8.0) * 2.0**1000
+    assert block_norm2(1e308 * v) == np.inf
+    v[0, 0, 0] = np.inf
+    assert block_norm2(v) == np.inf
 
 
 # ---------------------------------------------------------------- invariants

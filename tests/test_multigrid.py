@@ -30,7 +30,7 @@ from ocmg.multigrid import (
     solve,
 )
 from ocmg.problems import example1_fields
-from ocmg.smoothers import SmootherSpec, cjr_apply, relaxation, schur_apply
+from ocmg.smoothers import SmootherSpec, bsr_apply, cjr_apply, relaxation, schur_apply
 
 import oracle
 
@@ -202,19 +202,12 @@ def test_cjr_omega_recomputed_per_level():
 
 
 def test_bsr_omega_fixed_per_level():
-    spec = SmootherSpec("bsr")
-    hier = build_hierarchy(128, 2, 1e-4, spec)
-    fixed = replace(spec, omega=bsr_damping(2)[0])
+    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec("bsr"))
+    omega = bsr_damping(2)[0]
     rng = _rng(21)
     for lev in hier.levels[:-1]:
-        _assert_relaxes_as(lev, relaxation(lev.op, fixed, 2), rng)
-
-
-def test_explicit_omega_respected_everywhere():
-    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec("cjr", omega=0.7))
-    rng = _rng(22)
-    for lev in hier.levels[:-1]:
-        _assert_relaxes_as(lev, lambda r: cjr_apply(r, lev.op, 0.7), rng)
+        schur = oracle.schur_solve("bsr", lev.op)
+        _assert_relaxes_as(lev, lambda r: bsr_apply(r, lev.op, omega, schur), rng)
 
 
 def test_mask_carried_down_by_averaging():
@@ -726,9 +719,8 @@ def test_ibsr_levels_cache_the_schur_diagonal(monkeypatch):
     mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float)
     spec = SmootherSpec("ibsr")
     hier = build_hierarchy(128, 2, 1e-3, spec, mask=mask)
-    fixed = replace(spec, omega=bsr_damping(2)[0])
     rs = [rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m)) for lev in hier.levels[:-1]]
-    want = [relaxation(lev.op, fixed, 2)(r) for r, lev in zip(rs, hier.levels)]
+    want = [relaxation(lev.op, spec, 2)(r) for r, lev in zip(rs, hier.levels)]
     monkeypatch.setattr(smoothers, "schur_diag", _refuse("schur_diag"))
     for r, w, lev in zip(rs, want, hier.levels):
         np.testing.assert_array_equal(lev.relax(r), w)
@@ -737,14 +729,15 @@ def test_ibsr_levels_cache_the_schur_diagonal(monkeypatch):
 def test_masked_bsr_levels_cache_an_exact_schur_inverse(monkeypatch):
     rng = _rng(10)
     mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float)
-    hier = build_hierarchy(128, 2, 1e-6, SmootherSpec("bsr", omega=1.0), mask=mask)
+    hier = build_hierarchy(128, 2, 1e-6, SmootherSpec("bsr"), mask=mask)
     for name in ("schur_lu", "SchurSpectral", "schur_diag"):
         monkeypatch.setattr(smoothers, name, _refuse(name))
     for lev in hier.levels[:-1]:
         assert lev.op.mask is not None
         r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m))
         w_p = lev.relax(r)[1]
-        b = r[1] - apply_mass(r[0], lev.op.grid)  # the Schur right-hand side
+        # omega times the solution for the Schur right-hand side
+        b = bsr_damping(2)[0] * (r[1] - apply_mass(r[0], lev.op.grid))
         assert np.linalg.norm(schur_apply(w_p, lev.op) - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -753,8 +746,7 @@ def test_masked_bsr_levels_cache_an_exact_schur_inverse(monkeypatch):
 def test_level_relax_is_bitwise_the_direct_smoother(kind, masked):
     rng = _rng(11)
     mask = (rng.uniform(size=(127, 127)) < 0.7).astype(float) if masked else None
-    spec = SmootherSpec(kind)
-    hier = build_hierarchy(128, 2, 1e-4, spec, mask=mask)
+    hier = build_hierarchy(128, 2, 1e-4, SmootherSpec(kind), mask=mask)
     for lev in hier.levels:
         r = rng.standard_normal((2, lev.op.grid.m, lev.op.grid.m)).astype(hier.dtype)
         r_in = r.copy()
@@ -769,7 +761,7 @@ def test_level_relax_is_bitwise_the_direct_smoother(kind, masked):
         if kind == "cjr":
             want = cjr_apply(r, lev.op, expect)
         else:
-            want = relaxation(lev.op, replace(spec, omega=expect), 2)(r)
+            want = bsr_apply(r, lev.op, expect, oracle.schur_solve(kind, lev.op))
         np.testing.assert_array_equal(got, want)
 
 
@@ -925,7 +917,7 @@ def test_solve_histories_deterministic():
 
 def test_solve_flags_divergence():
     # a wildly overdamped smoother blows the iteration up
-    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr", omega=3.0))
+    hier = oracle.with_cjr_damping(build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr")), 3.0)
     res = solve(hier, _zeros(16),
                 CycleSpec(cycle="V", nu_pre=1, max_iters=15))
     assert not res.converged
@@ -963,7 +955,7 @@ def test_random_guess_is_the_two_component_draws():
 def test_solve_stops_at_first_non_finite_residual():
     # an absurd damping overflows the iterate in the first cycle; the NaN
     # residual must end the solve instead of reaching the coarse LU solve
-    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr", omega=1e300))
+    hier = oracle.with_cjr_damping(build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr")), 1e300)
     with np.errstate(all="ignore"):
         res = solve(hier, _zeros(16), CycleSpec())
     assert not res.converged

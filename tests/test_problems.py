@@ -76,7 +76,7 @@ def test_problem_data_shape_guard():
 def test_problem_data_rejects_a_field_whose_norm_overflows(name):
     grid = GridSpec(8)
     fields = {"f": np.zeros((7, 7)), "g": np.zeros((7, 7))}
-    fields[name] = np.full((7, 7), 1e200)  # finite, but its squares overflow
+    fields[name] = np.full((7, 7), 1e308)  # finite, but its norm, 7e308, is not
     with pytest.raises(ValueError, match=f"^{name} has no finite norm"):
         ProblemData(fields["f"], fields["g"], grid)
 

@@ -36,9 +36,10 @@ def _rand_block(grid, rng):
     return rng.standard_normal((2, grid.m, grid.m))
 
 
-def _bsr(op, omega, kind="bsr"):
-    """The bsr or ibsr correction r -> omega B_m^{-1} r on op."""
-    return relaxation(op, SmootherSpec(kind, omega=omega), 2)
+def _bsr(op, kind="bsr"):
+    """The bsr or ibsr correction r -> omega B_m^{-1} r on op at q = 2, where
+    omega is bsr_damping(2)[0] = 0.75."""
+    return relaxation(op, SmootherSpec(kind), 2)
 
 
 def _sine_mode(grid, k, l):
@@ -225,14 +226,14 @@ def test_bsr_hand_value_n2():
     g = GridSpec(2)
     op = SaddleOperator(g, alpha=1.0)
     r = np.array([[[1.0]], [[0.0]]])
-    w = _bsr(op, 1.0)(r)
-    assert w[0, 0, 0] == pytest.approx(16.0 / 145.0, rel=1e-12)
-    assert w[1, 0, 0] == pytest.approx(-1.0 / 145.0, rel=1e-12)
+    w = _bsr(op)(r)  # 0.75 times the undamped 16/145 and -1/145
+    assert w[0, 0, 0] == pytest.approx(12.0 / 145.0, rel=1e-12)
+    assert w[1, 0, 0] == pytest.approx(-0.75 / 145.0, rel=1e-12)
 
 
 def test_bsr_zero_residual():
     g = GridSpec(8)
-    w = _bsr(SaddleOperator(g, alpha=1e-3), 0.75)(np.zeros((2, g.m, g.m)))
+    w = _bsr(SaddleOperator(g, alpha=1e-3))(np.zeros((2, g.m, g.m)))
     assert block_norm2(w) == 0.0
 
 
@@ -245,7 +246,7 @@ def test_bsr_exact_matches_dense(masked):
     r = _rand_block(g, rng)
     B = oracle.assemble("B_m", g, alpha=1e-2, mask=mask)
     want = 0.75 * np.linalg.solve(B, r.ravel())
-    got = _bsr(op, 0.75)(r).ravel()
+    got = _bsr(op)(r).ravel()
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -257,7 +258,7 @@ def test_smoothers_linear_in_residual():
     combo = 2.0 * r1 + (-0.5) * r2
     for apply_fn in (
         lambda r: cjr_apply(r, op, 0.8),
-        _bsr(op, 0.75),
+        _bsr(op),
     ):
         lhs = apply_fn(combo)
         rhs = 2.0 * apply_fn(r1) + (-0.5) * apply_fn(r2)
@@ -270,7 +271,7 @@ def test_ibsr_homogeneous_but_not_additive():
     g = GridSpec(8)
     rng = _rng(10)
     op = SaddleOperator(g, alpha=1e-3)
-    ibsr = _bsr(op, 0.75, "ibsr")  # two CG iterations
+    ibsr = _bsr(op, "ibsr")  # two CG iterations
     r1, r2 = _rand_block(g, rng), _rand_block(g, rng)
     scaled = ibsr(-3.0 * r1)
     want = -3.0 * ibsr(r1)
@@ -287,13 +288,8 @@ def test_ibsr_with_the_cached_diagonal_is_bitwise_the_same(masked):
     op = SaddleOperator(g, alpha=1e-3,
                         mask=rng.random((g.m, g.m)) if masked else None)
     r = _rand_block(g, rng)
-    matvec = lambda w: schur_apply(w, op)
-
-    def fresh_diag_solve(rhs):
-        w0 = rhs / schur_diag(op)
-        return w0 + pcg(matvec, rhs - matvec(w0), 2, lambda v: v / schur_diag(op))
-    np.testing.assert_array_equal(_bsr(op, 0.75, "ibsr")(r),
-                                  bsr_apply(r, op, 0.75, fresh_diag_solve))
+    np.testing.assert_array_equal(_bsr(op, "ibsr")(r),
+                                  bsr_apply(r, op, 0.75, oracle.schur_solve("ibsr", op)))
 
 
 def test_unmasked_schur_diagonal_is_the_constant_of_the_masked_formula():
@@ -388,27 +384,16 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SmootherSpec("gauss-seidel")
     with pytest.raises(ValueError):
-        SmootherSpec("cjr", omega=-1.0)
-    with pytest.raises(ValueError):
         SmootherSpec("ibsr", pcg_iters=0)
 
 
-def test_spec_rejects_nan_omega():
-    with pytest.raises(ValueError, match="omega"):
-        SmootherSpec("cjr", omega=float("nan"))
-
-
-def test_spec_rejects_infinite_omega():
-    # it used to be accepted; a correction damped by it is not finite
-    with pytest.raises(ValueError, match="omega must be positive and finite, got inf"):
-        SmootherSpec("cjr", omega=float("inf"))
-
-
 @pytest.mark.parametrize("kind", SCHEMES)
-def test_unset_omega_is_resolved_before_relaxing(kind):
-    # relaxation resolves a None omega to closed_form's for q and op's h
+def test_relaxation_damps_by_the_closed_form(kind):
+    # relaxation takes omega from closed_form for q and op's h; the expected
+    # correction is the kernel with that omega and a Schur solve built here
     op = SaddleOperator(GridSpec(9), alpha=1e-2)
     r = _rand_block(op.grid, _rng())
     omega = closed_form(kind, LfaParams(q=3, alpha=op.alpha, h=op.grid.h)).omega
-    want = relaxation(op, SmootherSpec(kind, omega=omega), 3)(r)
+    want = (cjr_apply(r, op, omega) if kind == "cjr"
+            else bsr_apply(r, op, omega, oracle.schur_solve(kind, op)))
     np.testing.assert_array_equal(relaxation(op, SmootherSpec(kind), 3)(r), want)

@@ -1,6 +1,6 @@
 """The test configuration itself (a failing test is reported, not an internal
-error) and the package's own hygiene (no function, class or constant only
-tests use)."""
+error) and the package's own hygiene (no function, class, constant or spec
+option only tests use)."""
 
 import ast
 import subprocess
@@ -60,3 +60,24 @@ def test_every_package_function_is_used_in_the_package():
     unused = {name for i, stmt in enumerate(statements) for name in _defined(stmt)
               if not any(name in used for j, used in enumerate(names) if j != i)}
     assert unused == set(USED_OUTSIDE_THE_PACKAGE)
+
+
+def test_every_spec_option_is_set_outside_the_tests():
+    # an option only tests set is a dead parameter: every field with a default
+    # in SmootherSpec and CycleSpec is passed by keyword to a spec, to
+    # dataclasses.replace or to cli._given (whose keywords are spec fields) in
+    # src/ocmg or benchmarks/.  CycleSpec.max_iters is set only by
+    # benchmarks/workload.py.
+    specs = ("SmootherSpec", "CycleSpec")
+    sources = (sorted((ROOT / "src" / "ocmg").glob("*.py"))
+               + sorted((ROOT / "benchmarks").glob("*.py")))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    passed = {kw.arg for node in nodes if isinstance(node, ast.Call)
+              and _names(node.func) & {*specs, "replace", "_given"} for kw in node.keywords}
+    options = {node.name: {stmt.target.id for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and stmt.value is not None}
+               for node in nodes if isinstance(node, ast.ClassDef) and node.name in specs}
+    assert sorted(options) == ["CycleSpec", "SmootherSpec"]
+    assert {name: fields - passed for name, fields in options.items()} == {
+        "CycleSpec": set(), "SmootherSpec": set()}
