@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags, choices) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
-        # argparse reads -1e3 or -inf as a flag (its numbers are -1 and -1.5); here
-        # they are values, as after "=" and in a config: no option looks like one
+        # argparse reads -1e3 or -inf as a flag (its numbers are -1 and -1.5); no option
+        # looks like one, so here they are values, as after "=" and in a config. The
+        # matcher is private: test_cli's flag/config property test fails if it goes unread
         cmd._negative_number_matcher = re.compile(r"^-\.?\d|^-(inf|nan)", re.IGNORECASE)
         for key in flags:
             cmd.add_argument("--" + key.replace("_", "-"), dest=key,

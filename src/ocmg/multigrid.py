@@ -382,7 +382,7 @@ def solve(hier: Hierarchy, b: np.ndarray, spec: CycleSpec,
     for k in range(1, spec.max_iters + 1):  # CycleSpec: max_iters >= 1
         if r is not None:  # refreshed: carry 2^-s r, ||2^-s r|| in [1/2, 1)
             refreshed = history[-1]
-            s = frexp(refreshed)[1]
+            s = min(max(frexp(refreshed)[1], -1023), 1023)  # 2^±1024 is not a float
             np.multiply(r, 2.0 ** -s, out=r_low, casting="same_kind")
             r = None  # freed while the cycle runs: the peak memory stays the float64 solver's
         c = cycle(hier, 0, r_low, spec)

@@ -153,6 +153,18 @@ def test_mg_data_whose_norm_overflows_is_a_validation_error(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_data_whose_residual_norm_passes_2_1023_is_solved(tmp_path, capsys):
+    # a residual norm in [2^1023, DBL_MAX] has no power-of-two scale that
+    # takes it to [1/2, 1): 2.0 ** 1024 raised OverflowError out of main
+    for argv in (["mg", "--config", _field_config(tmp_path, "1e307")],
+                 ["mg", "--N", "16", "--alpha", "1e-307"],
+                 ["ssn", "--N", "16", "--alpha", "1e-307"]):
+        assert run_cli(argv) == 0
+        captured = capsys.readouterr()
+        assert "converged=True" in captured.out
+        assert captured.err == ""
+
+
 def test_mg_overflowing_residual_exits_2_without_cycling(tmp_path, capsys):
     # data of a finite norm whose residual norm overflows (A v holds
     # p/alpha ~ 1e308): the solve must stop before cycling, instead of

@@ -686,6 +686,28 @@ def test_solve_is_exactly_homogeneous_under_powers_of_two(kind):
         assert scaled.history == [scale * h for h in one.history]
 
 
+@pytest.mark.parametrize("kind", ["cjr", "bsr", "ibsr"])
+def test_solve_at_the_ends_of_the_float_range(kind):
+    # residual norms from 2^1023 up, or below 2^-1023, have no float scale
+    # 2^-s taking them to [1/2, 1) (2.0 ** 1024 raises OverflowError); the
+    # scale stops at 2^1023 or 2^-1023 instead.  At N = 32 the residual never
+    # grows past ||b||, so that of 2^1023 b stays finite
+    hier = build_hierarchy(32, 2, 1e-3, SmootherSpec(kind))
+    b = _rng(17).standard_normal((2, 31, 31))
+    b *= 2.0 ** (1 - math.frexp(block_norm2(b))[1])  # ||b|| in [1, 2)
+    spec = CycleSpec(max_iters=4)
+    one = solve(hier, b, spec, v0=_zeros(32))
+    assert max(one.history) < 2.0
+    top = solve(hier, b * 2.0**1023, spec, v0=_zeros(32))
+    np.testing.assert_array_equal(top.v, one.v * 2.0**1023)
+    assert top.history == [h * 2.0**1023 for h in one.history]
+    # 2^-1030 b and its iterate are subnormal and keep only some 25 bits
+    low = solve(hier, b * 2.0**-1030, spec, v0=_zeros(32))
+    assert low.iters == 4
+    np.testing.assert_allclose(low.v * 2.0**1000 * 2.0**30, one.v, rtol=0,
+                               atol=1e-6 * np.abs(one.v).max())
+
+
 def test_solve_of_a_tiny_right_hand_side_takes_the_cycles_of_a_small_one():
     # every entry 1e-170: the unscaled norm of b read 0, and the solve
     # returned converged after 0 cycles with v = 0
