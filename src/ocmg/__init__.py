@@ -1,6 +1,6 @@
 """Matrix-free geometric multigrid for elliptic sparse optimal control.
 
-Subpackages by theme: ``grid`` (fields and stencil operators), ``lfa``
+Modules by theme: ``grid`` (fields and stencil operators), ``lfa``
 (Fourier symbols, smoothing factors, optimal damping), ``smoothers``
 (collective Jacobi and mass-based Braess-Sarazin relaxation),
 ``multigrid`` (hierarchies, V/W cycles, convergence factors), ``ssn``

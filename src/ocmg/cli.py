@@ -289,10 +289,10 @@ def _mu_pred(cell: dict) -> float:
 
 
 def _measure_cell(cell: dict) -> float:
-    """One benchmark solve; failures turn into nan so the table survives."""
+    """One benchmark solve; a failure main classifies becomes nan, a bug propagates."""
     try:
         return solve(*_build(cell)).rho
-    except Exception as exc:  # noqa: BLE001 - isolate per-cell failures
+    except (ValueError, SolverError, PcgBreakdownError, np.linalg.LinAlgError) as exc:
         print(f"ocmg: cell {cell} failed: {exc}", file=sys.stderr)
         return float("nan")
 

@@ -82,11 +82,10 @@ def symbol_laplacian(theta1, theta2, h: float):
 
 
 def symbol_mass(theta1, theta2, h: float):
-    """Q~ = (h^2/9)(4 + 2cos t1 + 2cos t2 + cos t1 cos t2), positive for all t."""
+    """Q~ = (h^2/9)(4 + 2cos t1 + 2cos t2 + cos t1 cos t2) = (h^2/9)(2 + cos t1)(2 + cos t2),
+    so Q~ >= h^2/9 for all t."""
     c1, c2 = np.cos(theta1), np.cos(theta2)
-    val = (h * h / 9.0) * (4.0 + 2.0 * c1 + 2.0 * c2 + c1 * c2)
-    assert np.all(val >= h * h / 9.0 - 1e-12), "mass symbol dipped below its minimum"
-    return val
+    return (h * h / 9.0) * (4.0 + 2.0 * c1 + 2.0 * c2 + c1 * c2)
 
 
 def high_freq_grid(q: int):
@@ -113,13 +112,6 @@ def high_freq_grid(q: int):
     return t1[keep], t2[keep]
 
 
-def _eig2(half, disc):
-    """half +- sqrt(disc): a 2x2 matrix's eigenvalues from its half-trace and
-    disc = half^2 - det, formed without the cancellation of half^2 - det."""
-    root = np.sqrt(np.asarray(disc, dtype=complex))
-    return half + root, half - root
-
-
 def relax_eigs(scheme: str, t1, t2, alpha: float, h: float):
     """Eigenvalues of B~^{-1} A~ at the given angles (complex arrays)."""
     a = symbol_laplacian(t1, t2, h)
@@ -136,32 +128,9 @@ def relax_eigs(scheme: str, t1, t2, alpha: float, h: float):
         disc = ((1.0 - det) / 2.0) ** 2
     else:
         raise ValueError(f"unknown scheme {scheme!r} (LFA covers {SCHEMES})")
-    return _eig2(half, disc)
-
-
-class _SampledSymbol:
-    """Precomputed eigenvalues over a sampled high-frequency set.
-
-    The relaxation eigenvalues do not depend on omega, so the omega search
-    only re-evaluates max |1 - omega*lambda| over two cached arrays.
-    """
-
-    def __init__(self, scheme: str, params: LfaParams):
-        self.scheme = scheme
-        self.params = params
-        self.t1, self.t2 = high_freq_grid(params.q)
-        self.lam1, self.lam2 = relax_eigs(scheme, self.t1, self.t2,
-                                          params.alpha, params.h)
-
-    def mu(self, omega: float) -> tuple[float, tuple[float, float]]:
-        m1 = np.abs(1.0 - omega * self.lam1)
-        m2 = np.abs(1.0 - omega * self.lam2)
-        k1, k2 = np.argmax(m1), np.argmax(m2)
-        if m1[k1] >= m2[k2]:
-            k, val = k1, m1[k1]
-        else:
-            k, val = k2, m2[k2]
-        return float(val), (float(self.t1[k]), float(self.t2[k]))
+    # half +- sqrt(disc), with disc = half^2 - det formed without that cancellation
+    root = np.sqrt(np.asarray(disc, dtype=complex))
+    return half + root, half - root
 
 
 def sampled_optimal(scheme: str, params: LfaParams) -> LfaReport:
@@ -169,24 +138,28 @@ def sampled_optimal(scheme: str, params: LfaParams) -> LfaReport:
 
     mu(omega) is a max of |1 - omega*lambda| terms, each convex in omega,
     so the objective is convex; the search stops at a bracket of 1e-4.
+    Both eigenvalue branches, which do not depend on omega, form one array.
     """
-    sym = _SampledSymbol(scheme, params)
+    t1, t2 = high_freq_grid(params.q)
+    lam = np.concatenate(relax_eigs(scheme, t1, t2, params.alpha, params.h))
+    dev = lambda omega: np.abs(1.0 - omega * lam)
     inv_phi = (sqrt(5.0) - 1.0) / 2.0
     a, b = 0.1, 1.5
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = sym.mu(c)[0], sym.mu(d)[0]
+    fc, fd = dev(c).max(), dev(d).max()
     while b - a > 1e-4:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = sym.mu(c)[0]
+            fc = dev(c).max()
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = sym.mu(d)[0]
+            fd = dev(d).max()
     omega = 0.5 * (a + b)
-    mu, theta = sym.mu(omega)
-    return LfaReport(mu=mu, omega=omega, theta=theta)
+    m = dev(omega)
+    k = np.argmax(m) % t1.size  # the first maximum: on a tie, the first branch's
+    return LfaReport(mu=float(m.max()), omega=omega, theta=(float(t1[k]), float(t2[k])))
 
 
 def psi(omega: float, gamma: float) -> float:

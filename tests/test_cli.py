@@ -1,7 +1,10 @@
 """Command line interface: flag handling, config merge, exit codes, CSV output."""
 
+import contextlib
 import csv
+import io
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -352,6 +355,70 @@ def test_a_flag_and_a_config_line_read_a_value_the_same_way(option, value):
     assert repr(_read_flag(command, key, value)) == repr(_read_config(command, key, value))
 
 
+# the values a run draws for each option: ints from small ranges plus invalid
+# ones, N at most 32 so no draw starts large work, floats from the edge pool
+_RUN_VALUES = {"q": ("2", "3", "4", "0", "-1"), "nu": ("1", "2", "3", "0", "-1"),
+               "pcg_iters": ("1", "2", "3", "0", "-1"), "seed": ("0", "7", "-1"),
+               "cycle": ("V", "W")}
+_FLOAT_EDGES = ("0", "-0.0", "5e-324", "1e300", "-1e300", "1e-300", "-1e-300",
+                "inf", "-inf", "nan", "-1e3", "-1")
+# the keys of each command's documented first line of output
+_FIRST_LINE = {"lfa": ["scheme", "q", "alpha", "h"],
+               "mg": ["scheme", "q", "N", "alpha", "cycle", "nu"],
+               "ssn": ["scheme", "q", "N", "alpha", "beta", "u0", "u1", "cycle", "nu"]}
+
+
+@st.composite
+def _command_lines(draw):
+    """(command, {key: value}) for lfa, mg or ssn; N is always set, to 16 or 32."""
+    command = draw(st.sampled_from(sorted(_FIRST_LINE)))
+    _, flags, choices = cli._COMMANDS[command]
+    opts = {}
+    for key in flags:
+        if key == "N":
+            opts[key] = draw(st.sampled_from(("16", "32")))
+        elif key != "out" and draw(st.booleans()):
+            opts[key] = draw(st.sampled_from(choices.get(key) or _RUN_VALUES.get(key)
+                                             or _FLOAT_EDGES))
+    return command, opts
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=_command_lines(), with_out=st.booleans())
+def test_every_command_line_keeps_the_exit_contract(line, with_out):
+    # each value goes once as a flag and once as a config line: exit 0, 1 or
+    # 2 with no exception, the same code both ways, no --out file left by
+    # exit 1, and the documented first line on exit 0
+    command, opts = line
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if with_out:
+            opts = dict(opts, out=str(out))
+        cfg = Path(tmp) / "c.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in opts.items()))
+        flags = [arg for key, value in opts.items()
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        codes = []
+        for argv in ([command] + flags, [command, "--config", str(cfg)]):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)  # any exception, SystemExit too, fails the test
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert not out.exists()
+            if code == 0:
+                first = stdout.getvalue().splitlines()[0]
+                assert [tok.split("=")[0] for tok in first.split()] == _FIRST_LINE[command]
+                want = cli._merge(cli.build_parser().parse_args(argv))
+                assert first.startswith(f"scheme={want['scheme']} q={want['q']} ")
+            if out.is_dir():
+                shutil.rmtree(out)
+            elif out.exists():
+                out.unlink()
+            codes.append(code)
+        assert codes[0] == codes[1]
+
+
 def test_a_negative_value_in_scientific_notation_reaches_the_library(capsys):
     assert _read_flag("ssn", "u0", "-1e3") == -1000.0
     assert run_cli(["mg", "--N", "16", "--alpha", "-1e-3"]) == 1
@@ -488,6 +555,18 @@ def test_repro_failed_cell_recorded_as_nan(tmp_path, monkeypatch, capsys):
     assert len(bad) == 1 and bad[0]["rho_measured"] == "nan"
     good = [r for r in rows if r["N"] == "16"]
     assert len(good) == 2
+
+
+def test_repro_lets_a_programming_error_escape(tmp_path, monkeypatch):
+    # every Exception used to become a nan cell and exit 0, so a bug such as
+    # the OverflowError of 2.0 ** 1024 read as a failed solve
+    def broken(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "table1_cells", _tiny_cells)
+    monkeypatch.setattr(cli, "solve", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["repro", "table1", "--out", str(tmp_path)])
 
 
 def test_repro_sweep_csv_has_the_alpha_column(tmp_path, monkeypatch):

@@ -4,10 +4,9 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocmg import lfa
 from ocmg.lfa import (
     LfaParams,
     LfaReport,
@@ -26,8 +25,11 @@ from oracle import scalar_range_check
 
 def smoothing_factor_sampled(scheme, params, omega):
     """max over sampled high frequencies of the spectral radius of S~."""
-    mu, theta = lfa._SampledSymbol(scheme, params).mu(omega)
-    return LfaReport(mu=mu, omega=omega, theta=theta)
+    t1, t2 = high_freq_grid(params.q)
+    lam = np.concatenate(relax_eigs(scheme, t1, t2, params.alpha, params.h))
+    dev = np.abs(1.0 - omega * lam)
+    k = np.argmax(dev) % t1.size
+    return LfaReport(mu=float(dev.max()), omega=omega, theta=(float(t1[k]), float(t2[k])))
 
 
 def params_for_gamma(q, gamma, h=1.0):
@@ -73,6 +75,15 @@ def test_symbol_mass_values():
     assert symbol_mass(0.0, 0.0, h) == pytest.approx(h * h)
     assert symbol_mass(np.pi, np.pi, h) == pytest.approx(h * h / 9.0)
     assert symbol_mass(np.pi / 2, np.pi / 2, h) == pytest.approx(4 * h * h / 9.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t1=st.floats(-10.0, 10.0), t2=st.floats(-10.0, 10.0), h=st.floats(1e-150, 1e150))
+@example(t1=3.141592635389793, t2=np.pi, h=1.0)
+def test_symbol_mass_is_at_least_its_minimum(t1, t2, h):
+    # Q~ = (h^2/9)(2 + cos t1)(2 + cos t2) >= h^2/9, least at (pi, pi); the
+    # rounded sum 4 + 2c1 + 2c2 + c1c2 can land half an ulp below 1 near it
+    assert symbol_mass(t1, t2, h) >= h * h / 9.0 * (1.0 - 2.0 ** -50)
 
 
 # ---------------------------------------------------------------- frequency set
@@ -148,6 +159,13 @@ def test_sampled_cjr_collapses_to_scalar_jacobi():
         rep = smoothing_factor_sampled("cjr", p, omega)
         want = max(abs(1 - omega * 0.5), abs(1 - omega * 2.0))
         assert rep.mu == pytest.approx(want, abs=1e-6)
+
+
+def test_sampled_bsr_theta_keeps_the_first_of_two_tied_maxima():
+    # (-pi/4, 0) and (0, -pi/4) give the same mu; on a tie the first sample of
+    # the first eigenvalue branch is reported, and `ocmg lfa` prints it
+    rep = sampled_optimal("bsr", LfaParams(q=4, alpha=1e-6, h=1.0 / 256))
+    assert rep.theta == (-np.pi / 4, 0.0)
 
 
 def test_sampled_rejects_bad_scheme():

@@ -1,6 +1,6 @@
 """The test configuration itself (a failing test is reported, not an internal
 error) and the package's own hygiene (no function, class, constant or spec
-option only tests use)."""
+option only tests use, and no assert statement)."""
 
 import ast
 import subprocess
@@ -81,3 +81,12 @@ def test_every_spec_option_is_set_outside_the_tests():
     assert sorted(options) == ["CycleSpec", "SmootherSpec"]
     assert {name: fields - passed for name, fields in options.items()} == {
         "CycleSpec": set(), "SmootherSpec": set()}
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips asserts: a check the package needs raises an error, and
+    # a fact it relies on is a test
+    found = [f"{path.name}:{node.lineno}" for path in sorted((ROOT / "src" / "ocmg").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
