@@ -9,8 +9,9 @@ Four subcommands:
 
 Exit status is 0 on success, 1 on validation errors (bad flags, bad
 config, incompatible N and q, NaN, an alpha whose 1/alpha overflows, an
-LFA h whose symbols overflow), 2 on solver failures (divergence, stalled
-Newton iteration, PCG breakdown).  A config file holds "key = value" lines for the command's
+LFA h whose symbols overflow, a grid too large for memory), 2 on solver
+failures (divergence, stalled Newton iteration, PCG breakdown).  A config
+file holds "key = value" lines for the command's
 flags, plus f_file and g_file for mg and ssn; flags win over config,
 config over the defaults here, and these over the library's.  Flags and
 config share one table of choices, checked as a value is read; each value
@@ -292,7 +293,8 @@ def _measure_cell(cell: dict) -> float:
     """One benchmark solve; a failure main classifies becomes nan, a bug propagates."""
     try:
         return solve(*_build(cell)).rho
-    except (ValueError, SolverError, PcgBreakdownError, np.linalg.LinAlgError) as exc:
+    except (ValueError, MemoryError, SolverError, PcgBreakdownError,
+            np.linalg.LinAlgError) as exc:
         print(f"ocmg: cell {cell} failed: {exc}", file=sys.stderr)
         return float("nan")
 
@@ -345,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[opts["command"]](opts)
     except (OSError, ValueError) as exc:
         print(f"ocmg: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"ocmg: out of memory: {exc or 'MemoryError'}", file=sys.stderr)
         return 1
     except (SolverError, PcgBreakdownError, np.linalg.LinAlgError) as exc:
         print(f"ocmg: {exc}", file=sys.stderr)

@@ -218,19 +218,20 @@ def apply_mass(u: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def sine_basis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The type-I sine matrix S[j, k] = sqrt(2/N) sin(pi j k/N), j, k = 1..N-1,
-    and the 1-D eigenvalues it diagonalizes: (2 - 2cos(k pi/N))/h^2 of the
-    Laplacian's factor tridiag(-1, 2, -1)/h^2 and (4 + 2cos(k pi/N)) h/6 of the
-    mass operator's factor tridiag(1, 4, 1) h/6.
+    and the eigenvalue fields it diagonalizes: lam[k, l] = lap[k] + lap[l] of L
+    and mass[k, l] = mq[k] mq[l] of Q, from lap[k] = (2 - 2cos(k pi/N))/h^2 of
+    the 1-D factor tridiag(-1, 2, -1)/h^2 and mq[k] = (4 + 2cos(k pi/N)) h/6 of
+    tridiag(1, 4, 1) h/6.
 
     S is orthonormal, symmetric and its own inverse, so S u S are the modal
-    coefficients of a field u, and L u = S ((S u S) lam) S with
-    lam[k, l] = lap_1d[k] + lap_1d[l].
+    coefficients of a field u, L u = S ((S u S) lam) S and Q u = S ((S u S) mass) S.
     """
     k = np.arange(1, grid.N)
     c = np.cos(np.pi * k / grid.N)
     # the argument of the sine reduced modulo 2 pi exactly
     sine = np.sqrt(2.0 / grid.N) * np.sin(np.pi * (np.outer(k, k) % (2 * grid.N)) / grid.N)
-    return sine, (2.0 - 2.0 * c) * grid.N ** 2, (4.0 + 2.0 * c) * grid.h / 6.0
+    lap, mq = (2.0 - 2.0 * c) * grid.N ** 2, (4.0 + 2.0 * c) * grid.h / 6.0
+    return sine, lap[:, None] + lap[None, :], np.outer(mq, mq)
 
 
 class SaddleSine:
@@ -238,7 +239,7 @@ class SaddleSine:
     mask or a sparse one (see saddle_solver).
 
     Without a mask every mode (k, l) of A is the 2 x 2 system
-    [[lam, -c], [1, lam]], lam = lap_1d[k] + lap_1d[l] and c = 1/alpha, whose
+    [[lam, -c], [1, lam]], lam the (k, l) entry of sine_basis's lam and c = 1/alpha, whose
     inverse [[lam, c], [-1, lam]] / (lam^2 + c) is stored as three fields.
     Their entries are at most 1/lam, 1 and 1/lam^2 for every alpha, so no
     product with alpha or 1/alpha can overflow.  A solve is four m x m
@@ -268,8 +269,7 @@ class SaddleSine:
     """
 
     def __init__(self, op: SaddleOperator):
-        self._sine, lap_1d, _ = sine_basis(op.grid)
-        self._lam = lap_1d[:, None] + lap_1d[None, :]
+        self._sine, self._lam, _ = sine_basis(op.grid)
         if op.mask is None:
             lam, c = self._lam, 1.0 / op.alpha
             det = lam * lam + c

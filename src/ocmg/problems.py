@@ -6,9 +6,10 @@ Two stock data sets are provided.  The first is a manufactured pair
     p(x) = sin(2 pi x1) sin(2 pi x2) exp(x1 - x2)
 
 with the sources f, g chosen so that (y, p) solves the unconstrained
-first-order system exactly; both factors are separable, so the analytic
+first-order system exactly; both are separable, so the analytic
 Laplacians come from 1D second derivatives.  The second is a sparsity
 benchmark with f = 0, an oscillatory target state, and box bounds -30/30.
+Every 1D factor of both is sin(2 pi t) exp(s t), s = 1, -1, 2 or 0.
 
 Field files are line-oriented text: a header "N <value>" followed by one
 "i j value" line per interior node, i the x1 index varying fastest.
@@ -37,36 +38,26 @@ class ProblemData:
                 raise ValueError(f"{name} has no finite norm (its values are too large)")
 
 
-def _sep(grid: GridSpec, fac1, fac2) -> np.ndarray:
-    # field[j-1, i-1] = fac1(i h) * fac2(j h); axis 0 runs along x2
-    t = np.arange(1, grid.N) * grid.h
-    return np.outer(fac2(t), fac1(t))
+def _wave(t: np.ndarray, s: float) -> np.ndarray:
+    """The factor sin(2 pi t) exp(s t) of both examples' fields."""
+    return np.sin(2 * np.pi * t) * np.exp(s * t)
 
 
-def _u(t):
-    return np.sin(2 * np.pi * t) * np.exp(t)
-
-
-def _upp(t):
-    return ((1 - 4 * np.pi**2) * np.sin(2 * np.pi * t)
-            + 4 * np.pi * np.cos(2 * np.pi * t)) * np.exp(t)
-
-
-def _v(t):
-    return np.sin(2 * np.pi * t) * np.exp(-t)
-
-
-def _vpp(t):
-    return ((1 - 4 * np.pi**2) * np.sin(2 * np.pi * t)
-            - 4 * np.pi * np.cos(2 * np.pi * t)) * np.exp(-t)
+def _wave_pp(t: np.ndarray, s: float) -> np.ndarray:
+    """Its second derivative ((s^2 - 4 pi^2) sin(2 pi t) + 4 pi s cos(2 pi t)) exp(s t)."""
+    return ((s * s - 4 * np.pi**2) * np.sin(2 * np.pi * t)
+            + 4 * np.pi * s * np.cos(2 * np.pi * t)) * np.exp(s * t)
 
 
 def example1_fields(grid: GridSpec, alpha: float) -> tuple[ProblemData, np.ndarray]:
     """Manufactured sources and the exact solution samples as a block field."""
-    exact = np.stack([_sep(grid, _u, _u), _sep(grid, _u, _v)])
+    # field[j-1, i-1] = a(j h) b(i h) is np.outer(a, b): axis 0 runs along x2
+    t = np.arange(1, grid.N) * grid.h
+    u, upp, v, vpp = _wave(t, 1), _wave_pp(t, 1), _wave(t, -1), _wave_pp(t, -1)
+    exact = np.stack([np.outer(u, u), np.outer(v, u)])
     ystar, pstar = exact
-    lap_y = _sep(grid, _upp, _u) + _sep(grid, _u, _upp)
-    lap_p = _sep(grid, _upp, _v) + _sep(grid, _u, _vpp)
+    lap_y = np.outer(u, upp) + np.outer(upp, u)
+    lap_p = np.outer(v, upp) + np.outer(vpp, u)
     f = -lap_y - pstar / alpha
     g = -lap_p + ystar
     return ProblemData(f, g, grid), exact
@@ -74,11 +65,9 @@ def example1_fields(grid: GridSpec, alpha: float) -> tuple[ProblemData, np.ndarr
 
 def example2_fields(grid: GridSpec) -> ProblemData:
     """Sparsity benchmark: zero source, oscillatory target state."""
+    t = np.arange(1, grid.N) * grid.h
     f = np.zeros((grid.m, grid.m))
-    g = _sep(grid,
-             lambda t: np.sin(2 * np.pi * t) * np.exp(2 * t),
-             lambda t: np.sin(2 * np.pi * t)) / 6.0
-    return ProblemData(f, g, grid)
+    return ProblemData(f, np.outer(_wave(t, 0), _wave(t, 2)) / 6.0, grid)
 
 
 def discrete_norm(e: np.ndarray, grid: GridSpec) -> float:
@@ -88,7 +77,7 @@ def discrete_norm(e: np.ndarray, grid: GridSpec) -> float:
 
 def dump_field(path, field: np.ndarray, grid: GridSpec) -> None:
     grid.check_field(field)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"N {grid.N}\n")
         for j in range(1, grid.N):
             for i in range(1, grid.N):
@@ -98,7 +87,7 @@ def dump_field(path, field: np.ndarray, grid: GridSpec) -> None:
 def load_field(path, grid: GridSpec) -> np.ndarray:
     """Read a field file whose header names grid's N (checked before allocating);
     every interior point must appear exactly once."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lineno, line = 1, fh.readline()
         try:
             key, n = line.split()

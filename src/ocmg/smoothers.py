@@ -155,9 +155,8 @@ class SchurSpectral:
     exact eigenvalues."""
 
     def __init__(self, grid: GridSpec, alpha: float):
-        self.sine, lap_1d, mass_1d = _grid.sine_basis(grid)
-        self.eig = (lap_1d[:, None] + lap_1d[None, :]
-                    + np.outer(mass_1d, mass_1d) / alpha)
+        self.sine, lam, mass = _grid.sine_basis(grid)
+        self.eig = lam + mass / alpha
 
     @cached_property
     def _float32(self) -> tuple[np.ndarray, np.ndarray]:  # cast on the first float32 input

@@ -13,10 +13,13 @@ full weighting R1 and interpolation P1 = q R1^T that multigrid.restrict
 and multigrid.prolong reproduce bitwise as R1 f R1^T and P1 c P1^T
 (restrict_reference, prolong_reference).  Two scalar references the
 tests share follow: the sampled symbol-ratio ranges and the
-work-equivalence exponent.  Two hierarchy tools close the module:
+work-equivalence exponent.  Two hierarchy tools follow:
 schur_solve, the Schur solve of bsr or ibsr built here from the smoothers'
 public pieces, and with_cjr_damping, which relaxes a collective Jacobi
-hierarchy with a hand-set damping in place of the closed form's.
+hierarchy with a hand-set damping in place of the closed form's.  Two
+solver references close the module: cycle_matrix, the matrix of one cycle
+from unit fields (map_matrix), and SparseControl, the objective that
+ssn.ssn_solve minimizes, with its own L-BFGS-B minimizer.
 
 Assembly kinds:
 
@@ -37,8 +40,10 @@ from math import log
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import minimize
+from scipy.sparse.linalg import splu
 
-from ocmg import smoothers
+from ocmg import multigrid, smoothers
 from ocmg.grid import GridSpec, SaddleOperator, residual
 from ocmg.lfa import high_freq_grid, symbol_laplacian, symbol_mass
 
@@ -127,13 +132,18 @@ def apply_saddle(op: SaddleOperator, v: np.ndarray) -> np.ndarray:
     return -residual(op, np.zeros_like(v), v)
 
 
+def sparse_laplacian(grid: GridSpec):
+    """The five-point Laplacian as a sparse (kron(I, T) + kron(T, I)) N^2, T = tridiag(-1, 2, -1)."""
+    T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(grid.m, grid.m))
+    I = sparse.identity(grid.m)
+    return (sparse.kron(I, T) + sparse.kron(T, I)) * grid.N**2
+
+
 def saddle_matrix(op: SaddleOperator):
     """apply_saddle as a sparse CSC [[L, -diag(mask)/alpha], [I, L]] on v.ravel() = [y; p]."""
-    m, n = op.grid.m, op.grid.m ** 2
+    n = op.grid.m ** 2
     mask = np.ones(n) if op.mask is None else op.mask.astype(np.float64).ravel()
-    T = sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
-    I = sparse.identity(m)
-    L = (sparse.kron(I, T) + sparse.kron(T, I)) * op.grid.N**2
+    L = sparse_laplacian(op.grid)
     return sparse.bmat([[L, sparse.diags_array(-mask / op.alpha)],
                         [sparse.identity(n), L]], format="csc")
 
@@ -208,3 +218,89 @@ def with_cjr_damping(hier, omega: float):
     for lev in hier.levels[:-1]:
         lev.relax = lambda r, op=lev.op: smoothers.cjr_apply(r, op, omega)
     return hier
+
+
+def map_matrix(f, shape: tuple[int, ...]) -> np.ndarray:
+    """The matrix of a linear map on fields of shape: column i is f(e_i), raveled,
+    for the float64 unit field e_i."""
+    e = np.zeros(shape)
+    cols = []
+    for i in range(e.size):
+        e.flat[i] = 1.0
+        cols.append(np.ravel(f(e)).copy())
+        e.flat[i] = 0.0
+    return np.stack(cols, axis=1)
+
+
+def cycle_matrix(hier, spec) -> np.ndarray:
+    """The matrix C of one cycle on the finest level, b -> multigrid.cycle(hier, 0,
+    b, spec), from float64 unit block fields; for a linear smoother, E = I - C A
+    propagates the error of one solve iteration.  The cycle follows its input's
+    dtype, so C is a float64 matrix also on a float32 hierarchy."""
+    m = hier.levels[0].op.grid.m
+    return map_matrix(lambda e: multigrid.cycle(hier, 0, e, spec), (2, m, m))
+
+
+class SparseControl:
+    """The reduced objective of the problem ssn.ssn_solve solves,
+
+        j(u) = 1/2 ||y - g||^2 + alpha/2 ||u||^2 + beta ||u||_1,   y = L^-1 (u + f),
+
+    over u in [u0, u1], with plain Euclidean sums.  Its optimality system is
+    the one ssn.residual_F measures: the adjoint p = L^-1 (g - y) is minus the
+    gradient of the first term, and the minimizer is u = phi(p).  L^-1 is a
+    sparse LU of sparse_laplacian, built here, not the package's solvers.
+
+    j is alpha-strongly convex, so for any u and s in its subdifferential,
+    ||u - u*|| <= ||s|| / alpha and j(u) - j(u*) <= ||s||^2 / (2 alpha), u* the
+    minimizer; subgradient gives the s of least norm.
+    """
+
+    def __init__(self, data, cp):
+        self.data, self.cp = data, cp
+        self._lu = splu(sparse_laplacian(data.grid).tocsc())
+
+    def _solve(self, x: np.ndarray) -> np.ndarray:
+        return self._lu.solve(x.ravel()).reshape(x.shape)
+
+    def state(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, p) of the control u."""
+        y = self._solve(u + self.data.f)
+        return y, self._solve(self.data.g - y)
+
+    def objective(self, u: np.ndarray) -> float:
+        r = self.state(u)[0] - self.data.g
+        return float(0.5 * np.vdot(r, r) + 0.5 * self.cp.alpha * np.vdot(u, u)
+                     + self.cp.beta * np.abs(u).sum())
+
+    def subgradient(self, u: np.ndarray) -> np.ndarray:
+        """The least-norm element of the subdifferential of j plus the indicator
+        of [u0, u1] at u, from the gradient G = alpha u - p of the smooth part."""
+        a, b, u0, u1 = self.cp.alpha, self.cp.beta, self.cp.u0, self.cp.u1
+        G = a * u - self.state(u)[1]
+        s = np.where(u > 0, G + b, G - b)
+        s[u == 0] = (np.sign(G) * np.maximum(np.abs(G) - b, 0.0))[u == 0]
+        s[u == u1] = np.maximum(G + b, 0.0)[u == u1]  # the normal cone there is [0, inf)
+        s[u == u0] = np.minimum(G - b, 0.0)[u == u0]
+        return s
+
+    def minimizer(self) -> np.ndarray:
+        """u by L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995) on
+        the split u = u+ - u-, u+ in [0, u1] and u- in [0, -u0], where j is smooth
+        with the gradient (G + beta, beta - G); run until it stops making progress."""
+        cp, shape = self.cp, self.data.f.shape
+        n = self.data.f.size
+
+        def fun(x):
+            u = (x[:n] - x[n:]).reshape(shape)
+            y, p = self.state(u)
+            r = y - self.data.g
+            G = (cp.alpha * u - p).ravel()
+            value = 0.5 * np.vdot(r, r) + 0.5 * cp.alpha * np.vdot(u, u) + cp.beta * x.sum()
+            return value, np.concatenate([G + cp.beta, cp.beta - G])
+
+        res = minimize(fun, np.zeros(2 * n), jac=True, method="L-BFGS-B",
+                       bounds=[(0.0, cp.u1)] * n + [(0.0, -cp.u0)] * n,
+                       options=dict(maxiter=5000, maxfun=10000, maxcor=20, ftol=0.0,
+                                    gtol=0.0))
+        return (res.x[:n] - res.x[n:]).reshape(shape)

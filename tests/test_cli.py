@@ -513,6 +513,46 @@ def test_data_and_residuals_of_a_huge_finite_norm_are_solved(capsys, argv):
     assert captured.err == ""
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 128. GiB for an array with shape "
+                      "(131071, 131071) and data type float64")
+
+
+@pytest.mark.parametrize("command, out", [("mg", "hist.csv"), ("ssn", "fields")])
+def test_a_grid_too_large_for_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys,
+                                                           command, out):
+    # the example data are the first arrays of the grid's size either command makes
+    monkeypatch.setattr(cli, "example1_fields", _out_of_memory)
+    monkeypatch.setattr(cli, "example2_fields", _out_of_memory)
+    assert cli.main([command, "--N", "16", "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ocmg: out of memory: Unable to allocate 128. GiB for an "
+                            "array with shape (131071, 131071) and data type float64\n")
+    assert not (tmp_path / out).exists()
+
+
+def test_a_grid_too_large_for_memory_exits_1_in_a_child_process():
+    # the child's address space is capped at 3 GiB, so the 128 GiB fields of
+    # N=131072 cannot be allocated under any overcommit policy; never run the
+    # command without the cap
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "ocmg.cli", "mg", "--N", "131072"],
+                         preexec_fn=cap, env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("ocmg: out of memory: ")
+    assert len(run.stderr.splitlines()) == 1
+
+
 # --------------------------------------------------------------- repro
 
 def _tiny_cells():
@@ -555,6 +595,15 @@ def test_repro_failed_cell_recorded_as_nan(tmp_path, monkeypatch, capsys):
     assert len(bad) == 1 and bad[0]["rho_measured"] == "nan"
     good = [r for r in rows if r["N"] == "16"]
     assert len(good) == 2
+
+
+def test_repro_records_a_cell_too_large_for_memory_as_nan(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "table1_cells", _tiny_cells)
+    monkeypatch.setattr(cli, "example1_fields", _out_of_memory)
+    assert run_cli(["repro", "table1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "table1.csv", newline="") as fh:
+        assert [r["rho_measured"] for r in csv.DictReader(fh)] == ["nan", "nan"]
+    assert capsys.readouterr().err.count("failed: Unable to allocate") == 2
 
 
 def test_repro_lets_a_programming_error_escape(tmp_path, monkeypatch):

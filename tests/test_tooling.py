@@ -90,3 +90,17 @@ def test_the_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_text_file_the_package_opens_names_its_encoding():
+    # without encoding= a text file is read and written in the locale's encoding
+    def mode(call: ast.Call) -> str:
+        given = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+        return given[0].value if given and isinstance(given[0], ast.Constant) else "r"
+
+    found = [f"{path.name}:{node.lineno}" for path in sorted((ROOT / "src" / "ocmg").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "open" and "b" not in mode(node)
+             and not any(kw.arg == "encoding" for kw in node.keywords)]
+    assert found == []
