@@ -10,12 +10,14 @@ Four subcommands:
 Exit status is 0 on success, 1 on validation errors (bad flags, bad
 config, incompatible N and q, NaN, an alpha whose 1/alpha overflows, an
 LFA h whose symbols overflow, a grid too large for memory), 2 on solver
-failures (divergence, stalled Newton iteration, PCG breakdown).  A config
-file holds "key = value" lines for the command's
-flags, plus f_file and g_file for mg and ssn; flags win over config,
-config over the defaults here, and these over the library's.  Flags and
-config share one table of choices, checked as a value is read; each value
-is then checked by the library type it enters, built before the data.
+failures (divergence, stalled Newton iteration, PCG breakdown, a LAPACK
+error).  An exit 1 removes an --out the run created: a file, or a
+directory still empty.  A config file holds "key = value" lines for the
+command's flags, plus f_file and g_file for mg and ssn; flags win over
+config, config over the defaults here, and these over the library's.
+Flags and config share one table of choices, checked as a value is read;
+each value is then checked by the library type it enters, built before
+the data.
 """
 
 from __future__ import annotations
@@ -159,6 +161,13 @@ def _load_problem(opts: dict, grid: GridSpec, fallback) -> ProblemData:
     return ProblemData(load_field(f_file, grid), load_field(g_file, grid), grid)
 
 
+def _write_table(stream, header: list[str], rows) -> None:
+    """The one CSV writer: a header line, then one line per row."""
+    w = csv.writer(stream)
+    w.writerow(header)
+    w.writerows(rows)
+
+
 def cmd_lfa(opts: dict) -> int:
     params = LfaParams(q=opts["q"], alpha=opts["alpha"], h=opts["h"])
     closed = closed_form(opts["scheme"], params)
@@ -175,22 +184,12 @@ def cmd_lfa(opts: dict) -> int:
         print(f"difference:  |domega|={abs(sampled.omega - closed.omega):.3e}"
               f" |dmu|={abs(sampled.mu - closed.mu):.3e}")
         if fh is not None:
-            w = csv.writer(fh)
-            w.writerow(["scheme", "q", "alpha", "h", "omega_closed",
-                        "mu_closed", "omega_sampled", "mu_sampled",
-                        "theta1", "theta2"])
-            w.writerow([opts["scheme"], opts["q"], f"{opts['alpha']:.17g}",
-                        f"{opts['h']:.17g}", f"{closed.omega:.17g}", f"{closed.mu:.17g}",
-                        f"{sampled.omega:.17g}", f"{sampled.mu:.17g}",
-                        f"{sampled.theta[0]:.17g}", f"{sampled.theta[1]:.17g}"])
+            _write_table(fh, ["scheme", "q", "alpha", "h", "omega_closed", "mu_closed",
+                              "omega_sampled", "mu_sampled", "theta1", "theta2"],
+                         [[opts["scheme"], opts["q"]] + [f"{x:.17g}" for x in (
+                             opts["alpha"], opts["h"], closed.omega, closed.mu,
+                             sampled.omega, sampled.mu, *sampled.theta)]])
     return 0
-
-
-def _write_history(stream, history: list[float]) -> None:
-    w = csv.writer(stream)
-    w.writerow(["iter", "residual_norm", "rel_residual"])
-    for k, rn in enumerate(history):
-        w.writerow([k, f"{rn:.17g}", f"{rn / history[0]:.17g}"])
 
 
 def _build(opts: dict) -> tuple[Hierarchy, np.ndarray, CycleSpec]:
@@ -210,7 +209,9 @@ def cmd_mg(opts: dict) -> int:
         print(f"scheme={opts['scheme']} q={opts['q']} N={opts['N']} "
               f"alpha={opts['alpha']:g} cycle={spec.cycle} nu={spec.nu_pre}")
         print(f"converged={res.converged} iters={res.iters} rho={res.rho:.3f}")
-        _write_history(fh, res.history)
+        _write_table(fh, ["iter", "residual_norm", "rel_residual"],
+                     ([k, f"{rn:.17g}", f"{rn / res.history[0]:.17g}"]
+                      for k, rn in enumerate(res.history)))
     if res.failure:
         print(f"ocmg: multigrid {res.failure}", file=sys.stderr)
         return 2
@@ -299,39 +300,22 @@ def _measure_cell(cell: dict) -> float:
         return float("nan")
 
 
-def run_cells(cells: list[dict]) -> list[dict]:
-    """Measure every cell and attach its prediction; the rows keep the cell order."""
-    return [dict(cell, mu_pred=_mu_pred(cell), rho_measured=_measure_cell(cell))
-            for cell in cells]
-
-
-def write_rows(path: str, rows: list[dict], with_alpha: bool = False) -> None:
-    header = ["q", "N", "scheme", "nu", "cycle", "mu_pred",
-              "rho_measured", "pcg_iters"]
-    if with_alpha:
-        header.append("alpha")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in rows:
-            row = [r["q"], r["N"], r["scheme"], r["nu"], r["cycle"],
-                   f"{r['mu_pred']:.3f}", f"{r['rho_measured']:.3f}",
-                   r["pcg_iters"]]
-            if with_alpha:
-                row.append(f"{r['alpha']:.17g}")
-            w.writerow(row)
-
-
 def cmd_repro(opts: dict) -> int:
     target = opts["target"]
     cells = {"table1": table1_cells,
              "table2": table2_cells,
              "sweep": sweep_cells}[target]()
     os.makedirs(opts["out"], exist_ok=True)
-    rows = run_cells(cells)
+    sweep = target == "sweep"  # the one table whose cells differ in alpha
+    # one row per cell in the cell order, measured before the file is opened
+    rows = [[c["q"], c["N"], c["scheme"], c["nu"], c["cycle"], f"{_mu_pred(c):.3f}",
+             f"{_measure_cell(c):.3f}", c["pcg_iters"]] + [f"{c['alpha']:.17g}"] * sweep
+            for c in cells]
     path = os.path.join(opts["out"], f"{target}.csv")
-    write_rows(path, rows, with_alpha=(target == "sweep"))
-    bad = sum(1 for r in rows if np.isnan(r["rho_measured"]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        _write_table(fh, ["q", "N", "scheme", "nu", "cycle", "mu_pred", "rho_measured",
+                          "pcg_iters"] + ["alpha"] * sweep, rows)
+    bad = sum(row[6] == "nan" for row in rows)  # row[6] is rho_measured
     print(f"wrote {len(rows)} rows -> {path}" +
           (f" ({bad} failed cells recorded as nan)" if bad else ""))
     return 0
@@ -342,18 +326,25 @@ _HANDLERS = {"lfa": cmd_lfa, "mg": cmd_mg, "ssn": cmd_ssn, "repro": cmd_repro}
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    new_out = None  # an --out this run creates; an exit 1 removes it again
     try:
         opts = _merge(args)
+        if opts.get("out") and not os.path.lexists(opts["out"]):
+            new_out = opts["out"]
         return _HANDLERS[opts["command"]](opts)
-    except (OSError, ValueError) as exc:
-        print(f"ocmg: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # an input too large for this machine
-        print(f"ocmg: out of memory: {exc or 'MemoryError'}", file=sys.stderr)
-        return 1
     except (SolverError, PcgBreakdownError, np.linalg.LinAlgError) as exc:
+        # first: numpy's LinAlgError is a ValueError
         print(f"ocmg: {exc}", file=sys.stderr)
         return 2
+    except (OSError, ValueError) as exc:
+        message = str(exc)
+    except MemoryError as exc:  # an input too large for this machine
+        message = f"out of memory: {exc or 'MemoryError'}"
+    print(f"ocmg: {message}", file=sys.stderr)
+    if new_out is not None:
+        with contextlib.suppress(OSError):  # rmdir refuses a directory that is not empty
+            (os.rmdir if os.path.isdir(new_out) else os.remove)(new_out)
+    return 1
 
 
 if __name__ == "__main__":

@@ -317,7 +317,8 @@ def saddle_solver(op: SaddleOperator) -> Callable[[np.ndarray], np.ndarray]:
     1.4 ms for k = 124 = 4m against 3.3-3.5 ms for the row LU, which wins
     above (k = 248: 5.8 against 3.5 ms; k = 514: 32 against 5.6 ms); at
     N=125, 0.12 s for k = 496 = 4m against 0.42 s.  Each sine solve is the
-    faster one too: 0.05 against 0.14 ms at N=32.
+    faster one too: 0.05 against 0.14 ms at N=32.  Without a mask the sine
+    solve is built in 0.4 ms at N=125 and solves in 0.03 ms at N=32.
     """
     if op.mask is None or np.count_nonzero(op.mask) <= 4 * op.grid.m:
         return SaddleSine(op).solve
@@ -353,8 +354,7 @@ class SaddleRowLU:
     ||A||_inf max|x| + max|b|, measured at most 3.1e-16 for N from 8 to
     50, alpha from 1e2 to 1e-100 and masks fractional, {0,1} or all zero.
 
-    Cost on one Xeon core: m inversions of 2m x 2m, about 4 ms at N=32
-    and 0.5 s at N=125; a solve takes about 0.2 ms at N=32.  H holds
+    Cost: m inversions of 2m x 2m, timed in saddle_solver.  H holds
     m (2m)^2 doubles: 0.95 MB at N=32, 61 MB at N=125.
     """
 

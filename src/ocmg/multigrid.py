@@ -8,15 +8,11 @@ Hierarchy invariants:
     the coarsest grid has more than DIRECT_N = 32 subdivisions, so the
     coarsest level is the first coarse grid with at most 32 subdivisions
     (2 * 31^2 = 1,922 unknowns, where one direct solve costs less than
-    the cycle dispatch of the levels below it: on one Xeon core 0.03 ms
-    unmasked and 0.05 ms with a sparse mask after at most 1.5 ms of set-up,
-    0.14 ms after a 3.5 ms factorization with a dense one) unless
-    divisibility stops the chain first.  Each step needs N divisible by q
-    and N/q >= COARSEST_N = 8, so an odd grid stops it early: at
-    250 -> 125 (q = 2) a dense mask's row LU factors in about 0.4 s and
-    holds 61 MB of row blocks, (N-1) (2(N-1))^2 doubles, where the sine
-    solve is built in 0.4 ms unmasked and in at most 0.12 s for a sparse
-    mask (k = 4m = 496 nonzeros).  The level chains:
+    the cycle dispatch of the levels below it; grid.saddle_solver gives
+    the costs) unless divisibility stops the chain first.  Each step
+    needs N divisible by q and N/q >= COARSEST_N = 8, so an odd grid
+    stops it early: at 250 -> 125 (q = 2), where a dense mask's row LU
+    holds (N-1) (2(N-1))^2 doubles (grid.SaddleRowLU).  The level chains:
     256 -> 128 -> 64 -> 32   (q = 2; N = 128 and N = 1024 also stop at 32)
     243 -> 81 -> 27          (q = 3)
     256 -> 64 -> 16          (q = 4)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import ocmg.cli as cli
 from ocmg.grid import GridSpec
 from ocmg.problems import load_field
+from ocmg.smoothers import PcgBreakdownError
 from ocmg.ssn import SolverError, SsnResult
 
 
@@ -154,6 +155,18 @@ def test_mg_data_whose_norm_overflows_is_a_validation_error(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("ocmg: f has no finite norm")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["mg", "ssn"])
+@pytest.mark.parametrize("key", ["f_file", "g_file"])
+def test_a_config_with_one_field_file_is_a_validation_error(tmp_path, capsys, command, key):
+    _field_config(tmp_path, "1")
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"N = 16\n{key} = {tmp_path / (key[0] + '.txt')}\n")
+    assert run_cli([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ocmg: f_file and g_file must be given together\n"
 
 
 def test_data_whose_residual_norm_passes_2_1023_is_solved(tmp_path, capsys):
@@ -553,6 +566,54 @@ def test_a_grid_too_large_for_memory_exits_1_in_a_child_process():
     assert len(run.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, solver, out", [
+    (["mg", "--N", "16"], "solve", "hist.csv"),
+    (["ssn", "--N", "16"], "ssn_solve", "fields"),
+    (["lfa"], "sampled_optimal", "lfa.csv"),
+], ids=["mg", "ssn", "lfa"])
+def test_an_exit_1_in_the_solve_leaves_no_out_the_run_created(tmp_path, monkeypatch,
+                                                               capsys, argv, solver, out):
+    # mg and lfa open their file, and ssn makes its directory, before the solve
+    monkeypatch.setattr(cli, solver, _out_of_memory)
+    assert cli.main(argv + ["--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ocmg: out of memory: Unable to allocate 128. GiB")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / out).exists()
+
+
+def test_an_exit_1_keeps_an_out_that_existed_or_holds_files(tmp_path, monkeypatch):
+    hist, fields, filled = tmp_path / "hist.csv", tmp_path / "fields", tmp_path / "filled"
+    hist.write_text("")
+    fields.mkdir()
+
+    def fill_then_fail(*args, **kwargs):
+        (filled / "y.txt").write_text("")
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve", _out_of_memory)
+    monkeypatch.setattr(cli, "ssn_solve", _out_of_memory)
+    assert cli.main(["mg", "--N", "16", "--out", str(hist)]) == 1
+    assert cli.main(["ssn", "--N", "16", "--out", str(fields)]) == 1
+    monkeypatch.setattr(cli, "ssn_solve", fill_then_fail)
+    assert cli.main(["ssn", "--N", "16", "--out", str(filled)]) == 1
+    assert hist.is_file() and fields.is_dir() and (filled / "y.txt").is_file()
+
+
+@pytest.mark.parametrize("error", [PcgBreakdownError("curvature <Ad, d> = -1.000e+00 <= 0"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["PcgBreakdownError", "LinAlgError"])
+def test_a_solver_error_escaping_a_command_exits_2_with_one_line(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve", fail)
+    assert cli.main(["mg", "--N", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ocmg: {error}\n"
+
+
 # --------------------------------------------------------------- repro
 
 def _tiny_cells():
@@ -673,7 +734,7 @@ def test_repro_full_grids_have_expected_shapes():
 @pytest.mark.parametrize("target", ["table1", "table2", "sweep"])
 def test_repro_rows_come_out_sorted_as_the_cells_are_built(tmp_path, monkeypatch,
                                                            target):
-    # run_cells keeps the cell order, so the builders must give the table order
+    # repro writes its rows in the cell order, so the builders must give the table order
     monkeypatch.setattr(cli, "_measure_cell", lambda cell: 0.5)
     assert run_cli(["repro", target, "--out", str(tmp_path)]) == 0
     with open(tmp_path / f"{target}.csv", newline="") as fh:

@@ -38,6 +38,13 @@ def _zeros_block(grid):
 
 # ---------------------------------------------------------------- laplacian
 
+@pytest.mark.parametrize("N", [1, 0, -2])
+def test_grid_spec_needs_two_subdivisions(N):
+    # N=1 has no interior point, so no field to solve for
+    with pytest.raises(ValueError, match=f"need N >= 2, got N={N}"):
+        GridSpec(N)
+
+
 def test_laplacian_zero_field():
     g = GridSpec(8)
     out = apply_laplacian(np.zeros((g.m, g.m)), g)

@@ -720,6 +720,15 @@ def test_solve_of_a_tiny_right_hand_side_takes_the_cycles_of_a_small_one():
     np.testing.assert_allclose(tiny.v, 1e-20 * small.v, rtol=1e-8)
 
 
+def test_solve_of_a_zero_system_from_zero_returns_without_a_cycle():
+    # the initial residual is exactly 0, so no relative reduction can be measured
+    hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
+    res = solve(hier, _zeros(16), CycleSpec(), v0=_zeros(16))
+    assert res.converged and res.failure is None
+    assert (res.iters, res.rho, res.history) == (0, 0.0, [0.0])
+    assert not res.v.any()
+
+
 def test_solve_returns_a_float64_iterate_for_float32_input():
     hier = build_hierarchy(16, 2, 1e-3, SmootherSpec("cjr"))
     b = _rng(18).standard_normal((2, 15, 15))

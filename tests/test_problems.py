@@ -110,6 +110,13 @@ def test_field_file_layout(tmp_path):
     assert len(lines) == 5
 
 
+def test_load_field_skips_blank_lines(tmp_path):
+    path = tmp_path / "field.txt"
+    path.write_text("N 3\n1 1 1.0\n\n2 1 2.0\n   \n1 2 3.0\n2 2 4.0\n\n")
+    np.testing.assert_array_equal(load_field(path, GridSpec(3)),
+                                  [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_load_field_rejects_bad_files(tmp_path):
     p1 = tmp_path / "bad_header.txt"
     p1.write_text("M 3\n")

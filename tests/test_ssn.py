@@ -360,6 +360,28 @@ def test_every_multigrid_solve_goes_through_the_module_binding(monkeypatch):
                       + [(32, k) for k in res.mg_iters])
 
 
+def test_a_negligible_step_on_an_unchanged_mask_stops_as_a_round_off_stall(monkeypatch):
+    # tol=1e-300 leaves the round-off floor 1e-14 sqrt(2 m^2) = 2.1e-13 as the
+    # target, which this solve's ||F|| stops short of: its last step is
+    # noise-sized, the mask does not change, and the loop stops there converged
+    corrections = []
+
+    def recorded(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        corrections.append(res.v)
+        return res
+
+    monkeypatch.setattr(ssn, "solve", recorded)
+    grid = GridSpec(16)
+    res = ssn_solve(example2_fields(grid), ControlParams(1e-6, 1e-3, -30.0, 30.0), 2,
+                    SmootherSpec("ibsr"), CycleSpec(cycle="W", nu_pre=2), tol=1e-300)
+    assert res.converged
+    assert res.residuals[-1] > 1e-14 * np.sqrt(2.0 * grid.m ** 2)
+    # the last solve is the last Newton step's correction
+    step = res.steps[-1] * corrections[-1]
+    assert block_norm2(step) <= 1e-13 * max(1.0, block_norm2(res.v - step))
+
+
 def test_a_failed_coarse_stage_returns_the_loop_from_the_seed(monkeypatch):
     ref = _newton_from_seed(1e-4, 1e-3)
     counts = _rebind_solve(monkeypatch, coarse=_unconverged)

@@ -1,8 +1,11 @@
 """The test configuration itself (a failing test is reported, not an internal
 error) and the package's own hygiene (no function, class, constant or spec
-option only tests use, and no assert statement)."""
+option only tests use, no assert statement, and no dotted name in the docs
+that does not resolve)."""
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +107,40 @@ def test_every_text_file_the_package_opens_names_its_encoding():
              and node.func.id == "open" and "b" not in mode(node)
              and not any(kw.arg == "encoding" for kw in node.keywords)]
     assert found == []
+
+
+def _docs() -> dict[str, str]:
+    """README.md and the module, class and function docstrings of each package file."""
+    docs = {"README.md": (ROOT / "README.md").read_text(encoding="utf-8")}
+    for path in sorted((ROOT / "src" / "ocmg").glob("*.py")):
+        nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        docs[path.name] = "\n".join(filter(None, (
+            ast.get_docstring(node) for node in nodes
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))))
+    return docs
+
+
+def _resolves(name: str) -> bool:
+    first, *rest = name.split(".")
+    obj = importlib.import_module("oracle" if first == "oracle" else "ocmg")
+    for part in rest if first in ("ocmg", "oracle") else [first, *rest]:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_dotted_package_name_in_the_docs_resolves():
+    # a name that is deleted or renamed must not live on in README.md or a
+    # docstring: each dotted name that starts with a package module, ocmg or
+    # the tests' oracle (grid.SaddleSine, ocmg.multigrid.solve,
+    # oracle.cycle_matrix) must resolve; file names such as oracle.py are not names
+    modules = [path.stem for path in sorted((ROOT / "src" / "ocmg").glob("*.py"))
+               if path.stem != "__init__"]
+    for module in modules:
+        importlib.import_module(f"ocmg.{module}")
+    dotted = re.compile(r"\b(?:ocmg|oracle|%s)(?:\.\w+)+" % "|".join(modules))
+    names = {(doc, name) for doc, text in _docs().items() for name in dotted.findall(text)
+             if not name.endswith(".py")}
+    assert len(names) > 20  # the scan reads the docs
+    assert sorted(f"{doc}: {name}" for doc, name in names if not _resolves(name)) == []
